@@ -28,9 +28,11 @@ from .errors import (
     CollinearConstruction,
     ConfigError,
     CoplanarDegeneracy,
+    DegenerateDisparity,
     DegenerateSpread,
     IllConditioned,
     LfRectError,
+    NonPositiveDepth,
     NoOverlap,
     RankDeficient,
     ZeroBaseline,
@@ -51,6 +53,8 @@ _DEGENERATE = (
     ZeroBaseline,
     CollinearConstruction,
     DegenerateSpread,
+    NonPositiveDepth,
+    DegenerateDisparity,
 )
 
 

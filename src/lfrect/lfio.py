@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import re
 from pathlib import Path
 
@@ -92,8 +93,21 @@ def load_json(path) -> dict:
     return data
 
 
+def _open_new(path):
+    """Open ``path`` for binary writing as a new file.  An existing file is
+    unlinked rather than truncated: on ext4, truncating a file that was
+    just written forces a flush of its data, which made rewriting a
+    light-field directory stall."""
+    try:
+        return open(path, "xb")
+    except FileExistsError:
+        os.unlink(path)
+        return open(path, "xb")
+
+
 def save_json(path, data: dict):
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    with _open_new(path) as f:
+        f.write((json.dumps(data, indent=2, sort_keys=True) + "\n").encode())
 
 
 def load_intrinsics(path) -> LFIntrinsics:
@@ -221,7 +235,7 @@ def write_pgm16(path, image: np.ndarray):
         raise ValueError("image must be 2D")
     data = np.round(np.clip(img, 0.0, 1.0) * 65535.0).astype(">u2")
     h, w = img.shape
-    with open(path, "wb") as f:
+    with _open_new(path) as f:
         f.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
         f.write(data.tobytes())
 
@@ -270,7 +284,7 @@ def write_pbm(path, valid_mask: np.ndarray):
         raise ValueError("mask must be 2D")
     h, w = valid.shape
     bits = np.packbits((~valid).astype(np.uint8), axis=1)
-    with open(path, "wb") as f:
+    with _open_new(path) as f:
         f.write(f"P4\n{w} {h}\n".encode("ascii"))
         f.write(bits.tobytes())
 

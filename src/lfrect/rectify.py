@@ -39,6 +39,8 @@ __all__ = [
     "RectifiedSetup",
     "warp_ray",
     "warp_rays",
+    "warp_slopes",
+    "warp_positions",
     "rectifying_rotation",
     "build_rectified_setup",
     "warp_lf_to_common",
@@ -157,6 +159,32 @@ def warp_ray(ray, transform: RelativePose, method: str = "closed") -> Ray4D:
     return Ray4D(*out)
 
 
+def warp_slopes(u, v, R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slope half of the closed-form warp: (u', v', valid) for slopes
+    (u, v) under the rotation R (a float (3, 3) array).
+
+    The warped slopes depend on neither the ray's position nor the
+    translation, so rays sharing slopes share this half.  Entries with
+    |denominator| <= 1e-12 are invalid; their u', v' are finite but
+    meaningless.
+    """
+    num_u = R[0, 2] + R[0, 0] * u + R[0, 1] * v
+    num_v = R[1, 2] + R[1, 0] * u + R[1, 1] * v
+    den = R[2, 2] + R[2, 0] * u + R[2, 1] * v
+    valid = np.abs(den) > _EPS
+    safe = np.where(valid, den, 1.0)
+    return num_u / safe, num_v / safe, valid
+
+
+def warp_positions(s, t, u_p, v_p, R: np.ndarray, T: np.ndarray):
+    """Position half of the closed-form warp: (s', t') of rays through
+    (s, t) whose warped slopes are (u_p, v_p), from :func:`warp_slopes`."""
+    z_s = T[2] + R[2, 0] * s + R[2, 1] * t  # depth of the moved z=0 anchor
+    s_p = T[0] + R[0, 0] * s + R[0, 1] * t - z_s * u_p
+    t_p = T[1] + R[1, 0] * s + R[1, 1] * t - z_s * v_p
+    return s_p, t_p
+
+
 def warp_rays(rays: np.ndarray, R, T) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form warp of an (n, 4) ray bundle; no exceptions.
 
@@ -167,16 +195,8 @@ def warp_rays(rays: np.ndarray, R, T) -> tuple[np.ndarray, np.ndarray]:
     R = np.asarray(R, float)
     T = np.asarray(T, float).reshape(3)
     s, t, u, v = rays.T
-    num_u = R[0, 2] + R[0, 0] * u + R[0, 1] * v
-    num_v = R[1, 2] + R[1, 0] * u + R[1, 1] * v
-    den = R[2, 2] + R[2, 0] * u + R[2, 1] * v
-    valid = np.abs(den) > _EPS
-    safe = np.where(valid, den, 1.0)
-    u_p = num_u / safe
-    v_p = num_v / safe
-    z_s = T[2] + R[2, 0] * s + R[2, 1] * t
-    s_p = T[0] + R[0, 0] * s + R[0, 1] * t - z_s * u_p
-    t_p = T[1] + R[1, 0] * s + R[1, 1] * t - z_s * v_p
+    u_p, v_p, valid = warp_slopes(u, v, R)
+    s_p, t_p = warp_positions(s, t, u_p, v_p, R, T)
     out = np.column_stack([s_p, t_p, u_p, v_p])
     out[~valid] = 0.0
     return out, valid

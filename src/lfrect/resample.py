@@ -14,17 +14,34 @@ source camera and samples the source light field by 4D multilinear
 interpolation (2x2 sub-apertures x 2x2 pixels).  Pixels whose interpolation
 neighborhood leaves the sampled aperture, or touches any invalid source
 pixel, are masked out rather than extrapolated.
+
+Sampling is split in two halves.  Every target sub-aperture keeps the
+left camera's pixel slopes, and a ray's warped slopes (u', v') depend only
+on its slopes and the source rotation, so the first half runs once per
+source: the slope half of the warp (``warp_slopes``), the pixel-row and
+pixel-column cell and weights of every query, and its pixel-extent check.
+The second half runs per target sub-aperture: the position half of the warp
+(``warp_positions``) gives (s', t'), their sub-aperture cell and weights,
+then one lookup in the source's cell-valid mask (``SampledLF.cell_valid``,
+the AND of the mask over each 2x2x2x2 cell, built once per light field)
+and 16 ``take``s from the flat image at precomputed corner offsets.
+``_sample_many`` runs both halves back to back for an arbitrary ray bundle.
+Each corner weight is ((w_t * w_s) * w_r) * w_c and the corners are summed
+in ``product((0, 1), repeat=4)`` order, so a stored sample reproduces bit
+for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import IndexOutOfRange, NoOverlap, OutOfAperture
-from .rectify import RectifiedSetup, warp_rays
+from .rectify import RectifiedSetup, warp_positions, warp_rays, warp_slopes
 
 __all__ = [
     "SpatialMapping",
@@ -95,7 +112,7 @@ class SampledLF:
     mapping: SpatialMapping
 
     def __post_init__(self):
-        img = np.asarray(self.images, float)
+        img = np.ascontiguousarray(self.images, float)
         msk = np.asarray(self.mask, bool)
         s = np.asarray(self.s_mm, float)
         t = np.asarray(self.t_mm, float)
@@ -133,6 +150,24 @@ class SampledLF:
     @property
     def pitch_t(self) -> float:
         return float(self.t_mm[1] - self.t_mm[0]) if self.n_rows > 1 else 0.0
+
+    @cached_property
+    def cell_valid(self) -> np.ndarray:
+        """AND of ``mask`` over each 2x2x2x2 interpolation cell, indexed
+        by the cell's low corner.  The high neighbour on an axis of n
+        samples is min(lo + 1, n - 1), so a one-sample axis pairs each
+        sample with itself; entries at index n - 1 of a longer axis are
+        never a low corner.  Computed on first use; the arrays of a
+        SampledLF must not be modified in place after that."""
+        cells = self.mask.copy()
+        for axis, n in enumerate(cells.shape):
+            if n > 1:
+                lo = [slice(None)] * 4
+                hi = [slice(None)] * 4
+                lo[axis] = slice(0, n - 1)
+                hi[axis] = slice(1, n)
+                cells[tuple(lo)] &= cells[tuple(hi)]
+        return cells
 
     def grid_centers(self) -> np.ndarray:
         """All (s, t) sub-aperture positions as an (n_t, n_s, 2) array."""
@@ -214,50 +249,96 @@ def _axis_positions(values: np.ndarray, coords: np.ndarray):
     return idx, valid
 
 
+class _SlopeTaps(NamedTuple):
+    """The part of a batch of sample queries that depends only on the
+    source light field and the query slopes (u, v): the flat image and
+    cell-valid mask, the flat offsets of the 16 cell corners in
+    ``product((0, 1), repeat=4)`` order, the flat index of each query's
+    low (pixel-row, pixel-col) corner, the row and column weights
+    (1 - f, f), and the pixel-extent validity."""
+
+    flat: np.ndarray
+    cells: np.ndarray
+    offsets: list
+    base: np.ndarray
+    w_r: tuple
+    w_c: tuple
+    valid: np.ndarray
+
+
+def _split(idx: np.ndarray, n: int):
+    """Low lattice index and fraction of continuous indices on an axis of
+    n samples.  The low index stops at n - 2, so the high neighbour
+    min(lo + 1, n - 1) exists; NaN maps to 0 (such queries are invalid)."""
+    idx = np.fmin(np.fmax(idx, 0.0), float(n - 1))
+    lo = np.minimum(np.floor(idx).astype(np.intp), max(n - 2, 0))
+    return lo, idx - lo
+
+
+def _slope_taps(lf: SampledLF, u, v, valid=True) -> _SlopeTaps:
+    """Prepare queries with slopes (u, v) into ``lf``; ``valid`` marks the
+    queries to keep before the pixel-extent check."""
+    W, H = lf.width, lf.height
+    c_idx = (u - lf.mapping.u0) / lf.mapping.du
+    r_idx = (v - lf.mapping.v0) / lf.mapping.dv
+    c_ok = (c_idx >= -_EDGE_TOL) & (c_idx <= W - 1 + _EDGE_TOL)
+    r_ok = (r_idx >= -_EDGE_TOL) & (r_idx <= H - 1 + _EDGE_TOL)
+    r_lo, r_f = _split(r_idx, H)
+    c_lo, c_f = _split(c_idx, W)
+    # Flat step to the high neighbour on each axis; 0 on a one-sample axis.
+    n_t, n_s = lf.n_rows, lf.n_cols
+    steps = [
+        step if n > 1 else 0
+        for n, step in zip((n_t, n_s, H, W), (n_s * H * W, H * W, W, 1))
+    ]
+    offsets = [
+        bt * steps[0] + bs * steps[1] + br * steps[2] + bc * steps[3]
+        for bt, bs, br, bc in product((0, 1), repeat=4)
+    ]
+    return _SlopeTaps(
+        flat=lf.images.reshape(-1),
+        cells=lf.cell_valid.reshape(-1),
+        offsets=offsets,
+        base=r_lo * W + c_lo,
+        w_r=(1.0 - r_f, r_f),
+        w_c=(1.0 - c_f, c_f),
+        valid=valid & c_ok & r_ok,
+    )
+
+
+def _sample_taps(lf: SampledLF, taps: _SlopeTaps, s, t) -> tuple[np.ndarray, np.ndarray]:
+    """Finish the queries of ``taps`` at aperture positions (s, t): 4D
+    multilinear interpolation with the weight of each corner taken as
+    ((w_t * w_s) * w_r) * w_c and the corners summed in product order.
+    Returns (values, valid); invalid entries are 0."""
+    s_idx, s_ok = _axis_positions(s, lf.s_mm)
+    t_idx, t_ok = _axis_positions(t, lf.t_mm)
+    t_lo, t_f = _split(t_idx, lf.n_rows)
+    s_lo, s_f = _split(s_idx, lf.n_cols)
+    base = (t_lo * lf.n_cols + s_lo) * (lf.height * lf.width) + taps.base
+    ok = taps.valid & s_ok & t_ok & taps.cells.take(base)
+    w_t = (1.0 - t_f, t_f)
+    w_s = (1.0 - s_f, s_f)
+    values = np.zeros(base.shape)
+    corner = iter(taps.offsets)
+    for bt, bs in product((0, 1), repeat=2):
+        w_ts = w_t[bt] * w_s[bs]
+        for br in (0, 1):
+            w_tsr = w_ts * taps.w_r[br]
+            for bc in (0, 1):
+                values += (w_tsr * taps.w_c[bc]) * taps.flat.take(base + next(corner))
+    values[~ok] = 0.0
+    return values, ok
+
+
 def _sample_many(lf: SampledLF, rays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """4D multilinear interpolation of an (n, 4) ray bundle in the LF's own
     TPP.  Returns (values, valid); invalid entries are 0.  A query is valid
     only if all four coordinates lie inside the sampled extent and none of
     the 16 samples of its interpolation neighborhood is masked out."""
     rays = np.asarray(rays, float)
-    s_idx, s_ok = _axis_positions(rays[:, 0], lf.s_mm)
-    t_idx, t_ok = _axis_positions(rays[:, 1], lf.t_mm)
-    c_idx = (rays[:, 2] - lf.mapping.u0) / lf.mapping.du
-    r_idx = (rays[:, 3] - lf.mapping.v0) / lf.mapping.dv
-    W, H = lf.width, lf.height
-    c_ok = (c_idx >= -_EDGE_TOL) & (c_idx <= W - 1 + _EDGE_TOL)
-    r_ok = (r_idx >= -_EDGE_TOL) & (r_idx <= H - 1 + _EDGE_TOL)
-    valid = s_ok & t_ok & c_ok & r_ok & np.all(np.isfinite(rays), axis=1)
-
-    def split(idx, n):
-        idx = np.clip(idx, 0.0, float(n - 1))
-        lo = np.minimum(np.floor(idx).astype(np.intp), max(n - 2, 0))
-        frac = idx - lo
-        hi = np.minimum(lo + 1, n - 1)
-        return lo, hi, frac
-
-    t_lo, t_hi, t_f = split(t_idx, lf.n_rows)
-    s_lo, s_hi, s_f = split(s_idx, lf.n_cols)
-    r_lo, r_hi, r_f = split(r_idx, H)
-    c_lo, c_hi, c_f = split(c_idx, W)
-
-    values = np.zeros(rays.shape[0])
-    ok = valid.copy()
-    for bt, bs, br, bc in product((0, 1), repeat=4):
-        ti = t_hi if bt else t_lo
-        si = s_hi if bs else s_lo
-        ri = r_hi if br else r_lo
-        ci = c_hi if bc else c_lo
-        w = (
-            (t_f if bt else 1.0 - t_f)
-            * (s_f if bs else 1.0 - s_f)
-            * (r_f if br else 1.0 - r_f)
-            * (c_f if bc else 1.0 - c_f)
-        )
-        values += w * lf.images[ti, si, ri, ci]
-        ok &= lf.mask[ti, si, ri, ci]
-    values[~ok] = 0.0
-    return values, ok
+    taps = _slope_taps(lf, rays[:, 2], rays[:, 3])
+    return _sample_taps(lf, taps, rays[:, 0], rays[:, 1])
 
 
 def interpolate_ray(lf: SampledLF, ray) -> float:
@@ -443,6 +524,9 @@ def render_aligned_sais(
         1: (left, setup.R_l.T, -setup.R_l.T @ setup.T_l),
         2: (right, setup.R_r.T, -setup.R_r.T @ setup.T_r),
     }
+    # Every target pixel keeps its slopes, so the slope half of the warp
+    # and of the sampling is done once per source.
+    prepared = {}
     n_rows, n_cols = grid.provenance.shape
     images = np.zeros((n_rows, n_cols, H, W))
     mask = np.zeros((n_rows, n_cols, H, W), bool)
@@ -451,19 +535,16 @@ def render_aligned_sais(
             prov = int(grid.provenance[i, j])
             if prov == 0:
                 continue
-            source, R_inv, T_inv = inv[1] if prov & 1 else inv[2]
-            rays = np.column_stack(
-                [
-                    np.full(u_px.size, grid.cols_mm[j]),
-                    np.full(u_px.size, grid.rows_mm[i]),
-                    u_px,
-                    v_px,
-                ]
+            side = 1 if prov & 1 else 2
+            source, R_inv, T_inv = inv[side]
+            if side not in prepared:
+                u_p, v_p, ok = warp_slopes(u_px, v_px, R_inv)
+                prepared[side] = (u_p, v_p, _slope_taps(source, u_p, v_p, ok))
+            u_p, v_p, taps = prepared[side]
+            s_p, t_p = warp_positions(
+                grid.cols_mm[j], grid.rows_mm[i], u_p, v_p, R_inv, T_inv
             )
-            back, ok = warp_rays(rays, R_inv, T_inv)
-            vals, good = _sample_many(source, back)
-            good &= ok
-            vals[~good] = 0.0
+            vals, good = _sample_taps(source, taps, s_p, t_p)
             images[i, j] = vals.reshape(H, W)
             mask[i, j] = good.reshape(H, W)
     return SampledLF(

@@ -148,6 +148,25 @@ def test_coplanar_points_exit_4(tmp_path, capsys):
     assert "plane residual" in err
 
 
+@pytest.mark.parametrize(
+    "lam, error",
+    [(1.0, "NonPositiveDepth"), (-0.03, "DegenerateDisparity")],
+)
+def test_unplaceable_depths_exit_4(tmp_path, capsys, lam, error):
+    """Camera-1 disparities that put every point behind the camera, or at
+    infinite depth (lambda = -K1), are degenerate geometry."""
+    sim_dir = _run_simulate(tmp_path, capsys)
+    csv_path = sim_dir / "correspondences.csv"
+    header, *rows = csv_path.read_text().splitlines()
+    rows = [",".join(r.split(",")[:2] + [repr(lam)] + r.split(",")[3:]) for r in rows]
+    csv_path.write_text("\n".join([header, *rows]) + "\n")
+    rc, _ = _run_estimate(tmp_path, sim_dir)
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "degenerate geometry" in err
+    assert error in err
+
+
 def test_rectify_and_epi_pipeline(tmp_path, capsys, blob_pair, blob_rectified):
     _, left, right, _ = blob_pair
     save_sampled_lf(tmp_path / "left", left)

@@ -6,6 +6,8 @@ polarity, CSV float formatting) so a change that silently breaks
 interchange or run-to-run reproducibility fails here.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,18 @@ def test_correspondence_csv_skips_blank_lines(tmp_path):
     assert back.first.shape == (4, 3)
 
 
+def test_readme_correspondence_example_reads(tmp_path):
+    """The README's correspondence example is a file the reader accepts."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("```csv\n", 1)[1].split("```", 1)[0]
+    lines = [line.strip() for line in block.splitlines() if line.strip()]
+    assert lines[0] == ",".join(CORRESPONDENCE_HEADER)
+    p = tmp_path / "readme.csv"
+    p.write_text("\n".join(lines) + "\n")
+    k1, k2 = default_intrinsics_pair()
+    assert len(read_correspondence_csv(p, k1, k2)) == len(lines) - 1
+
+
 # ---------------------------------------------------------------------------
 # trial CSV
 # ---------------------------------------------------------------------------
@@ -258,6 +272,22 @@ def test_sampled_lf_directory_round_trip(tmp_path):
     assert np.array_equal(back.mask, lf.mask)
     assert np.array_equal(back_grid.provenance, grid.provenance)
     assert np.array_equal(back_grid.cols_mm, grid.cols_mm)
+
+
+def test_sampled_lf_rewrite_is_byte_identical(tmp_path):
+    """Saving into a directory that already holds a light field replaces
+    every file with the same bytes, and leaves no stale content when the
+    new files are shorter."""
+    lf = random_lf(seed=6)
+    grid = plan_aligned_grid(random_lf(1), random_lf(2), identity_setup(4.0))
+    first, d = tmp_path / "first", tmp_path / "lf"
+    save_sampled_lf(first, lf, grid)
+    save_sampled_lf(d, random_lf(seed=7, s_mm=S3 * 1000.0))  # longer grid.json
+    save_sampled_lf(d, lf, grid)
+    names = sorted(p.name for p in first.iterdir())
+    assert sorted(p.name for p in d.iterdir()) == names
+    for name in names:
+        assert (d / name).read_bytes() == (first / name).read_bytes(), name
 
 
 def test_sampled_lf_without_grid_or_masks(tmp_path):

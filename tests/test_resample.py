@@ -13,20 +13,33 @@ import math
 
 import numpy as np
 import pytest
+import sampler_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lfrect.errors import IndexOutOfRange, NoOverlap, OutOfAperture
-from lfrect.geometry import Ray4D, euler_xyz_intrinsic
-from lfrect.rectify import RectifiedSetup
+from lfrect.geometry import LFIntrinsics, Ray4D, RelativePose, euler_xyz_intrinsic
+from lfrect.rectify import RectifiedSetup, build_rectified_setup
 from lfrect.resample import (
+    _EDGE_TOL,
     AlignedGrid,
     SampledLF,
     SpatialMapping,
+    _sample_many,
     extract_epi,
     interpolate_ray,
     plan_aligned_grid,
     render_aligned_sais,
 )
-from lfrect.simulate import blob_centroid, fit_line_tls, refine_checkerboard_corner
+from lfrect.simulate import (
+    RenderGrid,
+    TexturedPlane,
+    blob_centroid,
+    fit_line_tls,
+    refine_checkerboard_corner,
+    render_synthetic_lf,
+    soft_checkerboard_texture,
+)
 
 # Dyadic lattice so index arithmetic in the sampler is exact.
 S3 = np.array([-2.0, 0.0, 2.0])
@@ -154,6 +167,155 @@ def test_masked_neighbor_invalidates_cell():
     # side of the masked pixel's cell fan, so it stays valid.
     got = interpolate_ray(lf, [-1.5, 0.0, u + 1.5 * MAP.du, v + 1.5 * MAP.dv])
     assert math.isfinite(got)
+
+
+def test_nan_ray_is_out_of_aperture():
+    lf = random_lf()
+    v, u = lf.mapping.slopes(2, 3)
+    for k in range(4):
+        ray = [0.0, 0.0, u, v]
+        ray[k] = math.nan
+        with pytest.raises(OutOfAperture):
+            interpolate_ray(lf, ray)
+
+
+# ---------------------------------------------------------------------------
+# the prepared sampler against the 16-gather reference
+# ---------------------------------------------------------------------------
+
+
+def _axis_queries(rng, n, size):
+    """Continuous indices on an axis of n samples: interior points, nodes,
+    the two ends give or take a few edge tolerances, points a little
+    outside, and now and then a non-finite value."""
+    kind = rng.choice(5, size, p=[0.3, 0.2, 0.25, 0.2, 0.05])
+    near = rng.choice([0.0, n - 1.0], size) + _EDGE_TOL * rng.choice(
+        [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], size
+    )
+    return np.select(
+        [kind == 0, kind == 1, kind == 2, kind == 3],
+        [
+            rng.uniform(0.0, n - 1.0, size),
+            rng.integers(0, n, size).astype(float),
+            near,
+            rng.uniform(-0.6, n - 0.4, size),
+        ],
+        default=rng.choice([math.nan, math.inf, -math.inf], size),
+    )
+
+
+@st.composite
+def lf_and_rays(draw):
+    """A small random light field (one- and two-sample axes included,
+    descending lattices, some masked samples) and 64 query rays."""
+    n_t, n_s = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    masked = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    pitch_s, pitch_t = draw(st.sampled_from([2.0, -1.5, 0.7])), draw(st.sampled_from([2.0, -0.5]))
+    shape = (n_t, n_s, h, w)
+    mapping = SpatialMapping(
+        u0=rng.uniform(-0.3, 0.3), du=draw(st.sampled_from([0.0625, -0.03, 0.011])),
+        v0=rng.uniform(-0.3, 0.3), dv=draw(st.sampled_from([0.03125, -0.02])),
+    )
+    lf = SampledLF(
+        images=rng.uniform(0.0, 1.0, shape),
+        mask=rng.uniform(size=shape) >= masked,
+        s_mm=rng.uniform(-3, 3) + pitch_s * np.arange(n_s),
+        t_mm=rng.uniform(-3, 3) + pitch_t * np.arange(n_t),
+        mapping=mapping,
+    )
+    m = 64
+    rays = np.column_stack(
+        [
+            lf.s_mm[0] + _axis_queries(rng, n_s, m) * pitch_s,
+            lf.t_mm[0] + _axis_queries(rng, n_t, m) * pitch_t,
+            mapping.u0 + _axis_queries(rng, w, m) * mapping.du,
+            mapping.v0 + _axis_queries(rng, h, m) * mapping.dv,
+        ]
+    )
+    return lf, rays
+
+
+@given(lf_and_rays())
+@settings(max_examples=300, deadline=None)
+def test_sampler_matches_reference(case):
+    lf, rays = case
+    values, ok = _sample_many(lf, rays)
+    # The reference cannot place a NaN coordinate in a cell; those queries
+    # must come out invalid and zero.
+    nan = np.isnan(rays).any(axis=1)
+    assert not ok[nan].any()
+    assert np.all(values[nan] == 0.0)
+    ref_values, ref_ok = sampler_oracle.sample_many(lf, rays[~nan])
+    assert np.array_equal(values[~nan], ref_values)
+    assert np.array_equal(ok[~nan], ref_ok)
+
+
+def test_cell_valid_is_computed_once():
+    lf = random_lf()
+    assert lf.cell_valid is lf.cell_valid
+    assert lf.cell_valid.all()
+
+
+@pytest.mark.parametrize("n_t", [1, 3])
+def test_masked_upper_edge_sample_invalidates_hi_corner_queries(n_t):
+    """On the clipped upper edge the low corner is n - 2 and the query sits
+    on the high corner with weight 1: masking that sample, and only it,
+    invalidates the query, on a one-sample axis too."""
+    t_mm = S3[:n_t]
+    lf = random_lf(3, t_mm=t_mm)
+    mask = np.ones(lf.mask.shape, bool)
+    mask[-1, -1, H - 1, W - 1] = False
+    lf = make_lf(lf.images, t_mm=t_mm, mask=mask)
+    v_hi, u_hi = MAP.slopes(H - 1, W - 1)
+    v_in, u_in = MAP.slopes(H - 2, W - 2)
+    t = t_mm[-1]
+    rays = np.array(
+        [
+            [2.0, t, u_hi, v_hi],  # on the masked sample
+            [2.0, t, u_hi - 0.5 * MAP.du, v_hi],  # inside its cell
+            [2.0, t, u_hi + 0.5 * _EDGE_TOL * MAP.du, v_hi],  # past the edge, within slack
+            [2.0, t, u_in, v_in],  # the cell's low pixel corner
+            [-2.0, t, u_hi, v_hi],  # a cell of sub-apertures without it
+        ]
+    )
+    values, ok = _sample_many(lf, rays)
+    ref_values, ref_ok = sampler_oracle.sample_many(lf, rays)
+    assert np.array_equal(values, ref_values)
+    assert np.array_equal(ok, ref_ok)
+    assert ok.tolist() == [False, False, False, False, True]
+
+
+def test_render_matches_reference_at_wide_pose():
+    """Rectification at a long baseline with strong vergence, where about
+    half of the rays land, is bit-identical to warping every ray with
+    warp_rays and sampling it with the reference sampler."""
+    grid_spec = RenderGrid(
+        sai_rows=5, sai_cols=5, pitch_mm=2.0, width_px=40, height_px=30, supersample=1
+    )
+    fx = 400.0 * 40 / 128
+    k = LFIntrinsics(fx=fx, fy=fx, cx=19.5, cy=14.5, K1=0.0, K2=fx * 2.0)
+    plane = TexturedPlane(
+        origin=np.array([20.0, 0.0, 600.0]),
+        axis_a=np.array([1.0, 0.0, 0.0]),
+        axis_b=np.array([0.0, 1.0, 0.0]),
+        texture=soft_checkerboard_texture(30.0, 2.0),
+        half_a=600.0,
+        half_b=450.0,
+    )
+    pose = RelativePose(euler_xyz_intrinsic(2.0, 10.0, 1.0), np.array([-120.0, -6.0, 4.0]))
+    left = render_synthetic_lf([plane], k, RelativePose(np.eye(3), np.zeros(3)), grid_spec)
+    right = render_synthetic_lf([plane], k, pose.inverse(), grid_spec)
+    setup = build_rectified_setup(pose.inverse())
+    grid = plan_aligned_grid(left, right, setup)
+    out = render_aligned_sais(left, right, setup, grid)
+    images, mask = sampler_oracle.render_aligned_sais(left, right, setup, grid)
+    assert np.array_equal(out.images, images)
+    assert np.array_equal(out.mask, mask)
+    rendered = grid.provenance != 0
+    assert np.any(grid.provenance & 2)
+    assert 0.2 < mask[rendered].mean() < 0.8
 
 
 # ---------------------------------------------------------------------------
