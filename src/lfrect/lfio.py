@@ -26,6 +26,7 @@ import io
 import json
 import os
 import re
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -93,21 +94,8 @@ def load_json(path) -> dict:
     return data
 
 
-def _open_new(path):
-    """Open ``path`` for binary writing as a new file.  An existing file is
-    unlinked rather than truncated: on ext4, truncating a file that was
-    just written forces a flush of its data, which made rewriting a
-    light-field directory stall."""
-    try:
-        return open(path, "xb")
-    except FileExistsError:
-        os.unlink(path)
-        return open(path, "xb")
-
-
 def save_json(path, data: dict):
-    with _open_new(path) as f:
-        f.write((json.dumps(data, indent=2, sort_keys=True) + "\n").encode())
+    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def load_intrinsics(path) -> LFIntrinsics:
@@ -235,7 +223,7 @@ def write_pgm16(path, image: np.ndarray):
         raise ValueError("image must be 2D")
     data = np.round(np.clip(img, 0.0, 1.0) * 65535.0).astype(">u2")
     h, w = img.shape
-    with _open_new(path) as f:
+    with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
         f.write(data.tobytes())
 
@@ -284,7 +272,7 @@ def write_pbm(path, valid_mask: np.ndarray):
         raise ValueError("mask must be 2D")
     h, w = valid.shape
     bits = np.packbits((~valid).astype(np.uint8), axis=1)
-    with _open_new(path) as f:
+    with open(path, "wb") as f:
         f.write(f"P4\n{w} {h}\n".encode("ascii"))
         f.write(bits.tobytes())
 
@@ -309,6 +297,19 @@ def read_pbm(path) -> np.ndarray:
 _SAI_RE = re.compile(r"^sai_r(\d+)_c(\d+)\.pgm$")
 
 
+def _unlink_regular(path):
+    """Remove ``path`` if it is a regular file, so that the next write
+    creates it anew.  On ext4, truncating a file that was just written
+    forces a flush of its data, which made rewriting a light-field
+    directory stall.  Symlinks and special files are left in place and
+    written through."""
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    except FileNotFoundError:
+        pass
+
+
 def save_sampled_lf(dirpath, lf: SampledLF, grid: AlignedGrid | None = None):
     """Write a light field as one PGM + PBM per sub-aperture plus grid.json.
 
@@ -319,8 +320,11 @@ def save_sampled_lf(dirpath, lf: SampledLF, grid: AlignedGrid | None = None):
     d.mkdir(parents=True, exist_ok=True)
     for i in range(lf.n_rows):
         for j in range(lf.n_cols):
-            write_pgm16(d / f"sai_r{i}_c{j}.pgm", lf.images[i, j])
-            write_pbm(d / f"sai_r{i}_c{j}.pbm", lf.mask[i, j])
+            pgm, pbm = d / f"sai_r{i}_c{j}.pgm", d / f"sai_r{i}_c{j}.pbm"
+            _unlink_regular(pgm)
+            write_pgm16(pgm, lf.images[i, j])
+            _unlink_regular(pbm)
+            write_pbm(pbm, lf.mask[i, j])
     meta = {
         "rows_mm": [float(x) for x in lf.t_mm],
         "cols_mm": [float(x) for x in lf.s_mm],
@@ -329,6 +333,7 @@ def save_sampled_lf(dirpath, lf: SampledLF, grid: AlignedGrid | None = None):
     }
     if grid is not None:
         meta["aligned"] = grid.to_json_dict()
+    _unlink_regular(d / "grid.json")
     save_json(d / "grid.json", meta)
 
 

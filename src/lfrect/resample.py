@@ -251,14 +251,11 @@ def _axis_positions(values: np.ndarray, coords: np.ndarray):
 
 class _SlopeTaps(NamedTuple):
     """The part of a batch of sample queries that depends only on the
-    source light field and the query slopes (u, v): the flat image and
-    cell-valid mask, the flat offsets of the 16 cell corners in
-    ``product((0, 1), repeat=4)`` order, the flat index of each query's
-    low (pixel-row, pixel-col) corner, the row and column weights
-    (1 - f, f), and the pixel-extent validity."""
+    source light field and the query slopes (u, v): the flat offsets of
+    the 16 cell corners in ``product((0, 1), repeat=4)`` order, the flat
+    index of each query's low (pixel-row, pixel-col) corner, the row and
+    column weights (1 - f, f), and the pixel-extent validity."""
 
-    flat: np.ndarray
-    cells: np.ndarray
     offsets: list
     base: np.ndarray
     w_r: tuple
@@ -296,8 +293,6 @@ def _slope_taps(lf: SampledLF, u, v, valid=True) -> _SlopeTaps:
         for bt, bs, br, bc in product((0, 1), repeat=4)
     ]
     return _SlopeTaps(
-        flat=lf.images.reshape(-1),
-        cells=lf.cell_valid.reshape(-1),
         offsets=offsets,
         base=r_lo * W + c_lo,
         w_r=(1.0 - r_f, r_f),
@@ -316,9 +311,10 @@ def _sample_taps(lf: SampledLF, taps: _SlopeTaps, s, t) -> tuple[np.ndarray, np.
     t_lo, t_f = _split(t_idx, lf.n_rows)
     s_lo, s_f = _split(s_idx, lf.n_cols)
     base = (t_lo * lf.n_cols + s_lo) * (lf.height * lf.width) + taps.base
-    ok = taps.valid & s_ok & t_ok & taps.cells.take(base)
+    ok = taps.valid & s_ok & t_ok & lf.cell_valid.reshape(-1).take(base)
     w_t = (1.0 - t_f, t_f)
     w_s = (1.0 - s_f, s_f)
+    flat = lf.images.reshape(-1)
     values = np.zeros(base.shape)
     corner = iter(taps.offsets)
     for bt, bs in product((0, 1), repeat=2):
@@ -326,7 +322,7 @@ def _sample_taps(lf: SampledLF, taps: _SlopeTaps, s, t) -> tuple[np.ndarray, np.
         for br in (0, 1):
             w_tsr = w_ts * taps.w_r[br]
             for bc in (0, 1):
-                values += (w_tsr * taps.w_c[bc]) * taps.flat.take(base + next(corner))
+                values += (w_tsr * taps.w_c[bc]) * flat.take(base + next(corner))
     values[~ok] = 0.0
     return values, ok
 

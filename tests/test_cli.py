@@ -6,6 +6,7 @@ and worker counts.
 """
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -46,8 +47,8 @@ def _run_simulate(tmp_path, capsys, **overrides):
     return out
 
 
-def _run_estimate(tmp_path, sim_dir, *extra):
-    pose_path = tmp_path / "estimated.json"
+def _run_estimate(tmp_path, sim_dir, *extra, out=None):
+    pose_path = out or tmp_path / "estimated.json"
     rc = main(
         [
             "estimate",
@@ -165,6 +166,21 @@ def test_unplaceable_depths_exit_4(tmp_path, capsys, lam, error):
     err = capsys.readouterr().err
     assert "degenerate geometry" in err
     assert error in err
+
+
+def test_estimate_writes_to_null_device(tmp_path, capsys, monkeypatch):
+    """--out may name an existing non-regular file such as the null
+    device; it is written in place, never unlinked."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("estimate unlinked its output path")
+
+    sim_dir = _run_simulate(tmp_path, capsys)
+    monkeypatch.setattr(os, "unlink", refuse)
+    monkeypatch.setattr(os, "remove", refuse)
+    rc, _ = _run_estimate(tmp_path, sim_dir, out=os.devnull)
+    assert rc == 0
+    assert not os.path.isfile(os.devnull)
 
 
 def test_rectify_and_epi_pipeline(tmp_path, capsys, blob_pair, blob_rectified):

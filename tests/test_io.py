@@ -6,6 +6,7 @@ polarity, CSV float formatting) so a change that silently breaks
 interchange or run-to-run reproducibility fails here.
 """
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -283,11 +284,60 @@ def test_sampled_lf_rewrite_is_byte_identical(tmp_path):
     first, d = tmp_path / "first", tmp_path / "lf"
     save_sampled_lf(first, lf, grid)
     save_sampled_lf(d, random_lf(seed=7, s_mm=S3 * 1000.0))  # longer grid.json
+    old = (d / "sai_r0_c0.pgm").read_bytes()
+    os.link(d / "sai_r0_c0.pgm", tmp_path / "old.pgm")
     save_sampled_lf(d, lf, grid)
     names = sorted(p.name for p in first.iterdir())
     assert sorted(p.name for p in d.iterdir()) == names
     for name in names:
         assert (d / name).read_bytes() == (first / name).read_bytes(), name
+    # The old file was unlinked and a new one created, not truncated.
+    assert (tmp_path / "old.pgm").read_bytes() == old
+
+
+def test_sampled_lf_writes_through_symlinked_files(tmp_path):
+    """Only regular files in the output directory are replaced; a symlink
+    there stays a symlink and its target receives the data."""
+    lf = random_lf(seed=6)
+    d = tmp_path / "lf"
+    save_sampled_lf(d, lf)
+    target = tmp_path / "target.pgm"
+    target.write_bytes(b"old")
+    (d / "sai_r0_c0.pgm").unlink()
+    (d / "sai_r0_c0.pgm").symlink_to(target)
+    save_sampled_lf(d, lf)
+    assert (d / "sai_r0_c0.pgm").is_symlink()
+    save_sampled_lf(tmp_path / "fresh", lf)
+    assert target.read_bytes() == (tmp_path / "fresh" / "sai_r0_c0.pgm").read_bytes()
+
+
+WRITERS = {
+    "save_json": lambda p: save_json(p, {"a": 1}),
+    "write_pgm16": lambda p: write_pgm16(p, np.full((2, 3), 0.5)),
+    "write_pbm": lambda p: write_pbm(p, np.ones((2, 3), bool)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_single_file_writers_write_in_place(tmp_path, monkeypatch, name):
+    """A user-named output is opened in place, never unlinked: a symlink
+    is written through, and a device such as the null device works."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("writer unlinked its output path")
+
+    WRITERS[name](tmp_path / "plain")
+    monkeypatch.setattr(os, "unlink", refuse)
+    monkeypatch.setattr(os, "remove", refuse)
+    target = tmp_path / "target"
+    target.write_bytes(b"old")
+    link = tmp_path / "link"
+    link.symlink_to(target)
+    WRITERS[name](link)
+    assert link.is_symlink()
+    assert target.read_bytes() == (tmp_path / "plain").read_bytes()
+    WRITERS[name](os.devnull)
+    assert not os.path.isfile(os.devnull)
 
 
 def test_sampled_lf_without_grid_or_masks(tmp_path):
