@@ -14,11 +14,11 @@ from .errors import (
     ConfigError,
     CoplanarDegeneracy,
     DegenerateDisparity,
-    DegenerateSegment,
+    DegenerateGeometry,
     DegenerateSpread,
+    GenerationFailure,
     IllConditioned,
     IndexOutOfRange,
-    InsufficientObservations,
     LfRectError,
     NoOverlap,
     NonPositiveDepth,
@@ -63,7 +63,6 @@ from .rectify import (
     RectifiedSetup,
     build_rectified_setup,
     rectifying_rotation,
-    warp_lf_to_common,
     warp_ray,
     warp_rays,
 )

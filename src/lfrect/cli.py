@@ -8,8 +8,10 @@ Subcommands::
     epi        slice an epipolar-plane image out of a light field
     bench      run a trial sweep and write the summary table
 
-Exit codes: 0 success, 2 bad configuration or arguments, 3 generation
-failure, 4 degenerate estimation geometry, 5 no rectified overlap.
+Exit codes: 0 success, 2 bad configuration or arguments (including an
+out-of-range ``epi`` index), 3 generation failure, 4 degenerate geometry,
+5 no rectified overlap.  Each code is one group base in :mod:`lfrect.errors`,
+and ``main`` catches only those four bases.
 """
 
 from __future__ import annotations
@@ -24,38 +26,13 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import lfio
-from .errors import (
-    CollinearConstruction,
-    ConfigError,
-    CoplanarDegeneracy,
-    DegenerateDisparity,
-    DegenerateSpread,
-    IllConditioned,
-    LfRectError,
-    NonPositiveDepth,
-    NoOverlap,
-    RankDeficient,
-    ZeroBaseline,
-)
+from .errors import ConfigError, DegenerateGeometry, GenerationFailure, NoOverlap
 from .pose import estimate_pose
 from .rectify import build_rectified_setup
 from .resample import extract_epi, plan_aligned_grid, render_aligned_sais
 from .simulate import simulate_correspondences
 
 log = logging.getLogger("lfrect")
-
-# Estimation can fail for geometric rather than configuration reasons;
-# these all signal "this input cannot determine a pose".
-_DEGENERATE = (
-    CoplanarDegeneracy,
-    RankDeficient,
-    IllConditioned,
-    ZeroBaseline,
-    CollinearConstruction,
-    DegenerateSpread,
-    NonPositiveDepth,
-    DegenerateDisparity,
-)
 
 
 def _cmd_simulate(args) -> int:
@@ -230,7 +207,7 @@ def main(argv=None) -> int:
         for key, val in (e.diagnostics or {}).items():
             print(f"  {key}: {val}", file=sys.stderr)
         return 5
-    except _DEGENERATE as e:
+    except DegenerateGeometry as e:
         print(f"error: degenerate geometry: {type(e).__name__}: {e}", file=sys.stderr)
         report = getattr(e, "report", None)
         if report is not None:
@@ -240,7 +217,7 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
         return 4
-    except LfRectError as e:
+    except GenerationFailure as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
 

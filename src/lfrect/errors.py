@@ -4,11 +4,25 @@ Every condition the library treats as unrecoverable in the current call is a
 subclass of :class:`LfRectError`, so callers can catch the whole family or a
 specific failure.  Functions that can tolerate a bad sample (resampling,
 rendering) report it through masks instead of raising.
+
+Each specific error derives from exactly one of four group bases, one per
+``lfrect`` exit code:
+
+    ConfigError          2   malformed configuration, file or argument
+    GenerationFailure    3   the synthetic data cannot be generated
+    DegenerateGeometry   4   the input cannot determine a pose or a warp
+    NoOverlap            5   the rectified light fields share no grid row
 """
 
 __all__ = [
     "LfRectError",
     "ConfigError",
+    "GenerationFailure",
+    "DegenerateGeometry",
+    "NoOverlap",
+    "IndexOutOfRange",
+    "OutOfAperture",
+    "BehindCamera",
     "NonPositiveDepth",
     "DegenerateDisparity",
     "ZeroVector",
@@ -18,15 +32,9 @@ __all__ = [
     "SingularInput",
     "IllConditioned",
     "NumericalFailure",
-    "InsufficientObservations",
-    "BehindCamera",
     "ZeroBaseline",
     "CollinearConstruction",
     "ParallelRay",
-    "DegenerateSegment",
-    "NoOverlap",
-    "OutOfAperture",
-    "IndexOutOfRange",
 ]
 
 
@@ -38,74 +46,12 @@ class ConfigError(LfRectError):
     """A configuration file or CLI argument set is malformed."""
 
 
-class NonPositiveDepth(LfRectError):
-    """A scene point lies on or behind the camera plane (Z <= 0)."""
+class GenerationFailure(LfRectError):
+    """The configured synthetic experiment cannot be generated."""
 
 
-class DegenerateDisparity(LfRectError):
-    """The disparity is at the value that maps to infinite depth."""
-
-
-class ZeroVector(LfRectError):
-    """A direction-valued argument has (numerically) zero length."""
-
-
-class DegenerateSpread(LfRectError):
-    """Point coordinates have zero variance along an axis; they cannot be
-    scaled to unit RMS."""
-
-
-class RankDeficient(LfRectError):
-    """The linear system admits no unique null vector: its two smallest
-    singular values are (nearly) equal."""
-
-
-class CoplanarDegeneracy(LfRectError):
-    """The scene points are coplanar, so the linear pose solution is not
-    unique.  Carries the degeneracy report that triggered the diagnosis."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
-
-class SingularInput(LfRectError):
-    """A matrix that must be invertible is singular to working precision."""
-
-
-class IllConditioned(LfRectError):
-    """A least-squares system is too badly conditioned to trust."""
-
-
-class NumericalFailure(LfRectError):
-    """An iterative solver produced non-finite values."""
-
-
-class InsufficientObservations(LfRectError):
-    """Too few observations to determine the requested quantity."""
-
-
-class BehindCamera(LfRectError):
-    """A generated scene point fell behind one of the cameras."""
-
-
-class ZeroBaseline(LfRectError):
-    """The two cameras share a centre; no rectifying frame exists."""
-
-
-class CollinearConstruction(LfRectError):
-    """The rectifying-frame construction degenerates: the baseline is
-    parallel to the auxiliary direction used to fix the second axis."""
-
-
-class ParallelRay(LfRectError):
-    """A ray is parallel to the parameterization planes and has no
-    closed-form image under the two-plane transform."""
-
-
-class DegenerateSegment(LfRectError):
-    """The two construction points of a transformed ray have (numerically)
-    equal depth; the geometric route cannot intersect the planes."""
+class DegenerateGeometry(LfRectError):
+    """The input geometry cannot determine the requested quantity."""
 
 
 class NoOverlap(LfRectError):
@@ -117,9 +63,70 @@ class NoOverlap(LfRectError):
         self.diagnostics = diagnostics
 
 
-class OutOfAperture(LfRectError):
+class IndexOutOfRange(ConfigError, IndexError):
+    """A grid row / scan-line index is outside the sampled range."""
+
+
+class OutOfAperture(ConfigError):
     """A query ray leaves the sampled aperture or pixel grid."""
 
 
-class IndexOutOfRange(LfRectError, IndexError):
-    """A grid row / scan-line index is outside the sampled range."""
+class BehindCamera(GenerationFailure):
+    """A generated scene point fell behind one of the cameras."""
+
+
+class NonPositiveDepth(DegenerateGeometry):
+    """A scene point lies on or behind the camera plane (Z <= 0)."""
+
+
+class DegenerateDisparity(DegenerateGeometry):
+    """The disparity is at the value that maps to infinite depth."""
+
+
+class ZeroVector(DegenerateGeometry):
+    """A direction-valued argument has (numerically) zero length."""
+
+
+class DegenerateSpread(DegenerateGeometry):
+    """Point coordinates have zero variance along an axis; they cannot be
+    scaled to unit RMS."""
+
+
+class RankDeficient(DegenerateGeometry):
+    """The linear system admits no unique null vector: its two smallest
+    singular values are (nearly) equal."""
+
+
+class CoplanarDegeneracy(DegenerateGeometry):
+    """The scene points are coplanar, so the linear pose solution is not
+    unique.  Carries the degeneracy report that triggered the diagnosis."""
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
+
+
+class SingularInput(DegenerateGeometry):
+    """A matrix that must be invertible is singular to working precision."""
+
+
+class IllConditioned(DegenerateGeometry):
+    """A least-squares system is too badly conditioned to trust."""
+
+
+class NumericalFailure(DegenerateGeometry):
+    """An iterative solver produced non-finite values."""
+
+
+class ZeroBaseline(DegenerateGeometry):
+    """The two cameras share a centre; no rectifying frame exists."""
+
+
+class CollinearConstruction(DegenerateGeometry):
+    """The rectifying-frame construction degenerates: the baseline is
+    parallel to the auxiliary direction used to fix the second axis."""
+
+
+class ParallelRay(DegenerateGeometry):
+    """A ray is parallel to the parameterization planes and has no
+    closed-form image under the two-plane transform."""

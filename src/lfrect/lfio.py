@@ -1,11 +1,11 @@
 """File formats.
 
 Everything here is deliberately plain: JSON for camera models, poses and
-rectification setups; CSV for correspondences and per-trial benchmark
-results; binary Netpbm (16-bit P5 PGM, P4 PBM) for sub-aperture images and
-their validity masks.  All writers format floats with ``repr`` (shortest
-round-trip form) and use LF line endings, so identical inputs produce
-byte-identical files on every platform.
+rectification setups; CSV for correspondences; binary Netpbm (16-bit P5
+PGM, P4 PBM) for sub-aperture images and their validity masks.  All writers
+format floats with ``repr`` (shortest round-trip form) and use LF line
+endings, so identical inputs produce byte-identical files on every
+platform.
 
 Mask polarity: in PBM files a 1 bit is black.  Black marks INVALID pixels;
 white (0) marks pixels that carry data.
@@ -40,7 +40,6 @@ from .simulate import (
     BoardPose,
     BoardSpec,
     SimConfig,
-    TrialReport,
     default_intrinsics_pair,
 )
 
@@ -56,8 +55,6 @@ __all__ = [
     "CORRESPONDENCE_HEADER",
     "write_correspondence_csv",
     "read_correspondence_csv",
-    "TRIAL_HEADER",
-    "write_trial_report_csv",
     "write_pgm16",
     "read_pgm16",
     "write_pbm",
@@ -136,7 +133,6 @@ def save_setup(path, setup: RectifiedSetup):
 # --------------------------------------------------------------------------
 
 CORRESPONDENCE_HEADER = ["u_c", "v_c", "lambda", "u_c_prime", "v_c_prime", "lambda_prime"]
-TRIAL_HEADER = ["trial", "err_R_deg", "err_T_deg", "converged", "iterations"]
 
 
 def write_correspondence_csv(path, corr: CorrespondenceSet):
@@ -178,37 +174,6 @@ def read_correspondence_csv(path, k1: LFIntrinsics, k2: LFIntrinsics) -> Corresp
         )
     except ValueError as e:
         raise ConfigError(f"{path}: {e}") from e
-
-
-def write_trial_report_csv(path, report: TrialReport):
-    """Per-trial rows followed by a ``mean`` summary row.
-
-    The summary row carries the mean angular errors over the finite trials,
-    the count of converged trials and the mean iteration count.
-    """
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(TRIAL_HEADER)
-    for t in range(report.n_trials):
-        w.writerow(
-            [
-                str(t),
-                _fmt(report.err_R_deg[t]),
-                _fmt(report.err_T_deg[t]),
-                "1" if report.converged[t] else "0",
-                str(int(report.iterations[t])),
-            ]
-        )
-    w.writerow(
-        [
-            "mean",
-            _fmt(report.mean_err_R),
-            _fmt(report.mean_err_T),
-            str(int(np.count_nonzero(report.converged))),
-            _fmt(float(np.mean(report.iterations))),
-        ]
-    )
-    Path(path).write_text(buf.getvalue())
 
 
 # --------------------------------------------------------------------------

@@ -4,11 +4,12 @@ parameterization.
 A ray (s, t, u, v) lives in the TPP of one camera: it passes through
 (s, t, 0) and (s+u, t+v, 1) in that camera's frame.  Warping a ray into
 another frame means rigidly moving those two anchor points and re-intersecting
-the moved line with the new frame's z=0 and z=1 planes.  ``warp_ray``
-implements this both ways: a closed form obtained by eliminating the
-intermediate points, and the explicit geometric construction; they agree to
-machine precision away from the degenerate configurations and serve as
-cross-checks of each other.
+the moved line with the new frame's z=0 and z=1 planes.  The module
+implements the closed form obtained by eliminating the intermediate points,
+split into a slope half (``warp_slopes``, which depends only on the
+rotation) and a position half (``warp_positions``); ``warp_ray`` applies
+both to one ray and ``warp_rays`` to a bundle.  The explicit geometric
+construction is kept with the tests as an independent cross-check.
 
 The rectifying rotation builds a frame whose x-axis is the baseline, so that
 after warping both light fields, corresponding sub-apertures sit on common
@@ -27,12 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CollinearConstruction,
-    DegenerateSegment,
-    ParallelRay,
-    ZeroBaseline,
-)
+from .errors import CollinearConstruction, ParallelRay, ZeroBaseline
 from .geometry import Ray4D, RelativePose
 
 __all__ = [
@@ -43,7 +39,6 @@ __all__ = [
     "warp_positions",
     "rectifying_rotation",
     "build_rectified_setup",
-    "warp_lf_to_common",
 ]
 
 _EPS = 1e-12
@@ -111,54 +106,6 @@ class RectifiedSetup:
         )
 
 
-def _warp_ray_closed(ray: np.ndarray, R: np.ndarray, T: np.ndarray) -> np.ndarray:
-    s, t, u, v = ray
-    num_u = R[0, 2] + R[0, 0] * u + R[0, 1] * v
-    num_v = R[1, 2] + R[1, 0] * u + R[1, 1] * v
-    den = R[2, 2] + R[2, 0] * u + R[2, 1] * v
-    if abs(den) <= _EPS:
-        raise ParallelRay("ray is parallel to the target parameterization planes")
-    u_p = num_u / den
-    v_p = num_v / den
-    z_s = T[2] + R[2, 0] * s + R[2, 1] * t  # depth of the moved z=0 anchor
-    s_p = T[0] + R[0, 0] * s + R[0, 1] * t - z_s * u_p
-    t_p = T[1] + R[1, 0] * s + R[1, 1] * t - z_s * v_p
-    return np.array([s_p, t_p, u_p, v_p])
-
-
-def _warp_ray_geometric(ray: np.ndarray, R: np.ndarray, T: np.ndarray) -> np.ndarray:
-    s, t, u, v = ray
-    p1 = R @ np.array([s, t, 0.0]) + T
-    p2 = R @ np.array([s + u, t + v, 1.0]) + T
-    dz = p1[2] - p2[2]
-    if abs(dz) <= _EPS:
-        raise DegenerateSegment("transformed anchor points share a depth")
-    lam1 = p1[2] / dz
-    lam2 = (p1[2] - 1.0) / dz
-    q1 = p1 + lam1 * (p2 - p1)  # on z = 0
-    q2 = p1 + lam2 * (p2 - p1)  # on z = 1
-    return np.array([q1[0], q1[1], q2[0] - q1[0], q2[1] - q1[1]])
-
-
-def warp_ray(ray, transform: RelativePose, method: str = "closed") -> Ray4D:
-    """Map a TPP ray through a rigid transform into the target frame's TPP.
-
-    ``method`` selects the production closed form or the explicit geometric
-    construction (two moved anchor points re-intersected with the planes);
-    both give the same answer and the second exists as an independent
-    cross-check of the first.  Raises ParallelRay / DegenerateSegment when
-    the warped ray is parallel to the parameterization planes.
-    """
-    r = ray.as_array() if isinstance(ray, Ray4D) else np.asarray(ray, float)
-    if method == "closed":
-        out = _warp_ray_closed(r, transform.R, transform.T)
-    elif method == "geometric":
-        out = _warp_ray_geometric(r, transform.R, transform.T)
-    else:
-        raise ValueError(f"unknown warp method {method!r}")
-    return Ray4D(*out)
-
-
 def warp_slopes(u, v, R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Slope half of the closed-form warp: (u', v', valid) for slopes
     (u, v) under the rotation R (a float (3, 3) array).
@@ -183,6 +130,21 @@ def warp_positions(s, t, u_p, v_p, R: np.ndarray, T: np.ndarray):
     s_p = T[0] + R[0, 0] * s + R[0, 1] * t - z_s * u_p
     t_p = T[1] + R[1, 0] * s + R[1, 1] * t - z_s * v_p
     return s_p, t_p
+
+
+def warp_ray(ray, transform: RelativePose) -> Ray4D:
+    """Map a TPP ray through a rigid transform into the target frame's TPP.
+
+    The closed form of :func:`warp_slopes` then :func:`warp_positions` on
+    one ray.  Raises ParallelRay when the warped ray is parallel to the
+    parameterization planes.
+    """
+    s, t, u, v = ray.as_array() if isinstance(ray, Ray4D) else np.asarray(ray, float)
+    u_p, v_p, valid = warp_slopes(u, v, transform.R)
+    if not valid:
+        raise ParallelRay("ray is parallel to the target parameterization planes")
+    s_p, t_p = warp_positions(s, t, u_p, v_p, transform.R, transform.T)
+    return Ray4D(s_p, t_p, u_p, v_p)
 
 
 def warp_rays(rays: np.ndarray, R, T) -> tuple[np.ndarray, np.ndarray]:
@@ -251,18 +213,3 @@ def build_rectified_setup(pose_2to1: RelativePose) -> RectifiedSetup:
         T_r=T_r,
         baseline_mm=baseline,
     )
-
-
-def warp_lf_to_common(
-    rays: np.ndarray, setup: RectifiedSetup, side: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Warp an (n, 4) ray bundle of one camera into the common TPP.
-
-    ``side`` is "left" (camera 1) or "right" (camera 2).  Returns
-    (warped, valid) as in :func:`warp_rays`.
-    """
-    if side == "left":
-        return warp_rays(rays, setup.R_l, setup.T_l)
-    if side == "right":
-        return warp_rays(rays, setup.R_r, setup.T_r)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")

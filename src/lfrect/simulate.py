@@ -20,8 +20,9 @@ over worker processes.
 
 The module also renders small synthetic light fields of textured planes by
 two-plane ray tracing (for rectification and resampling benchmarks), and
-provides the sub-pixel checkerboard corner refinement and line-fit helpers
-used to measure scan-line alignment and EPI straightness.
+provides band-limited textures for them.  The scalar observation model and
+the image measurements that check the renders (corner refinement, blob
+centroids, line fits) are test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -31,16 +32,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BehindCamera, InsufficientObservations, LfRectError
+from .errors import BehindCamera, LfRectError
 from .geometry import (
     LFIntrinsics,
-    LFPoint,
     RelativePose,
-    ScenePoint3D,
     angular_error_rotation,
     angular_error_translation,
     euler_xyz_intrinsic,
-    project_to_lfpoint,
 )
 from .pose import CorrespondenceSet, estimate_pose
 from .resample import SampledLF, SpatialMapping
@@ -53,22 +51,13 @@ __all__ = [
     "default_intrinsics_pair",
     "default_board_poses",
     "make_sim_config",
-    "generate_corners",
-    "project_corner_observations",
-    "add_observation_noise",
-    "refit_lfpoint",
     "simulate_correspondences",
     "run_trials",
     "TexturedPlane",
     "RenderGrid",
-    "checkerboard_texture",
     "soft_checkerboard_texture",
     "sinusoid_texture",
-    "blob_texture",
     "render_synthetic_lf",
-    "refine_checkerboard_corner",
-    "fit_line_tls",
-    "blob_centroid",
 ]
 
 
@@ -192,79 +181,8 @@ def _corner_arrays(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     return pts1, pts2
 
 
-def generate_corners(cfg: SimConfig) -> tuple[list[ScenePoint3D], list[ScenePoint3D]]:
-    """Board corners of all placements in both camera frames.
-
-    Camera-2 coordinates are the configured pose applied to camera-1
-    coordinates.  Raises BehindCamera if any corner has non-positive depth
-    in either frame.
-    """
-    pts1, pts2 = _corner_arrays(cfg)
-    return (
-        [ScenePoint3D(*p) for p in pts1],
-        [ScenePoint3D(*p) for p in pts2],
-    )
-
-
 def _grid_offsets(n: int) -> np.ndarray:
     return np.arange(n) - (n - 1) / 2.0
-
-
-def project_corner_observations(point, k: LFIntrinsics, grid_shape=(13, 13)) -> np.ndarray:
-    """Noise-free per-sub-aperture pixel observations of one scene point.
-
-    Returns (rows, cols, 2): entry (i, j) holds the (u, v) projection into
-    sub-aperture (i, j), displaced from the central view by the grid offset
-    times the disparity.
-    """
-    lfp = project_to_lfpoint(point, k)
-    di = _grid_offsets(grid_shape[0])
-    dj = _grid_offsets(grid_shape[1])
-    obs = np.empty((grid_shape[0], grid_shape[1], 2))
-    obs[:, :, 0] = lfp.u_c + dj[None, :] * lfp.lam
-    obs[:, :, 1] = lfp.v_c + di[:, None] * lfp.lam
-    return obs
-
-
-def add_observation_noise(obs: np.ndarray, sigma_px: float, rng: np.random.Generator) -> np.ndarray:
-    """I.i.d. Gaussian pixel noise on every observation coordinate."""
-    if sigma_px < 0:
-        raise ValueError("sigma must be non-negative")
-    obs = np.asarray(obs, float)
-    if sigma_px == 0:
-        return obs.copy()
-    return obs + rng.normal(0.0, sigma_px, obs.shape)
-
-
-def refit_lfpoint(obs: np.ndarray) -> LFPoint:
-    """Least-squares LF-point from per-sub-aperture observations.
-
-    ``obs`` is (rows, cols, 2) as produced by
-    :func:`project_corner_observations`.  Raises InsufficientObservations
-    when the grid has a single sub-aperture (the disparity is then
-    unobservable).
-    """
-    obs = np.asarray(obs, float)
-    if obs.ndim != 3 or obs.shape[2] != 2:
-        raise ValueError("observations must be (rows, cols, 2)")
-    ni, nj = obs.shape[:2]
-    if ni * nj < 2:
-        raise InsufficientObservations("need observations from at least two sub-apertures")
-    di = _grid_offsets(ni)
-    dj = _grid_offsets(nj)
-    jj = np.broadcast_to(dj[None, :], (ni, nj)).ravel()
-    ii = np.broadcast_to(di[:, None], (ni, nj)).ravel()
-    n = ni * nj
-    A = np.zeros((2 * n, 3))
-    b = np.empty(2 * n)
-    A[:n, 0] = 1.0
-    A[:n, 2] = jj
-    b[:n] = obs[:, :, 0].ravel()
-    A[n:, 1] = 1.0
-    A[n:, 2] = ii
-    b[n:] = obs[:, :, 1].ravel()
-    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return LFPoint(float(sol[0]), float(sol[1]), float(sol[2]))
 
 
 def _project_batch(pts: np.ndarray, k: LFIntrinsics) -> np.ndarray:
@@ -292,8 +210,8 @@ def _refit_batch(obs: np.ndarray) -> np.ndarray:
     """Closed-form least squares of the batch observation model.
 
     Valid because the grid offsets are centred (they sum to zero), which
-    decouples the normal equations; agrees with :func:`refit_lfpoint` to
-    round-off.
+    decouples the normal equations; agrees with a general least-squares
+    fit of the same model to round-off.
     """
     n, ni, nj, _ = obs.shape
     di = _grid_offsets(ni)
@@ -477,21 +395,11 @@ class RenderGrid:
             raise ValueError("supersample must be >= 1")
 
 
-def checkerboard_texture(square_mm: float, low: float = 0.15, high: float = 0.85):
-    """Axis-aligned checkerboard with the given square size."""
-
-    def tex(a, b):
-        parity = (np.floor(a / square_mm) + np.floor(b / square_mm)) % 2
-        return np.where(parity > 0.5, high, low)
-
-    return tex
-
-
 def soft_checkerboard_texture(
     square_mm: float, softness_mm: float, low: float = 0.15, high: float = 0.85
 ):
     """Band-limited checkerboard: edges are sigmoids of the given half-width
-    and every corner is an exact intensity saddle.  Use this instead of the
+    and every corner is an exact intensity saddle.  Use this instead of a
     hard-edged board when corners are to be measured to sub-pixel accuracy;
     a step edge aliases against the pixel grid no matter how finely the
     renderer supersamples."""
@@ -522,21 +430,6 @@ def sinusoid_texture(seed: int, n_waves: int = 6, freq_per_mm: float = 0.05):
         for ang, f, ph, amp in zip(angles, freqs, phases, amps):
             acc = acc + amp * np.sin(f * (np.cos(ang) * a + np.sin(ang) * b) + ph)
         return 0.5 + 0.4 * acc
-
-    return tex
-
-
-def blob_texture(centers_mm, sigma_mm: float, background: float = 0.1, amplitude: float = 0.8):
-    """Isolated Gaussian bright spots on a uniform background."""
-    centers = np.asarray(centers_mm, float).reshape(-1, 2)
-
-    def tex(a, b):
-        acc = np.full_like(np.asarray(a, float), background)
-        for ca, cb in centers:
-            acc = acc + amplitude * np.exp(
-                -((a - ca) ** 2 + (b - cb) ** 2) / (2 * sigma_mm**2)
-            )
-        return np.clip(acc, 0.0, 1.0)
 
     return tex
 
@@ -617,82 +510,3 @@ def render_synthetic_lf(
         u0=-k.cx / k.fx, du=1.0 / k.fx, v0=-k.cy / k.fy, dv=1.0 / k.fy
     )
     return SampledLF(images=images, mask=mask, s_mm=s_mm, t_mm=t_mm, mapping=mapping)
-
-
-# --------------------------------------------------------------------------
-# Feature measurement on rendered images
-# --------------------------------------------------------------------------
-
-
-def refine_checkerboard_corner(
-    image: np.ndarray,
-    guess_xy,
-    half_window: int = 6,
-    iterations: int = 12,
-) -> tuple[float, float]:
-    """Sub-pixel corner position by the gradient-orthogonality criterion.
-
-    At a checkerboard corner every image gradient in the neighborhood is
-    orthogonal to the vector from the corner to the gradient's pixel, so
-    the corner solves sum(g g^T) q = sum(g g^T p).  The window re-centres
-    on the running estimate each iteration.  Coordinates are (x, y) =
-    (column, row), pixel centres at integers.
-    """
-    img = np.asarray(image, float)
-    x, y = float(guess_xy[0]), float(guess_xy[1])
-    H, W = img.shape
-    for _ in range(iterations):
-        cx, cy = int(round(x)), int(round(y))
-        x0, x1 = cx - half_window, cx + half_window
-        y0, y1 = cy - half_window, cy + half_window
-        if x0 < 1 or y0 < 1 or x1 >= W - 1 or y1 >= H - 1:
-            raise ValueError("corner window leaves the image")
-        gx = 0.5 * (img[y0:y1 + 1, x0 + 1:x1 + 2] - img[y0:y1 + 1, x0 - 1:x1])
-        gy = 0.5 * (img[y0 + 1:y1 + 2, x0:x1 + 1] - img[y0 - 1:y1, x0:x1 + 1])
-        px, py = np.meshgrid(np.arange(x0, x1 + 1, dtype=float), np.arange(y0, y1 + 1, dtype=float))
-        d2 = (px - x) ** 2 + (py - y) ** 2
-        w = np.exp(-d2 / (2.0 * (half_window / 2.0) ** 2))
-        gxx = (w * gx * gx).sum()
-        gyy = (w * gy * gy).sum()
-        gxy = (w * gx * gy).sum()
-        bx = (w * (gx * gx * px + gx * gy * py)).sum()
-        by = (w * (gx * gy * px + gy * gy * py)).sum()
-        det = gxx * gyy - gxy * gxy
-        if abs(det) <= 1e-12 * max(gxx + gyy, 1e-300) ** 2:
-            raise ValueError("gradient structure is degenerate at the corner")
-        nx = (gyy * bx - gxy * by) / det
-        ny = (gxx * by - gxy * bx) / det
-        shift = max(abs(nx - x), abs(ny - y))
-        x, y = nx, ny
-        if shift < 1e-4:
-            break
-    return x, y
-
-
-def fit_line_tls(x: np.ndarray, y: np.ndarray):
-    """Total-least-squares line fit.
-
-    Returns (point, direction, rms): the centroid, the unit direction of
-    largest spread, and the RMS orthogonal residual.
-    """
-    pts = np.column_stack([np.asarray(x, float), np.asarray(y, float)])
-    centroid = pts.mean(axis=0)
-    centered = pts - centroid
-    _, s, Vt = np.linalg.svd(centered, full_matrices=False)
-    rms = float(s[-1] / np.sqrt(pts.shape[0]))
-    return centroid, Vt[0], rms
-
-
-def blob_centroid(line: np.ndarray, mask: np.ndarray | None = None) -> float:
-    """Sub-pixel position of a single bright blob on one scan line, by the
-    intensity-squared centroid above the line's median."""
-    line = np.asarray(line, float)
-    if mask is None:
-        mask = np.ones(line.shape, bool)
-    vals = np.where(mask, line, 0.0)
-    base = np.median(vals[mask]) if mask.any() else 0.0
-    w = np.clip(vals - base, 0.0, None) ** 2
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("no blob signal on the scan line")
-    return float((w * np.arange(line.size)).sum() / total)

@@ -11,13 +11,13 @@ from lfrect.resample import plan_aligned_grid, render_aligned_sais
 from lfrect.simulate import (
     RenderGrid,
     TexturedPlane,
-    blob_texture,
     default_intrinsics_pair,
     make_sim_config,
     render_synthetic_lf,
     simulate_correspondences,
     soft_checkerboard_texture,
 )
+from oracles import blob_texture
 
 
 @pytest.fixture(scope="session")

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from conftest import RENDER_POSE
+from lfrect import cli, errors
 from lfrect.bench import BENCH_HEADER
 from lfrect.cli import main
+from lfrect.errors import ConfigError, DegenerateGeometry, GenerationFailure, LfRectError, NoOverlap
 from lfrect.geometry import RelativePose, angular_error_rotation, angular_error_translation
 from lfrect.lfio import (
     load_json,
@@ -168,6 +170,23 @@ def test_unplaceable_depths_exit_4(tmp_path, capsys, lam, error):
     assert error in err
 
 
+def test_numerical_failure_exits_4(tmp_path, capsys):
+    """A sigma = 3 px draw of the stock noise-sweep scene on which LM meets
+    a non-finite residual at the initial pose."""
+    cfg = _sim_config(tmp_path, sigma_px=3.0)
+    sim_dir = tmp_path / "sim"
+    rc = main(
+        ["simulate", "--config", str(cfg), "--out", str(sim_dir), "--seed", "6000",
+         "--trial", "23"]
+    )
+    assert rc == 0
+    rc, _ = _run_estimate(tmp_path, sim_dir)
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "degenerate geometry" in err
+    assert "NumericalFailure" in err
+
+
 def test_estimate_writes_to_null_device(tmp_path, capsys, monkeypatch):
     """--out may name an existing non-regular file such as the null
     device; it is written in place, never unlinked."""
@@ -230,6 +249,22 @@ def test_rectify_and_epi_pipeline(tmp_path, capsys, blob_pair, blob_rectified):
     mask = read_pbm(epi_path.with_suffix(".pbm"))
     assert mask.shape == epi.shape
     assert mask.any()
+
+
+@pytest.mark.parametrize(
+    "row, line, message",
+    [(9, 0, "grid row 9 outside 0..2"), (0, 8, "scan line 8 outside 0..7")],
+    ids=["row", "line"],
+)
+def test_epi_index_out_of_range_exits_2(tmp_path, capsys, row, line, message):
+    save_sampled_lf(tmp_path / "lf", random_lf(seed=5))
+    rc = main(
+        ["epi", "--sais", str(tmp_path / "lf"), "--row", str(row), "--line", str(line),
+         "--out", str(tmp_path / "epi.pgm")]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "epi.pgm").exists()
 
 
 def test_rectify_without_overlap_exits_5(tmp_path, capsys):
@@ -317,3 +352,32 @@ def test_argparse_rejects_bad_usage():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+EXIT_CODES = {ConfigError: 2, GenerationFailure: 3, DegenerateGeometry: 4, NoOverlap: 5}
+
+
+def test_every_error_has_exactly_one_exit_code_group():
+    declared = {
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, LfRectError)
+    }
+    assert set(errors.__all__) == declared
+    leaves = [getattr(errors, n) for n in errors.__all__]
+    leaves = [c for c in leaves if c is not LfRectError and c not in EXIT_CODES]
+    assert leaves
+    for cls in leaves:
+        groups = [base for base in EXIT_CODES if issubclass(cls, base)]
+        assert len(groups) == 1, (cls.__name__, groups)
+
+
+@pytest.mark.parametrize("base, code", EXIT_CODES.items(), ids=lambda x: getattr(x, "__name__", x))
+def test_each_error_group_maps_to_its_exit_code(tmp_path, capsys, monkeypatch, base, code):
+    def fail(args):
+        raise base("synthetic failure")
+
+    monkeypatch.setattr(cli, "_cmd_simulate", fail)
+    rc = main(["simulate", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o")])
+    assert rc == code
+    assert "synthetic failure" in capsys.readouterr().err

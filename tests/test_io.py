@@ -35,10 +35,9 @@ from lfrect.lfio import (
     write_correspondence_csv,
     write_pbm,
     write_pgm16,
-    write_trial_report_csv,
 )
 from lfrect.rectify import build_rectified_setup
-from lfrect.simulate import TrialReport, default_intrinsics_pair
+from lfrect.simulate import default_intrinsics_pair
 
 from test_resample import MAP, S3, random_lf
 from lfrect.resample import plan_aligned_grid
@@ -156,45 +155,6 @@ def test_readme_correspondence_example_reads(tmp_path):
     p.write_text("\n".join(lines) + "\n")
     k1, k2 = default_intrinsics_pair()
     assert len(read_correspondence_csv(p, k1, k2)) == len(lines) - 1
-
-
-# ---------------------------------------------------------------------------
-# trial CSV
-# ---------------------------------------------------------------------------
-
-
-def test_trial_report_csv_golden(tmp_path):
-    report = TrialReport(
-        sigma_px=0.1,
-        err_R_deg=np.array([0.5, 0.25]),
-        err_T_deg=np.array([1.5, 0.75]),
-        converged=np.array([True, False]),
-        iterations=np.array([3, 5]),
-    )
-    p = tmp_path / "trials.csv"
-    write_trial_report_csv(p, report)
-    assert p.read_text() == (
-        "trial,err_R_deg,err_T_deg,converged,iterations\n"
-        "0,0.5,1.5,1,3\n"
-        "1,0.25,0.75,0,5\n"
-        "mean,0.375,1.125,1,4.0\n"
-    )
-
-
-def test_trial_report_csv_marks_failed_trials(tmp_path):
-    report = TrialReport(
-        sigma_px=0.1,
-        err_R_deg=np.array([0.5, np.nan]),
-        err_T_deg=np.array([1.5, np.nan]),
-        converged=np.array([True, False]),
-        iterations=np.array([3, 0]),
-        failures=[(1, "RankDeficient: x")],
-    )
-    p = tmp_path / "trials.csv"
-    write_trial_report_csv(p, report)
-    lines = p.read_text().splitlines()
-    assert lines[2] == "1,nan,nan,0,0"
-    assert lines[3] == "mean,0.5,1.5,1,1.5"
 
 
 # ---------------------------------------------------------------------------

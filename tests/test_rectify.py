@@ -1,8 +1,9 @@
 """Ray warping and the rectified-frame construction.
 
 The closed-form warp and the geometric construction (move the two anchor
-points, re-intersect the planes) are independent derivations of the same
-map; their agreement over random transforms is the main correctness check.
+points, re-intersect the planes; kept in ``oracles.py``) are independent
+derivations of the same map; their agreement over random transforms is the
+main correctness check.
 The rectifying rotation is verified against its defining properties: it is
 a rotation, it sends the baseline to the +x axis, and ray bundles from both
 cameras triangulate scene points consistently in the common frame.
@@ -11,21 +12,16 @@ cameras triangulate scene points consistently in the common frame.
 import numpy as np
 import pytest
 
-from lfrect.errors import (
-    CollinearConstruction,
-    DegenerateSegment,
-    ParallelRay,
-    ZeroBaseline,
-)
+from lfrect.errors import CollinearConstruction, ParallelRay, ZeroBaseline
 from lfrect.geometry import Ray4D, RelativePose, euler_xyz_intrinsic, so3_exp
 from lfrect.rectify import (
     RectifiedSetup,
     build_rectified_setup,
     rectifying_rotation,
-    warp_lf_to_common,
     warp_ray,
     warp_rays,
 )
+from oracles import warp_ray_geometric
 
 
 def random_pose(rng, max_angle_deg=20.0, t_scale=20.0):
@@ -75,8 +71,8 @@ def test_closed_vs_geometric_1000_cases():
     for _ in range(1000):
         pose = random_pose(rng)
         ray = Ray4D(*random_rays(rng, 1)[0])
-        a = warp_ray(ray, pose, method="closed").as_array()
-        b = warp_ray(ray, pose, method="geometric").as_array()
+        a = warp_ray(ray, pose).as_array()
+        b = warp_ray_geometric(ray.as_array(), pose.R, pose.T)
         worst = max(worst, np.abs(a - b).max() / max(1.0, np.abs(a).max()))
     assert worst <= 1e-10
 
@@ -124,19 +120,13 @@ def test_parallel_ray_raises_both_methods():
     # 90 degree turn about x makes the central ray parallel to the planes.
     pose = RelativePose(euler_xyz_intrinsic(90.0, 0.0, 0.0), np.zeros(3))
     with pytest.raises(ParallelRay):
-        warp_ray(Ray4D(0.0, 0.0, 0.0, 0.0), pose, method="closed")
-    with pytest.raises(DegenerateSegment):
-        warp_ray(Ray4D(0.0, 0.0, 0.0, 0.0), pose, method="geometric")
+        warp_ray(Ray4D(0.0, 0.0, 0.0, 0.0), pose)
+    with pytest.raises(ValueError, match="share a depth"):
+        warp_ray_geometric(np.zeros(4), pose.R, pose.T)
     # the batch form masks instead of raising
     out, valid = warp_rays(np.zeros((1, 4)), pose.R, pose.T)
     assert not valid[0]
     assert np.all(out[0] == 0.0)
-
-
-def test_unknown_method_rejected():
-    pose = RelativePose(np.eye(3), np.zeros(3))
-    with pytest.raises(ValueError):
-        warp_ray(Ray4D(0, 0, 0, 0), pose, method="fancy")
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +198,12 @@ def test_triangulation_consistency():
         P_common = setup.R_rect @ P1  # left camera anchors the frame
 
         hits = []
-        for P_src, side in ((P1, "left"), (P2, "right")):
+        for P_src, R, T in ((P1, setup.R_l, setup.T_l), (P2, setup.R_r, setup.T_r)):
             rays = []
             for _ in range(6):
                 u, v = rng.uniform(-0.3, 0.3, 2)
                 rays.append([P_src[0] - u * P_src[2], P_src[1] - v * P_src[2], u, v])
-            warped, valid = warp_lf_to_common(np.array(rays), setup, side)
+            warped, valid = warp_rays(np.array(rays), R, T)
             assert valid.all()
             # Intersect the warped bundle: solve for (X, Y, Z) with
             # X = s + u Z, Y = t + v Z per ray.
@@ -243,20 +233,14 @@ def test_row_alignment_of_warped_sub_apertures():
     P1 = np.array([50.0, -30.0, 900.0])
     P2 = pose_2to1.inverse().apply(P1)
     Pc = setup.R_rect @ P1
-    for P_src, side in ((P1, "left"), (P2, "right")):
+    for P_src, R, T in ((P1, setup.R_l, setup.T_l), (P2, setup.R_r, setup.T_r)):
         for u, v in [(-0.2, 0.1), (0.0, 0.0), (0.3, -0.15)]:
             ray = np.array([[P_src[0] - u * P_src[2], P_src[1] - v * P_src[2], u, v]])
-            w, ok = warp_lf_to_common(ray, setup, side)
+            w, ok = warp_rays(ray, R, T)
             assert ok[0]
             # slope toward the point from the warped aperture position
             v_slope = (Pc[1] - w[0, 1]) / Pc[2]
             assert w[0, 3] == pytest.approx(v_slope, abs=1e-10)
-
-
-def test_warp_lf_to_common_side_validation(sweep_pose):
-    setup = build_rectified_setup(sweep_pose.inverse())
-    with pytest.raises(ValueError):
-        warp_lf_to_common(np.zeros((1, 4)), setup, "up")
 
 
 # ---------------------------------------------------------------------------

@@ -34,12 +34,10 @@ from lfrect.resample import (
 from lfrect.simulate import (
     RenderGrid,
     TexturedPlane,
-    blob_centroid,
-    fit_line_tls,
-    refine_checkerboard_corner,
     render_synthetic_lf,
     soft_checkerboard_texture,
 )
+from oracles import blob_centroid, fit_line_tls, refine_checkerboard_corner
 
 # Dyadic lattice so index arithmetic in the sampler is exact.
 S3 = np.array([-2.0, 0.0, 2.0])

@@ -1,5 +1,7 @@
 """Synthetic experiment machinery: observation model, LF-point refitting,
-trial harness, ray-traced rendering, and the measurement helpers.
+trial harness, ray-traced rendering, and the measurement helpers.  The
+scalar observation model and the measurement helpers are test oracles
+(``oracles.py``); they are pinned here before other tests rely on them.
 
 The refit estimator has closed-form first and second moments under i.i.d.
 pixel noise; those are the statistical oracles here.  The renderer is
@@ -11,11 +13,7 @@ model assigns to its depth.
 import numpy as np
 import pytest
 
-from lfrect.errors import (
-    BehindCamera,
-    CoplanarDegeneracy,
-    InsufficientObservations,
-)
+from lfrect.errors import BehindCamera, CoplanarDegeneracy
 from lfrect.geometry import (
     LFIntrinsics,
     RelativePose,
@@ -33,22 +31,24 @@ from lfrect.simulate import (
     _observe_batch,
     _project_batch,
     _refit_batch,
-    add_observation_noise,
-    blob_centroid,
-    blob_texture,
-    checkerboard_texture,
     default_board_poses,
-    fit_line_tls,
-    generate_corners,
     make_sim_config,
-    project_corner_observations,
-    refine_checkerboard_corner,
-    refit_lfpoint,
     render_synthetic_lf,
     run_trials,
     simulate_correspondences,
     sinusoid_texture,
     soft_checkerboard_texture,
+)
+from oracles import (
+    add_observation_noise,
+    blob_centroid,
+    blob_texture,
+    checkerboard_texture,
+    fit_line_tls,
+    generate_corners,
+    project_corner_observations,
+    refine_checkerboard_corner,
+    refit_lfpoint,
 )
 
 # ---------------------------------------------------------------------------
@@ -81,7 +81,7 @@ def test_refit_recovers_noise_free_point(k_pair):
 
 
 def test_refit_rejects_unobservable_disparity():
-    with pytest.raises(InsufficientObservations):
+    with pytest.raises(ValueError, match="at least two sub-apertures"):
         refit_lfpoint(np.zeros((1, 1, 2)))
     with pytest.raises(ValueError):
         refit_lfpoint(np.zeros((5, 5, 3)))
