@@ -32,15 +32,11 @@ from .errors import (
 )
 from .geometry import (
     LFIntrinsics,
-    LFPoint,
     Ray4D,
     RelativePose,
-    ScenePoint3D,
     angular_error_rotation,
     angular_error_translation,
-    backproject_lfpoint,
     euler_xyz_intrinsic,
-    project_to_lfpoint,
     skew,
     so3_exp,
 )

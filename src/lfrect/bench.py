@@ -114,12 +114,8 @@ def parse_bench_spec(data: dict, source: str = "<spec>") -> BenchSpec:
                     sigma_px=float(row["sigma_px"]),
                 )
             )
-        return BenchSpec(
-            name=str(data.get("name", "custom")),
-            rows=rows,
-            trials=int(data.get("trials", 100)),
-            seed=int(data.get("seed", 0)),
-        )
+        counts = {key: int(data[key]) for key in ("trials", "seed") if key in data}
+        return BenchSpec(name=str(data.get("name", "custom")), rows=rows, **counts)
     except (KeyError, ValueError, TypeError) as e:
         msg = e.args[0] if e.args else e
         raise ConfigError(f"{source}: {msg}") from e

@@ -110,19 +110,14 @@ def _cmd_epi(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    overrides = {k: getattr(args, k) for k in ("trials", "seed") if getattr(args, k) is not None}
     if args.spec is not None:
         spec = bench_mod.parse_bench_spec(lfio.load_json(args.spec), source=str(args.spec))
-        if args.trials is not None:
-            spec = dataclasses.replace(spec, trials=args.trials)
-        if args.seed is not None:
-            spec = dataclasses.replace(spec, seed=args.seed)
+        spec = dataclasses.replace(spec, **overrides)
+    elif args.scenario == "noise-sweep":
+        spec = bench_mod.noise_sweep_spec(**overrides)
     else:
-        trials = 100 if args.trials is None else args.trials
-        seed = 0 if args.seed is None else args.seed
-        if args.scenario == "noise-sweep":
-            spec = bench_mod.noise_sweep_spec(trials=trials, seed=seed)
-        else:
-            spec = bench_mod.pose_grid_spec(trials=trials, seed=seed)
+        spec = bench_mod.pose_grid_spec(**overrides)
     log.info("running %s: %d rows x %d trials", spec.name, len(spec.rows), spec.trials)
     result = bench_mod.run_bench(spec, jobs=args.jobs)
     out = Path(args.out)

@@ -17,9 +17,11 @@ COORDINATE AND UNIT CONVENTIONS
         [ 0    0  -K1  -K2 ]
         [ 0    0    1   0  ]
 
-  so u_c = (f_x X + c_x Z)/Z, v_c = (f_y Y + c_y Z)/Z and
-  lambda = (-K1 Z - K2)/Z.  K1 is dimensionless, K2 is in pixel*mm/mm =
-  pixels; for scene points in front of the camera and K2 > 0, lambda < -K1.
+  so u_c = f_x X/Z + c_x, v_c = f_y Y/Z + c_y and lambda = -K1 - K2/Z.
+  K1 is dimensionless, K2 is in pixel*mm/mm = pixels; for scene points in
+  front of the camera and K2 > 0, lambda < -K1.  ``LFIntrinsics.project``
+  and ``LFIntrinsics.backproject`` are the package's only implementation of
+  this model; both work on (n, 3) arrays.
 - A relative pose (R, T) maps camera-1 coordinates into camera-2:
   X_2 = R X_1 + T.  T is millimetres.
 - Rotations given as Euler angles use intrinsic rotations about x, then y,
@@ -32,21 +34,16 @@ are slopes (mm per unit z).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDisparity, NonPositiveDepth, ZeroVector
+from .errors import ZeroVector
 
 __all__ = [
-    "LFPoint",
     "LFIntrinsics",
     "RelativePose",
     "Ray4D",
-    "ScenePoint3D",
-    "project_to_lfpoint",
-    "backproject_lfpoint",
     "angular_error_rotation",
     "angular_error_translation",
     "euler_xyz_intrinsic",
@@ -58,38 +55,6 @@ __all__ = [
 # snapped to +-1, so that comparing a rotation against itself yields exactly
 # zero instead of the ~1e-8 rad noise floor of arccos near 1.
 _COS_SNAP = 4.0 * np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class LFPoint:
-    """A scene point as seen by one light-field camera.
-
-    u_c, v_c: pixel coordinates in the central sub-aperture image.
-    lam: inter-sub-aperture disparity in pixels (named ``lam`` because
-    ``lambda`` is reserved in Python; serialized files use ``lambda``).
-    """
-
-    u_c: float
-    v_c: float
-    lam: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u_c, self.v_c, self.lam], dtype=float)
-
-    def homogeneous(self) -> np.ndarray:
-        return np.array([self.u_c, self.v_c, self.lam, 1.0], dtype=float)
-
-
-@dataclass(frozen=True)
-class ScenePoint3D:
-    """A 3D point in a camera frame, millimetres."""
-
-    x: float
-    y: float
-    z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -154,6 +119,24 @@ class LFIntrinsics:
                 [0.0, 0.0, -1.0 / self.K2, -self.K1 / self.K2],
             ]
         )
+
+    def project(self, points, w=1.0) -> np.ndarray:
+        """LF-points (n, 3) of (n, 3) scene points (X, Y, Z) with homogeneous
+        weight ``w``, a scalar or (n,): (f_x X/Z + c_x, f_y Y/Z + c_y,
+        -K1 - K2 w/Z).  Depth is not checked; callers keep Z > 0."""
+        X, Y, Z = np.asarray(points, float).T
+        return np.column_stack(
+            [self.fx * X / Z + self.cx, self.fy * Y / Z + self.cy, -self.K1 - self.K2 * w / Z]
+        )
+
+    def backproject(self, lfpoints) -> tuple[np.ndarray, np.ndarray]:
+        """(p, e) of (n, 3) LF-points: directions p = ((u_c - c_x)/f_x,
+        (v_c - c_y)/f_y, 1) and inverse depths e = -(lambda + K1)/K2, so the
+        scene point is p / e.  e is 0 at infinite depth, negative behind."""
+        u, v, lam = np.asarray(lfpoints, float).T
+        a = (u - self.cx) / self.fx
+        b = (v - self.cy) / self.fy
+        return np.column_stack([a, b, np.ones_like(a)]), -(lam + self.K1) / self.K2
 
     def to_json_dict(self) -> dict:
         return {
@@ -239,40 +222,6 @@ class RelativePose:
         R = np.array(d["R"], dtype=float).reshape(3, 3)
         T = np.array(d["T"], dtype=float)
         return cls(R, T)  # constructor re-checks orthonormality/finiteness
-
-
-def project_to_lfpoint(point, k: LFIntrinsics) -> LFPoint:
-    """Project a scene point (camera frame, mm) to its LF-point.
-
-    Raises NonPositiveDepth if the point is not strictly in front of the
-    camera.
-    """
-    p = point.as_array() if isinstance(point, ScenePoint3D) else np.asarray(point, float)
-    X, Y, Z = p
-    if not Z > 0:
-        raise NonPositiveDepth(f"depth Z={Z} is not positive")
-    return LFPoint(
-        (k.fx * X + k.cx * Z) / Z,
-        (k.fy * Y + k.cy * Z) / Z,
-        (-k.K1 * Z - k.K2) / Z,
-    )
-
-
-def backproject_lfpoint(lfp: LFPoint, k: LFIntrinsics) -> ScenePoint3D:
-    """Recover the scene point of an LF-point.
-
-    The disparity determines depth: Z = -K2 / (lambda + K1).  Raises
-    DegenerateDisparity when lambda + K1 is zero to working precision
-    (depth at infinity) and NonPositiveDepth when the recovered depth is
-    not positive.
-    """
-    denom = lfp.lam + k.K1
-    if abs(denom) <= 1e-12:
-        raise DegenerateDisparity("lambda + K1 is zero: depth at infinity")
-    Z = -k.K2 / denom
-    if not Z > 0:
-        raise NonPositiveDepth(f"recovered depth Z={Z} is not positive")
-    return ScenePoint3D(Z * (lfp.u_c - k.cx) / k.fx, Z * (lfp.v_c - k.cy) / k.fy, Z)
 
 
 def _arccos_snapped_deg(x: float) -> float:

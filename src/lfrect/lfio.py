@@ -27,6 +27,7 @@ import json
 import os
 import re
 import stat
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -220,11 +221,11 @@ def read_pgm16(path) -> np.ndarray:
     """Read a binary PGM into a float image scaled to [0, 1]."""
     raw = Path(path).read_bytes()
     if raw[:2] != b"P5":
-        raise ValueError(f"{path}: not a binary PGM")
+        raise ValueError("not a binary PGM")
     tokens, offset = _read_pnm_tokens(raw[2:], 3)
     w, h, maxval = (int(t) for t in tokens)
     if not (0 < maxval < 65536):
-        raise ValueError(f"{path}: bad maxval {maxval}")
+        raise ValueError(f"bad maxval {maxval}")
     dtype = ">u2" if maxval > 255 else np.uint8
     data = np.frombuffer(raw, dtype=dtype, count=w * h, offset=2 + offset)
     return data.reshape(h, w).astype(float) / maxval
@@ -246,7 +247,7 @@ def read_pbm(path) -> np.ndarray:
     """Read a binary PBM back into a validity mask (True = valid)."""
     raw = Path(path).read_bytes()
     if raw[:2] != b"P4":
-        raise ValueError(f"{path}: not a binary PBM")
+        raise ValueError("not a binary PBM")
     tokens, offset = _read_pnm_tokens(raw[2:], 2)
     w, h = (int(t) for t in tokens)
     row_bytes = (w + 7) // 8
@@ -302,38 +303,59 @@ def save_sampled_lf(dirpath, lf: SampledLF, grid: AlignedGrid | None = None):
     save_json(d / "grid.json", meta)
 
 
-def load_sampled_lf(dirpath) -> tuple[SampledLF, AlignedGrid | None]:
-    d = Path(dirpath)
-    meta = load_json(d / "grid.json")
+@contextmanager
+def _naming(path):
+    """Turn a failure to read, decode or use ``path`` into a ConfigError
+    that names the file."""
     try:
+        yield
+    except (OSError, KeyError, ValueError, TypeError) as e:
+        raise ConfigError(f"{path}: {getattr(e, 'strerror', None) or e}") from e
+
+
+def load_sampled_lf(dirpath) -> tuple[SampledLF, AlignedGrid | None]:
+    """Read a light-field directory; a file that cannot be read, decoded or
+    fitted to grid.json raises ConfigError naming it.  A missing ``.pbm``
+    sidecar means every pixel of its image is valid."""
+    d = Path(dirpath)
+    meta_path = d / "grid.json"
+    meta = load_json(meta_path)
+    with _naming(meta_path):
         t_mm = np.array(meta["rows_mm"], float)
         s_mm = np.array(meta["cols_mm"], float)
         mapping = SpatialMapping.from_json_dict(meta["mapping"])
-    except (KeyError, ValueError, TypeError) as e:
-        raise ConfigError(f"{d / 'grid.json'}: {e}") from e
+        grid = AlignedGrid.from_json_dict(meta["aligned"]) if "aligned" in meta else None
     nr, nc = t_mm.size, s_mm.size
     images = None
     mask = None
     for i in range(nr):
         for j in range(nc):
-            img = read_pgm16(d / f"sai_r{i}_c{j}.pgm")
-            if images is None:
-                images = np.empty((nr, nc) + img.shape)
-                mask = np.ones((nr, nc) + img.shape, bool)
-            images[i, j] = img
-            pbm = d / f"sai_r{i}_c{j}.pbm"
+            pgm, pbm = d / f"sai_r{i}_c{j}.pgm", d / f"sai_r{i}_c{j}.pbm"
+            with _naming(pgm):
+                img = read_pgm16(pgm)
+                if images is None:
+                    images = np.empty((nr, nc) + img.shape)
+                    mask = np.ones((nr, nc) + img.shape, bool)
+                images[i, j] = img
             if pbm.exists():
-                mask[i, j] = read_pbm(pbm)
+                with _naming(pbm):
+                    mask[i, j] = read_pbm(pbm)
     if images is None:
         raise ConfigError(f"{d}: no sub-aperture images")
-    lf = SampledLF(images=images, mask=mask, s_mm=s_mm, t_mm=t_mm, mapping=mapping)
-    grid = AlignedGrid.from_json_dict(meta["aligned"]) if "aligned" in meta else None
+    with _naming(meta_path):
+        lf = SampledLF(images=images, mask=mask, s_mm=s_mm, t_mm=t_mm, mapping=mapping)
     return lf, grid
 
 
 # --------------------------------------------------------------------------
 # Simulation configs
 # --------------------------------------------------------------------------
+
+
+def _json_object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {type(value).__name__}")
+    return value
 
 
 def parse_pose_dict(d: dict) -> RelativePose:
@@ -344,7 +366,7 @@ def parse_pose_dict(d: dict) -> RelativePose:
     ``{"layout": "row-major", "R": [...9...], "T": [...]}`` gives the
     matrix directly.
     """
-    if "euler_deg" in d:
+    if "euler_deg" in _json_object(d):
         ang = [float(x) for x in d["euler_deg"]]
         if len(ang) != 3:
             raise ValueError("euler_deg needs exactly three angles")
@@ -353,41 +375,52 @@ def parse_pose_dict(d: dict) -> RelativePose:
     return RelativePose.from_json_dict(d)
 
 
+_BOARD_FIELDS = {"rows": int, "cols": int, "spacing_mm": float}
+_SIM_FIELDS = {"sai_rows": int, "sai_cols": int, "sigma_px": float, "trials": int, "seed": int}
+
+
+def _present(d: dict, fields: dict) -> dict:
+    """The entries of ``fields`` that ``d`` sets, each cast to its type;
+    absent ones keep the dataclass defaults."""
+    return {name: cast(d[name]) for name, cast in fields.items() if name in d}
+
+
+def _board_pose(d: dict) -> BoardPose:
+    ang = [float(x) for x in d["euler_deg"]]
+    return BoardPose(euler_xyz_intrinsic(*ang), np.array(d["center_mm"], float))
+
+
+# Config key -> (SimConfig field, parser of the key's JSON value).
+_SIM_KEYS = {
+    "intrinsics1": ("k1", LFIntrinsics.from_json_dict),
+    "intrinsics2": ("k2", LFIntrinsics.from_json_dict),
+    "pose": ("pose", parse_pose_dict),
+    "board": ("board", lambda v: BoardSpec(**_present(_json_object(v), _BOARD_FIELDS))),
+    "board_poses": ("board_poses", lambda v: tuple(map(_board_pose, v))),
+    **{key: (key, cast) for key, cast in _SIM_FIELDS.items()},
+}
+
+
 def parse_sim_config(data: dict, source: str = "<config>") -> SimConfig:
-    """Build a SimConfig from a plain dict (see load_sim_config)."""
+    """Build a SimConfig from a plain dict (see load_sim_config).  Absent keys
+    keep the SimConfig and BoardSpec defaults; a bad value raises ConfigError
+    naming its key."""
+    if "pose" not in data:
+        raise ConfigError(f"{source}: missing required key 'pose'")
+    k1, k2 = default_intrinsics_pair()
+    fields = {"k1": k1, "k2": k2}
+    for key, (field, parse) in _SIM_KEYS.items():
+        if key not in data:
+            continue
+        try:
+            fields[field] = parse(data[key])
+        except (KeyError, ValueError, TypeError) as e:
+            msg = f"missing key {e.args[0]!r}" if isinstance(e, KeyError) else e
+            raise ConfigError(f"{source}: {key}: {msg}") from e
     try:
-        dk1, dk2 = default_intrinsics_pair()
-        k1 = LFIntrinsics.from_json_dict(data["intrinsics1"]) if "intrinsics1" in data else dk1
-        k2 = LFIntrinsics.from_json_dict(data["intrinsics2"]) if "intrinsics2" in data else dk2
-        if "pose" not in data:
-            raise ValueError("missing required key 'pose'")
-        pose = parse_pose_dict(data["pose"])
-        board = BoardSpec(
-            rows=int(data.get("board", {}).get("rows", 7)),
-            cols=int(data.get("board", {}).get("cols", 11)),
-            spacing_mm=float(data.get("board", {}).get("spacing_mm", 22.5)),
-        )
-        board_poses = []
-        for bp in data.get("board_poses", []):
-            ang = [float(x) for x in bp["euler_deg"]]
-            board_poses.append(
-                BoardPose(euler_xyz_intrinsic(*ang), np.array(bp["center_mm"], float))
-            )
-        return SimConfig(
-            k1=k1,
-            k2=k2,
-            pose=pose,
-            board=board,
-            board_poses=tuple(board_poses),
-            sai_rows=int(data.get("sai_rows", 13)),
-            sai_cols=int(data.get("sai_cols", 13)),
-            sigma_px=float(data.get("sigma_px", 0.0)),
-            trials=int(data.get("trials", 100)),
-            seed=int(data.get("seed", 0)),
-        )
-    except (KeyError, ValueError, TypeError) as e:
-        msg = e.args[0] if e.args else e
-        raise ConfigError(f"{source}: {msg}") from e
+        return SimConfig(**fields)
+    except ValueError as e:
+        raise ConfigError(f"{source}: {e}") from e
 
 
 def load_sim_config(path) -> SimConfig:

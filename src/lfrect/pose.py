@@ -17,6 +17,11 @@ The estimation pipeline:
 Coplanar scenes make step 2 ambiguous; ``detect_degeneracy`` diagnoses them
 before any solving happens.
 
+Steps 4 and 5 and the degeneracy check take the camera model from
+``lfrect.geometry``: camera-1 LF-points become a direction and an inverse
+depth through ``LFIntrinsics.backproject``, and the predicted camera-2
+LF-point is ``LFIntrinsics.project`` of the transformed point.
+
 Vectors of matrix entries ("vec") are row-major throughout this module,
 except in ``solve_translation`` where the rotation enters column-stacked;
 each function documents which order it uses.
@@ -39,7 +44,7 @@ from .errors import (
     RankDeficient,
     SingularInput,
 )
-from .geometry import LFIntrinsics, RelativePose, skew, so3_exp
+from .geometry import LFIntrinsics, RelativePose, so3_exp
 
 __all__ = [
     "CorrespondenceSet",
@@ -314,18 +319,6 @@ def project_to_SO3(M) -> np.ndarray:
     return U @ D @ Vt
 
 
-def _reduced_coordinates(corr: CorrespondenceSet):
-    """Per-point quantities of the intrinsics-undone camera-1 LF-points:
-    the direction p = (a, b, 1) with a = (u_c - c_x)/f_x,
-    b = (v_c - c_y)/f_y, and the inverse depth e = -(lambda + K1)/K2."""
-    k1 = corr.k1
-    a = (corr.first[:, 0] - k1.cx) / k1.fx
-    b = (corr.first[:, 1] - k1.cy) / k1.fy
-    e = -(corr.first[:, 2] + k1.K1) / k1.K2
-    p = np.column_stack([a, b, np.ones_like(a)])
-    return p, e
-
-
 def _translation_system(corr: CorrespondenceSet):
     """Design matrices (A_R, A_T) of the linear translation constraints.
 
@@ -335,7 +328,7 @@ def _translation_system(corr: CorrespondenceSet):
     (R, T).  A_R multiplies the column-stacked vec(R), A_T multiplies T:
     A_R vec(R) + A_T T = 0 at the true pose.
     """
-    p, e = _reduced_coordinates(corr)
+    p, e = corr.k1.backproject(corr.first)
     k2 = corr.k2
     up = corr.second[:, 0]
     vp = corr.second[:, 1]
@@ -388,23 +381,19 @@ def detect_degeneracy(corr: CorrespondenceSet) -> DegeneracyReport:
     DegenerateDisparity / NonPositiveDepth only when fewer than four
     points can be placed.
     """
-    k1 = corr.k1
-    lam = corr.first[:, 2]
-    denom = lam + k1.K1
-    usable = np.abs(denom) > 1e-12
-    Z = np.where(usable, -k1.K2 / np.where(usable, denom, 1.0), -1.0)
-    usable &= Z > 0
+    p, e = corr.k1.backproject(corr.first)
+    # e K2 = -(lambda + K1): zero to working precision is infinite depth.
+    at_infinity = np.abs(e * corr.k1.K2) <= 1e-12
+    usable = ~at_infinity & (e > 0)
+    Z = 1.0 / np.where(usable, e, -1.0)
     if usable.any():
         z_med = float(np.median(Z[usable]))
         usable &= (Z < 50.0 * z_med) & (Z > z_med / 50.0)
     if usable.sum() < 4:
-        if np.any(np.abs(denom) <= 1e-12):
+        if at_infinity.any():
             raise DegenerateDisparity("disparities map to infinite depth")
         raise NonPositiveDepth("backprojected points have non-positive depth")
-    Z = Z[usable]
-    X = Z * (corr.first[usable, 0] - k1.cx) / k1.fx
-    Y = Z * (corr.first[usable, 1] - k1.cy) / k1.fy
-    pts = np.column_stack([X, Y, Z])
+    pts = p[usable] / e[usable, None]
     centroid = pts.mean(axis=0)
     centered = pts - centroid
     _, s, Vt = np.linalg.svd(centered, full_matrices=False)
@@ -425,15 +414,10 @@ def _residuals(corr: CorrespondenceSet, p, e, R, T):
     """Reprojection residuals (n, 3): predicted minus observed camera-2
     LF-point.  Inf cost signalled by returning None when a transformed
     point reaches zero depth scale."""
-    k2 = corr.k2
     g = p @ R.T + e[:, None] * T
-    g3 = g[:, 2]
-    if np.any(g3 <= 1e-12):
+    if np.any(g[:, 2] <= 1e-12):
         return None
-    r_u = k2.fx * g[:, 0] / g3 + k2.cx - corr.second[:, 0]
-    r_v = k2.fy * g[:, 1] / g3 + k2.cy - corr.second[:, 1]
-    r_l = -k2.K1 - k2.K2 * e / g3 - corr.second[:, 2]
-    return np.column_stack([r_u, r_v, r_l])
+    return corr.k2.project(g, e) - corr.second
 
 
 def _jacobian(corr: CorrespondenceSet, p, e, R, T):
@@ -487,7 +471,7 @@ def refine_pose(
     decreasing sequence).  Raises NumericalFailure if the cost is
     non-finite at the current state.
     """
-    p, e = _reduced_coordinates(corr)
+    p, e = corr.k1.backproject(corr.first)
     R = initial.R.copy()
     T = initial.T.copy()
     r = _residuals(corr, p, e, R, T)
@@ -574,7 +558,7 @@ def estimate_pose(corr: CorrespondenceSet, refine: bool = True) -> EstimationRes
     R0 = project_to_SO3(G[:3, :3])
     T0 = solve_translation(corr, R0)
     pose0 = RelativePose(R0, T0)
-    p, e = _reduced_coordinates(corr)
+    p, e = corr.k1.backproject(corr.first)
     r0 = _residuals(corr, p, e, R0, T0)
     initial_cost = (
         float(r0.reshape(-1) @ r0.reshape(-1)) if r0 is not None else float("inf")

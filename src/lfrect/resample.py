@@ -169,11 +169,6 @@ class SampledLF:
                 cells[tuple(lo)] &= cells[tuple(hi)]
         return cells
 
-    def grid_centers(self) -> np.ndarray:
-        """All (s, t) sub-aperture positions as an (n_t, n_s, 2) array."""
-        S, T = np.meshgrid(self.s_mm, self.t_mm)
-        return np.stack([S, T], axis=-1)
-
 
 @dataclass(frozen=True)
 class AlignedGrid:

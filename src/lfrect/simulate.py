@@ -185,17 +185,6 @@ def _grid_offsets(n: int) -> np.ndarray:
     return np.arange(n) - (n - 1) / 2.0
 
 
-def _project_batch(pts: np.ndarray, k: LFIntrinsics) -> np.ndarray:
-    Z = pts[:, 2]
-    return np.column_stack(
-        [
-            k.fx * pts[:, 0] / Z + k.cx,
-            k.fy * pts[:, 1] / Z + k.cy,
-            -k.K1 - k.K2 / Z,
-        ]
-    )
-
-
 def _observe_batch(lfp: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """(n, 3) LF-points -> (n, rows, cols, 2) per-sub-aperture samples."""
     di = _grid_offsets(rows)
@@ -236,7 +225,7 @@ def simulate_correspondences(
     pts1, pts2 = _corner_arrays(cfg)
     sets = []
     for pts, k in ((pts1, cfg.k1), (pts2, cfg.k2)):
-        obs = _observe_batch(_project_batch(pts, k), cfg.sai_rows, cfg.sai_cols)
+        obs = _observe_batch(k.project(pts), cfg.sai_rows, cfg.sai_cols)
         if cfg.sigma_px > 0:
             obs = obs + rng.normal(0.0, cfg.sigma_px, obs.shape)
         sets.append(_refit_batch(obs))
@@ -320,7 +309,6 @@ def run_trials(cfg: SimConfig, jobs: int = 1) -> TrialReport:
             outcomes = list(
                 pool.map(_run_one_trial, [cfg] * cfg.trials, indices, chunksize=chunk)
             )
-    outcomes.sort(key=lambda o: o[0])
     err_R = np.array([o[1] for o in outcomes])
     err_T = np.array([o[2] for o in outcomes])
     converged = np.array([o[3] for o in outcomes], bool)
@@ -473,17 +461,14 @@ def render_synthetic_lf(
 
     images = np.empty((nr, nc, H, W))
     mask = np.empty((nr, nc, H, W), bool)
-    planes = []
-    for pl in scene:
-        n = pl.normal
-        planes.append((pl, n))
     for i in range(nr):
         for j in range(nc):
             origin_cam = np.array([s_mm[j], t_mm[i], 0.0])
             o = Rc @ origin_cam + Tc
             best_tau = np.full(dirs_world.shape[0], np.inf)
             lum = np.zeros(dirs_world.shape[0])
-            for pl, n in planes:
+            for pl in scene:
+                n = pl.normal
                 denom = dirs_world @ n
                 with np.errstate(divide="ignore", invalid="ignore"):
                     tau = ((pl.origin - o) @ n) / denom

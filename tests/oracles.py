@@ -6,11 +6,13 @@ tests can compare the package against it, or measures rendered images
 (corner positions, blob centroids, line fits) to check the package's
 geometry from the outside:
 
-- ``generate_corners``, ``project_corner_observations``,
-  ``add_observation_noise`` and ``refit_lfpoint`` are the per-point form of
-  the batch observation model in ``lfrect.simulate``; ``refit_lfpoint``
-  solves the general least-squares problem that ``_refit_batch`` solves in
-  closed form.
+- ``project_corner_observations``, ``add_observation_noise`` and
+  ``refit_lfpoint`` are the per-point form of the batch observation model
+  in ``lfrect.simulate``.  ``project_corner_observations`` projects through
+  the 4x4 matrix ``LFIntrinsics.matrix_H``, independently of
+  ``LFIntrinsics.project``; ``refit_lfpoint`` solves the general
+  least-squares problem that ``_refit_batch`` solves in closed form.  Both
+  return plain arrays.
 - ``warp_ray_geometric`` moves the two anchor points of a ray and
   re-intersects the planes, an independent derivation of the closed-form
   ``lfrect.rectify.warp_ray``.
@@ -21,8 +23,8 @@ geometry from the outside:
 
 import numpy as np
 
-from lfrect.geometry import LFIntrinsics, LFPoint, ScenePoint3D, project_to_lfpoint
-from lfrect.simulate import SimConfig, _corner_arrays, _grid_offsets
+from lfrect.geometry import LFIntrinsics
+from lfrect.simulate import _grid_offsets
 
 _EPS = 1e-12
 
@@ -32,33 +34,21 @@ _EPS = 1e-12
 # --------------------------------------------------------------------------
 
 
-def generate_corners(cfg: SimConfig) -> tuple[list[ScenePoint3D], list[ScenePoint3D]]:
-    """Board corners of all placements in both camera frames.
-
-    Camera-2 coordinates are the configured pose applied to camera-1
-    coordinates.  Raises BehindCamera if any corner has non-positive depth
-    in either frame.
-    """
-    pts1, pts2 = _corner_arrays(cfg)
-    return (
-        [ScenePoint3D(*p) for p in pts1],
-        [ScenePoint3D(*p) for p in pts2],
-    )
-
-
 def project_corner_observations(point, k: LFIntrinsics, grid_shape=(13, 13)) -> np.ndarray:
     """Noise-free per-sub-aperture pixel observations of one scene point.
 
-    Returns (rows, cols, 2): entry (i, j) holds the (u, v) projection into
-    sub-aperture (i, j), displaced from the central view by the grid offset
-    times the disparity.
+    The LF-point is the de-homogenized ``k.matrix_H() @ [X, Y, Z, 1]``, not
+    ``k.project``.  Returns (rows, cols, 2): entry (i, j) holds the (u, v)
+    projection into sub-aperture (i, j), displaced from the central view by
+    the grid offset times the disparity.
     """
-    lfp = project_to_lfpoint(point, k)
+    h = k.matrix_H() @ np.append(np.asarray(point, float), 1.0)
+    u_c, v_c, lam = h[:3] / h[3]
     di = _grid_offsets(grid_shape[0])
     dj = _grid_offsets(grid_shape[1])
     obs = np.empty((grid_shape[0], grid_shape[1], 2))
-    obs[:, :, 0] = lfp.u_c + dj[None, :] * lfp.lam
-    obs[:, :, 1] = lfp.v_c + di[:, None] * lfp.lam
+    obs[:, :, 0] = u_c + dj[None, :] * lam
+    obs[:, :, 1] = v_c + di[:, None] * lam
     return obs
 
 
@@ -72,8 +62,9 @@ def add_observation_noise(obs: np.ndarray, sigma_px: float, rng: np.random.Gener
     return obs + rng.normal(0.0, sigma_px, obs.shape)
 
 
-def refit_lfpoint(obs: np.ndarray) -> LFPoint:
-    """Least-squares LF-point from per-sub-aperture observations.
+def refit_lfpoint(obs: np.ndarray) -> np.ndarray:
+    """Least-squares LF-point (u_c, v_c, lambda) from per-sub-aperture
+    observations.
 
     ``obs`` is (rows, cols, 2) as produced by
     :func:`project_corner_observations`.  Raises ValueError when the grid
@@ -99,7 +90,7 @@ def refit_lfpoint(obs: np.ndarray) -> LFPoint:
     A[n:, 2] = ii
     b[n:] = obs[:, :, 1].ravel()
     sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return LFPoint(float(sol[0]), float(sol[1]), float(sol[2]))
+    return sol
 
 
 # --------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from lfrect.geometry import (
 )
 from lfrect.pose import (
     _jacobian,
-    _reduced_coordinates,
     _translation_system,
     build_dlt_system,
     constraint_matrix,
@@ -175,7 +174,7 @@ def test_04_solver_algebra(capsys, corr_exact, corr_noisy, sweep_pose):
     trans_resid = float((np.abs(resid) / row_norm).max())
 
     rng = np.random.default_rng(42)
-    p, e = _reduced_coordinates(corr_exact)
+    p, e = corr_exact.k1.backproject(corr_exact.first)
     jac_err = 0.0
     for _ in range(20):
         R = sweep_pose.R @ so3_exp(rng.normal(0, 0.05, 3))

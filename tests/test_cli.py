@@ -267,6 +267,43 @@ def test_epi_index_out_of_range_exits_2(tmp_path, capsys, row, line, message):
     assert not (tmp_path / "epi.pgm").exists()
 
 
+def _drop_aligned_cols(d):
+    meta = load_json(d / "grid.json")
+    meta["aligned"] = {"rows_mm": meta["rows_mm"]}
+    save_json(d / "grid.json", meta)
+
+
+LF_CORRUPTIONS = {
+    "missing-pgm": ("sai_r1_c1.pgm", lambda d: (d / "sai_r1_c1.pgm").unlink()),
+    "not-p5": ("sai_r1_c1.pgm", lambda d: (d / "sai_r1_c1.pgm").write_bytes(b"P2\n1 1\n255\n0\n")),
+    "truncated": (
+        "sai_r1_c1.pgm",
+        lambda d: (d / "sai_r1_c1.pgm").write_bytes((d / "sai_r1_c1.pgm").read_bytes()[:-2]),
+    ),
+    "aligned-without-cols": ("grid.json", _drop_aligned_cols),
+}
+
+
+@pytest.mark.parametrize("case", LF_CORRUPTIONS)
+def test_corrupt_light_field_exits_2(tmp_path, capsys, case):
+    name, corrupt = LF_CORRUPTIONS[case]
+    d = tmp_path / "lf"
+    save_sampled_lf(d, random_lf(seed=5))
+    corrupt(d)
+    out = tmp_path / "e.pgm"
+    rc = main(["epi", "--sais", str(d), "--row", "0", "--line", "0", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {d / name}: ")
+
+
+@pytest.mark.parametrize("key, value", [("board", [1, 2]), ("pose", "abc")], ids=["board", "pose"])
+def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, key, value):
+    cfg = _sim_config(tmp_path, **{key: value})
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s")])
+    assert rc == 2
+    assert f"sim.json: {key}: expected a JSON object" in capsys.readouterr().err
+
+
 def test_rectify_without_overlap_exits_5(tmp_path, capsys):
     left = random_lf(seed=6)
     right = random_lf(seed=7)

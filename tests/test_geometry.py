@@ -13,22 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from lfrect.errors import (
-    DegenerateDisparity,
-    NonPositiveDepth,
-    ZeroVector,
-)
+from lfrect.errors import ZeroVector
 from lfrect.geometry import (
     LFIntrinsics,
-    LFPoint,
     Ray4D,
     RelativePose,
-    ScenePoint3D,
     angular_error_rotation,
     angular_error_translation,
-    backproject_lfpoint,
     euler_xyz_intrinsic,
-    project_to_lfpoint,
     skew,
     so3_exp,
 )
@@ -46,10 +38,10 @@ def random_rotation(rng):
 class TestProjection:
     def test_on_axis_point(self, k_pair):
         for k in k_pair:
-            lfp = project_to_lfpoint(ScenePoint3D(0.0, 0.0, k.K2), k)
-            assert lfp.u_c == pytest.approx(k.cx, abs=1e-12)
-            assert lfp.v_c == pytest.approx(k.cy, abs=1e-12)
-            assert lfp.lam == pytest.approx(-k.K1 - 1.0, abs=1e-12)
+            u_c, v_c, lam = k.project(np.array([[0.0, 0.0, k.K2]]))[0]
+            assert u_c == pytest.approx(k.cx, abs=1e-12)
+            assert v_c == pytest.approx(k.cy, abs=1e-12)
+            assert lam == pytest.approx(-k.K1 - 1.0, abs=1e-12)
 
     def test_benchmark_point_vs_exact_rational(self, k_pair):
         # Same formula evaluated in exact rational arithmetic: the float
@@ -63,47 +55,31 @@ class TestProjection:
         v_exact = (fy * Y + cy * Z) / Z
         lam_exact = (-K1 * Z - K2) / Z
 
-        lfp = project_to_lfpoint(ScenePoint3D(100.0, 50.0, 1000.0), k1)
-        assert abs(lfp.u_c - float(u_exact)) < 1e-12
-        assert abs(lfp.v_c - float(v_exact)) < 1e-12
-        assert abs(lfp.lam - float(lam_exact)) < 1e-15
+        u_c, v_c, lam = k1.project(np.array([[100.0, 50.0, 1000.0]]))[0]
+        assert abs(u_c - float(u_exact)) < 1e-12
+        assert abs(v_c - float(v_exact)) < 1e-12
+        assert abs(lam - float(lam_exact)) < 1e-15
         # and the exact values themselves, for the record
         assert u_exact == sympy.Rational("328.188")
         assert v_exact == sympy.Rational("216.74325")
         assert lam_exact == sympy.Rational("-0.195298")
 
     def test_matches_matrix_form(self, k_pair):
-        # project_to_lfpoint must equal de-homogenized H @ [X Y Z 1].
+        # project must equal de-homogenized H @ [X Y Z w], for unit and for
+        # per-point homogeneous weights.
         rng = np.random.default_rng(3)
         k = k_pair[1]
-        H = k.matrix_H()
-        for _ in range(50):
-            p = rng.uniform([-500, -400, 300], [500, 400, 3000])
-            h = H @ np.append(p, 1.0)
-            h = h / h[3]
-            lfp = project_to_lfpoint(p, k)
-            assert np.allclose(lfp.as_array(), h[:3], atol=1e-10)
-
-    def test_rejects_nonpositive_depth(self, k_pair):
-        for z in (0.0, -10.0):
-            with pytest.raises(NonPositiveDepth):
-                project_to_lfpoint(ScenePoint3D(1.0, 2.0, z), k_pair[0])
+        P = rng.uniform([-500, -400, 300], [500, 400, 3000], (50, 3))
+        for w in (np.ones(50), rng.uniform(0.5, 2.0, 50)):
+            h = np.column_stack([P, w]) @ k.matrix_H().T
+            h = h / h[:, 3:]
+            assert np.allclose(k.project(P, w), h[:, :3], atol=1e-10)
+        assert np.array_equal(k.project(P), k.project(P, np.ones(50)))
 
     def test_backproject_on_axis(self, k_pair):
         k = k_pair[0]
-        p = backproject_lfpoint(LFPoint(k.cx, k.cy, -k.K1 - 1.0), k)
-        assert np.allclose(p.as_array(), [0.0, 0.0, k.K2], atol=1e-9)
-
-    def test_backproject_pole_raises(self, k_pair):
-        k = k_pair[0]
-        with pytest.raises(DegenerateDisparity):
-            backproject_lfpoint(LFPoint(100.0, 100.0, -k.K1), k)
-
-    def test_backproject_behind_camera_raises(self, k_pair):
-        k = k_pair[0]
-        # lambda + K1 > 0 gives Z < 0 for positive K2
-        with pytest.raises(NonPositiveDepth):
-            backproject_lfpoint(LFPoint(100.0, 100.0, -k.K1 + 0.5), k)
+        p, e = k.backproject(np.array([[k.cx, k.cy, -k.K1 - 1.0]]))
+        assert np.allclose(p[0] / e[0], [0.0, 0.0, k.K2], atol=1e-9)
 
     def test_round_trip_1000_points(self, k_pair):
         rng = np.random.default_rng(11)
@@ -111,11 +87,9 @@ class TestProjection:
             Z = rng.uniform(300.0, 3000.0, 1000)
             X = rng.uniform(-0.6, 0.6, 1000) * Z
             Y = rng.uniform(-0.45, 0.45, 1000) * Z
-            worst = 0.0
-            for x, y, z in zip(X, Y, Z):
-                p = backproject_lfpoint(project_to_lfpoint(ScenePoint3D(x, y, z), k), k)
-                worst = max(worst, np.abs(p.as_array() - [x, y, z]).max())
-            assert worst <= 1e-9
+            P = np.column_stack([X, Y, Z])
+            p, e = k.backproject(k.project(P))
+            assert np.abs(p / e[:, None] - P).max() <= 1e-9
 
     @given(
         x=st.floats(-500, 500),
@@ -125,8 +99,8 @@ class TestProjection:
     @settings(max_examples=200, deadline=None)
     def test_round_trip_property(self, x, y, z):
         k = LFIntrinsics(fx=572.720, fy=572.685, cx=270.916, cy=188.109, K1=0.030, K2=165.298)
-        p = backproject_lfpoint(project_to_lfpoint(ScenePoint3D(x, y, z), k), k)
-        assert np.abs(p.as_array() - [x, y, z]).max() <= 1e-9
+        p, e = k.backproject(k.project(np.array([[x, y, z]])))
+        assert np.abs(p[0] / e[0] - [x, y, z]).max() <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +320,4 @@ class TestRotationHelpers:
 
 
 def test_value_types_as_array():
-    assert np.array_equal(LFPoint(1.0, 2.0, -0.5).as_array(), [1.0, 2.0, -0.5])
-    assert np.array_equal(LFPoint(1.0, 2.0, -0.5).homogeneous(), [1.0, 2.0, -0.5, 1.0])
     assert np.array_equal(Ray4D(1.0, 2.0, 0.1, -0.2).as_array(), [1.0, 2.0, 0.1, -0.2])
-    assert np.array_equal(ScenePoint3D(3.0, 4.0, 5.0).as_array(), [3.0, 4.0, 5.0])

@@ -6,6 +6,7 @@ polarity, CSV float formatting) so a change that silently breaks
 interchange or run-to-run reproducibility fails here.
 """
 
+import dataclasses
 import os
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from lfrect.lfio import (
     write_pgm16,
 )
 from lfrect.rectify import build_rectified_setup
-from lfrect.simulate import default_intrinsics_pair
+from lfrect.simulate import SimConfig, default_intrinsics_pair, make_sim_config
 
 from test_resample import MAP, S3, random_lf
 from lfrect.resample import plan_aligned_grid
@@ -368,6 +369,22 @@ def test_parse_sim_config_defaults_and_overrides():
     assert cfg.board.rows == 3 and cfg.board.spacing_mm == 30.0
     assert len(cfg.board_poses) == 2
     assert cfg.sigma_px == 0.4 and cfg.trials == 7 and cfg.sai_rows == 9
+
+
+def test_parse_sim_config_equals_make_sim_config(sweep_pose):
+    parsed = parse_sim_config({"pose": sweep_pose.to_json_dict()})
+    made = make_sim_config(sweep_pose)
+    for f in dataclasses.fields(SimConfig):
+        a, b = getattr(parsed, f.name), getattr(made, f.name)
+        if f.name == "pose":
+            assert np.array_equal(a.R, b.R) and np.array_equal(a.T, b.T)
+        elif f.name == "board_poses":
+            assert len(a) == len(b)
+            for pa, pb in zip(a, b):
+                assert np.array_equal(pa.rotation, pb.rotation)
+                assert np.array_equal(pa.center_mm, pb.center_mm)
+        else:
+            assert a == b, f.name
 
 
 def test_parse_sim_config_errors():

@@ -29,7 +29,6 @@ from lfrect.geometry import (
 from lfrect.pose import (
     CorrespondenceSet,
     _jacobian,
-    _reduced_coordinates,
     _residuals,
     _translation_system,
     build_dlt_system,
@@ -327,7 +326,7 @@ def fd_jacobian(corr, p, e, R, T, h=1e-6):
 
 def test_jacobian_matches_finite_differences(corr_exact, sweep_pose):
     rng = np.random.default_rng(42)
-    p, e = _reduced_coordinates(corr_exact)
+    p, e = corr_exact.k1.backproject(corr_exact.first)
     for _ in range(20):
         R = sweep_pose.R @ so3_exp(rng.normal(0, 0.05, 3))
         T = sweep_pose.T + rng.normal(0, 10.0, 3)

@@ -17,9 +17,7 @@ from lfrect.errors import BehindCamera, CoplanarDegeneracy
 from lfrect.geometry import (
     LFIntrinsics,
     RelativePose,
-    ScenePoint3D,
     euler_xyz_intrinsic,
-    project_to_lfpoint,
 )
 from lfrect.simulate import (
     BoardPose,
@@ -28,8 +26,8 @@ from lfrect.simulate import (
     SimConfig,
     TexturedPlane,
     TrialReport,
+    _corner_arrays,
     _observe_batch,
-    _project_batch,
     _refit_batch,
     default_board_poses,
     make_sim_config,
@@ -45,7 +43,6 @@ from oracles import (
     blob_texture,
     checkerboard_texture,
     fit_line_tls,
-    generate_corners,
     project_corner_observations,
     refine_checkerboard_corner,
     refit_lfpoint,
@@ -58,26 +55,26 @@ from oracles import (
 
 def test_observations_follow_disparity_model(k_pair):
     k1, _ = k_pair
-    p = ScenePoint3D(100.0, 50.0, 1000.0)
-    lfp = project_to_lfpoint(p, k1)
+    p = np.array([100.0, 50.0, 1000.0])
+    u_c, v_c, lam = k1.project(p[None])[0]
     obs = project_corner_observations(p, k1, grid_shape=(13, 13))
     assert obs.shape == (13, 13, 2)
-    assert obs[6, 6, 0] == pytest.approx(lfp.u_c, abs=1e-12)
-    assert obs[6, 6, 1] == pytest.approx(lfp.v_c, abs=1e-12)
+    assert obs[6, 6, 0] == pytest.approx(u_c, abs=1e-12)
+    assert obs[6, 6, 1] == pytest.approx(v_c, abs=1e-12)
     # one step right in the grid shifts u by lambda; one step down shifts v
-    assert obs[6, 7, 0] - obs[6, 6, 0] == pytest.approx(lfp.lam, abs=1e-12)
-    assert obs[7, 6, 1] - obs[6, 6, 1] == pytest.approx(lfp.lam, abs=1e-12)
+    assert obs[6, 7, 0] - obs[6, 6, 0] == pytest.approx(lam, abs=1e-12)
+    assert obs[7, 6, 1] - obs[6, 6, 1] == pytest.approx(lam, abs=1e-12)
     assert np.all(obs[:, 0, 0] == obs[0, 0, 0])  # u depends on column only
 
 
 def test_refit_recovers_noise_free_point(k_pair):
     k1, _ = k_pair
-    p = ScenePoint3D(-80.0, 30.0, 850.0)
-    lfp = project_to_lfpoint(p, k1)
+    p = np.array([-80.0, 30.0, 850.0])
+    lfp = k1.project(p[None])[0]
     back = refit_lfpoint(project_corner_observations(p, k1))
-    assert back.u_c == pytest.approx(lfp.u_c, abs=1e-10)
-    assert back.v_c == pytest.approx(lfp.v_c, abs=1e-10)
-    assert back.lam == pytest.approx(lfp.lam, abs=1e-12)
+    assert back[0] == pytest.approx(lfp[0], abs=1e-10)
+    assert back[1] == pytest.approx(lfp[1], abs=1e-10)
+    assert back[2] == pytest.approx(lfp[2], abs=1e-12)
 
 
 def test_refit_rejects_unobservable_disparity():
@@ -91,14 +88,14 @@ def test_refit_batch_matches_scalar_refit(k_pair):
     k1, _ = k_pair
     rng = np.random.default_rng(3)
     pts = rng.uniform([-200, -150, 700], [200, 150, 1600], (40, 3))
-    obs = _observe_batch(_project_batch(pts, k1), 13, 13)
+    obs = _observe_batch(k1.project(pts), 13, 13)
     obs = add_observation_noise(obs, 0.5, rng)
     batch = _refit_batch(obs)
     for n in range(pts.shape[0]):
         one = refit_lfpoint(obs[n])
-        assert abs(batch[n, 0] - one.u_c) <= 1e-10
-        assert abs(batch[n, 1] - one.v_c) <= 1e-10
-        assert abs(batch[n, 2] - one.lam) <= 1e-12
+        assert abs(batch[n, 0] - one[0]) <= 1e-10
+        assert abs(batch[n, 1] - one[1]) <= 1e-10
+        assert abs(batch[n, 2] - one[2]) <= 1e-12
 
 
 def test_refit_moments_match_closed_form(k_pair):
@@ -107,9 +104,7 @@ def test_refit_moments_match_closed_form(k_pair):
     + cols * sum(di^2)); for 13 x 13 that is sigma^2/169 and sigma^2/4732."""
     k1, _ = k_pair
     sigma = 0.5
-    base = _observe_batch(
-        _project_batch(np.array([[100.0, 50.0, 1000.0]]), k1), 13, 13
-    )
+    base = _observe_batch(k1.project(np.array([[100.0, 50.0, 1000.0]])), 13, 13)
     lfp_true = _refit_batch(base)[0]
     rng = np.random.default_rng(123)
     n_rep = 4000
@@ -166,24 +161,23 @@ def test_all_presets_keep_corners_visible(all_presets):
     megapixel sensor with margin, for both cameras under all presets."""
     for name, pose in all_presets:
         cfg = make_sim_config(pose)
-        pts1, pts2 = generate_corners(cfg)
-        for pts, k in ((pts1, cfg.k1), (pts2, cfg.k2)):
-            arr = np.array([p.as_array() for p in pts])
+        pts1, pts2 = _corner_arrays(cfg)
+        for arr, k in ((pts1, cfg.k1), (pts2, cfg.k2)):
             assert arr[:, 2].min() >= 700.0, name
-            obs = _observe_batch(_project_batch(arr, k), 13, 13)
+            obs = _observe_batch(k.project(arr), 13, 13)
             assert obs[..., 0].min() >= 15.0, name
             assert obs[..., 0].max() <= 550.0, name
             assert obs[..., 1].min() >= 25.0, name
             assert obs[..., 1].max() <= 275.0, name
             # disparities stay well clear of the lambda = -K1 pole
-            lam = _project_batch(arr, k)[:, 2]
+            lam = k.project(arr)[:, 2]
             assert np.abs(lam + k.K1).min() >= 0.08, name
 
 
 def test_corners_behind_camera_raise(sweep_pose):
     cfg = make_sim_config(RelativePose(sweep_pose.R, np.array([0.0, 0.0, -2000.0])))
     with pytest.raises(BehindCamera):
-        generate_corners(cfg)
+        _corner_arrays(cfg)
 
 
 def test_sim_config_validation(sweep_pose):
@@ -213,12 +207,12 @@ def test_simulate_correspondences_deterministic(sweep_pose):
 
 def test_noise_free_correspondences_equal_projection(corr_exact, sweep_pose, k_pair):
     cfg = make_sim_config(sweep_pose)
-    pts1, _ = generate_corners(cfg)
+    pts1, _ = _corner_arrays(cfg)
     k1, _ = k_pair
     for idx in (0, 57, 200):
-        lfp = project_to_lfpoint(pts1[idx], k1)
-        assert corr_exact.first[idx, 0] == pytest.approx(lfp.u_c, abs=1e-9)
-        assert corr_exact.first[idx, 2] == pytest.approx(lfp.lam, abs=1e-12)
+        lfp = k1.project(pts1[[idx]])[0]
+        assert corr_exact.first[idx, 0] == pytest.approx(lfp[0], abs=1e-9)
+        assert corr_exact.first[idx, 2] == pytest.approx(lfp[2], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
