@@ -133,6 +133,18 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """An argparse type for integers no smaller than ``low``; argparse still
+    reports a non-integer as an "invalid int value"."""
+
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text}")
+        return int(text)
+    parse.__name__ = "int"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="lfrect", description=__doc__.split("\n")[0])
     p.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
@@ -141,8 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("simulate", help="draw a noisy correspondence set")
     ps.add_argument("--config", required=True, help="simulation config JSON")
     ps.add_argument("--out", required=True, help="output directory")
-    ps.add_argument("--seed", type=int, default=None, help="override the config seed")
-    ps.add_argument("--trial", type=int, default=0, help="which trial's noise draw")
+    ps.add_argument("--seed", type=_int_at_least(0), default=None, help="override the config seed")
+    ps.add_argument("--trial", type=_int_at_least(0), default=0, help="which trial's noise draw")
     ps.set_defaults(func=_cmd_simulate)
 
     pe = sub.add_parser("estimate", help="estimate a relative pose")
@@ -177,8 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = pb.add_mutually_exclusive_group(required=True)
     group.add_argument("--scenario", choices=("noise-sweep", "pose-grid"))
     group.add_argument("--spec", help="custom sweep JSON")
-    pb.add_argument("--trials", type=int, default=None)
-    pb.add_argument("--seed", type=int, default=None)
+    pb.add_argument("--trials", type=_int_at_least(1), default=None)
+    pb.add_argument("--seed", type=_int_at_least(0), default=None)
     pb.add_argument("--jobs", type=int, default=1, help="worker processes")
     pb.add_argument("--out", required=True, help="output CSV (a .dat twin is written too)")
     pb.set_defaults(func=_cmd_bench)

@@ -34,7 +34,7 @@ are slopes (mm per unit z).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -139,14 +139,7 @@ class LFIntrinsics:
         return np.column_stack([a, b, np.ones_like(a)]), -(lam + self.K1) / self.K2
 
     def to_json_dict(self) -> dict:
-        return {
-            "fx": self.fx,
-            "fy": self.fy,
-            "cx": self.cx,
-            "cy": self.cy,
-            "K1": self.K1,
-            "K2": self.K2,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LFIntrinsics":

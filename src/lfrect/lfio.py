@@ -28,6 +28,7 @@ import os
 import re
 import stat
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -68,11 +69,6 @@ __all__ = [
 ]
 
 
-def _fmt(x) -> str:
-    """Shortest round-trip decimal form of a float."""
-    return repr(float(x))
-
-
 def load_json(path) -> dict:
     """Read a JSON file, turning syntax errors into ConfigError with the
     offending line and column."""
@@ -97,10 +93,8 @@ def save_json(path, data: dict):
 
 
 def load_intrinsics(path) -> LFIntrinsics:
-    try:
+    with _naming(path):
         return LFIntrinsics.from_json_dict(load_json(path))
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"{path}: {e}") from e
 
 
 def save_intrinsics(path, k: LFIntrinsics):
@@ -108,10 +102,8 @@ def save_intrinsics(path, k: LFIntrinsics):
 
 
 def load_pose(path) -> RelativePose:
-    try:
+    with _naming(path):
         return RelativePose.from_json_dict(load_json(path))
-    except (ValueError, TypeError, KeyError) as e:
-        raise ConfigError(f"{path}: {e}") from e
 
 
 def save_pose(path, pose: RelativePose):
@@ -119,10 +111,8 @@ def save_pose(path, pose: RelativePose):
 
 
 def load_setup(path) -> RectifiedSetup:
-    try:
+    with _naming(path):
         return RectifiedSetup.from_json_dict(load_json(path))
-    except (ValueError, TypeError, KeyError) as e:
-        raise ConfigError(f"{path}: {e}") from e
 
 
 def save_setup(path, setup: RectifiedSetup):
@@ -137,16 +127,18 @@ CORRESPONDENCE_HEADER = ["u_c", "v_c", "lambda", "u_c_prime", "v_c_prime", "lamb
 
 
 def write_correspondence_csv(path, corr: CorrespondenceSet):
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(CORRESPONDENCE_HEADER)
-    for a, b in zip(corr.first, corr.second):
-        w.writerow([_fmt(a[0]), _fmt(a[1]), _fmt(a[2]), _fmt(b[0]), _fmt(b[1]), _fmt(b[2])])
-    Path(path).write_text(buf.getvalue())
+    pairs = np.hstack([corr.first, corr.second])
+    with open(path, "w") as f:
+        f.write(",".join(CORRESPONDENCE_HEADER) + "\n")
+        f.writelines(",".join(map(repr, row.tolist())) + "\n" for row in pairs)
 
 
 def read_correspondence_csv(path, k1: LFIntrinsics, k2: LFIntrinsics) -> CorrespondenceSet:
-    """Read LF-point pairs; the intrinsics give the set its camera models."""
+    """Read LF-point pairs; the intrinsics give the set its camera models.
+
+    Rows whose fields are all blank are skipped.  All fields are converted
+    in one pass; only a file that fails it is scanned again, row by row
+    (numbered from 2, the line after the header), to name the bad line."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -157,22 +149,25 @@ def read_correspondence_csv(path, k1: LFIntrinsics, k2: LFIntrinsics) -> Corresp
         raise ConfigError(
             f"{path}: first line must be '{','.join(CORRESPONDENCE_HEADER)}'"
         )
-    first, second = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != 6:
-            raise ConfigError(f"{path}:{lineno}: expected 6 columns, got {len(row)}")
-        try:
-            vals = [float(c) for c in row]
-        except ValueError as e:
-            raise ConfigError(f"{path}:{lineno}: {e}") from e
-        first.append(vals[:3])
-        second.append(vals[3:])
+    data = [row for row in rows[1:] if "".join(row).strip()]
     try:
-        return CorrespondenceSet(
-            first=np.array(first, float), second=np.array(second, float), k1=k1, k2=k2
-        )
+        if not {6}.issuperset(map(len, data)):
+            raise ValueError("expected 6 columns")
+        pairs = np.fromiter(map(float, chain.from_iterable(data)), float, 6 * len(data))
+    except ValueError:
+        for lineno, row in enumerate(rows[1:], start=2):
+            if not "".join(row).strip():
+                continue
+            if len(row) != 6:
+                raise ConfigError(f"{path}:{lineno}: expected 6 columns, got {len(row)}")
+            try:
+                list(map(float, row))
+            except ValueError as e:
+                raise ConfigError(f"{path}:{lineno}: {e}") from e
+        raise
+    pairs = pairs.reshape(-1, 6)
+    try:
+        return CorrespondenceSet(first=pairs[:, :3], second=pairs[:, 3:], k1=k1, k2=k2)
     except ValueError as e:
         raise ConfigError(f"{path}: {e}") from e
 

@@ -104,8 +104,10 @@ class CorrespondenceSet:
             raise ValueError("at least 4 correspondences are required")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("correspondences must be finite")
-        pairs = {(*pa, *pb) for pa, pb in zip(map(tuple, a), map(tuple, b))}
-        if len(pairs) != a.shape[0]:
+        # Sorted rows put equal pairs side by side; == keeps -0.0 equal to 0.0.
+        rows = np.hstack([a, b])
+        rows = rows[np.lexsort(rows.T[::-1])]
+        if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
             raise ValueError("duplicate correspondence pairs")
         object.__setattr__(self, "first", a)
         object.__setattr__(self, "second", b)
@@ -172,7 +174,8 @@ class DegeneracyReport:
     """Total-least-squares plane fit of the backprojected scene.
 
     The scene is flagged coplanar when the fit RMS is below a small
-    fraction of the scene diameter (bounding-box diagonal).
+    fraction of the scene diameter (bounding-box diagonal).  ``excluded``
+    counts the points left out of the fit as unplaceable in depth.
     """
 
     coplanar: bool
@@ -180,6 +183,7 @@ class DegeneracyReport:
     offset: float
     residual_rms: float
     scene_diameter: float
+    excluded: int
 
 
 @dataclass(frozen=True)
@@ -344,7 +348,7 @@ def _translation_system(corr: CorrespondenceSet):
     coeff[:, 2, 1] = up * k2.fy
     coeff[:, 2, 2] = up * k2.cy - vp * k2.cx
     # A_R[row, 3*j + i] = coeff[row-group, i] * p[j]
-    A_R = np.einsum("nri,nj->nrji", coeff, p).reshape(3 * n, 9)
+    A_R = (coeff[:, :, None, :] * p[:, None, :, None]).reshape(3 * n, 9)
     A_T = (coeff * e[:, None, None]).reshape(3 * n, 3)
     return A_R, A_T
 
@@ -377,7 +381,8 @@ def detect_degeneracy(corr: CorrespondenceSet) -> DegeneracyReport:
     Points whose measured disparity gives a non-positive, unbounded, or
     wildly outlying depth (over 50x the median either way) cannot be
     placed meaningfully in 3D; they are left out of the plane fit (heavy
-    disparity noise on far points causes all three).  Raises
+    disparity noise on far points causes all three) and counted in the
+    report's ``excluded``.  Raises
     DegenerateDisparity / NonPositiveDepth only when fewer than four
     points can be placed.
     """
@@ -407,6 +412,7 @@ def detect_degeneracy(corr: CorrespondenceSet) -> DegeneracyReport:
         offset=float(normal @ centroid),
         residual_rms=residual_rms,
         scene_diameter=diameter,
+        excluded=int(usable.size - usable.sum()),
     )
 
 
@@ -422,30 +428,28 @@ def _residuals(corr: CorrespondenceSet, p, e, R, T):
 
 def _jacobian(corr: CorrespondenceSet, p, e, R, T):
     """Jacobian (3n, 6) of the residuals in (omega, T), where the rotation
-    moves as R exp(skew(omega)) (right perturbation, relinearized at R)."""
+    moves as R exp(skew(omega)) (right perturbation, relinearized at R).
+    Per-point 3x3 blocks are stored point-last, (3, 3, n), so each product
+    runs over n contiguous values; products of blocks sum over b = 0, 1, 2."""
     k2 = corr.k2
     n = len(corr)
     g = p @ R.T + e[:, None] * T
     g3 = g[:, 2]
-    drdg = np.zeros((n, 3, 3))
-    drdg[:, 0, 0] = k2.fx / g3
-    drdg[:, 0, 2] = -k2.fx * g[:, 0] / g3**2
-    drdg[:, 1, 1] = k2.fy / g3
-    drdg[:, 1, 2] = -k2.fy * g[:, 1] / g3**2
-    drdg[:, 2, 2] = k2.K2 * e / g3**2
+    drdg = np.zeros((3, 3, n))
+    drdg[0, 0] = k2.fx / g3
+    drdg[0, 2] = -k2.fx * g[:, 0] / g3**2
+    drdg[1, 1] = k2.fy / g3
+    drdg[1, 2] = -k2.fy * g[:, 1] / g3**2
+    drdg[2, 2] = k2.K2 * e / g3**2
     # d g / d omega = -R skew(p);  d g / d T = e I
-    S = np.zeros((n, 3, 3))
-    S[:, 0, 1] = -p[:, 2]
-    S[:, 0, 2] = p[:, 1]
-    S[:, 1, 0] = p[:, 2]
-    S[:, 1, 2] = -p[:, 0]
-    S[:, 2, 0] = -p[:, 1]
-    S[:, 2, 1] = p[:, 0]
-    dgdw = -np.einsum("ab,nbc->nac", R, S)
-    J = np.empty((n, 3, 6))
-    J[:, :, :3] = np.einsum("nab,nbc->nac", drdg, dgdw)
-    J[:, :, 3:] = drdg * e[:, None, None]
-    return J.reshape(3 * n, 6)
+    S = np.zeros((3, 3, n))  # skew(p): p_k at (k+2, k+1) and -p_k at (k+1, k+2), mod 3
+    S[[2, 0, 1], [1, 2, 0]] = p.T
+    S[[1, 2, 0], [2, 0, 1]] = -p.T
+    dgdw = -sum(R[:, b, None, None] * S[b] for b in range(3))
+    J = np.empty((3, 6, n))
+    J[:, :3] = sum(drdg[:, b, None] * dgdw[b] for b in range(3))
+    J[:, 3:] = drdg * e
+    return J.transpose(2, 0, 1).reshape(3 * n, 6)
 
 
 def refine_pose(
@@ -552,9 +556,7 @@ def estimate_pose(corr: CorrespondenceSet, refine: bool = True) -> EstimationRes
             report=report,
         )
     sol = solve_linear(corr)
-    G = sol.W @ corr.k1.matrix_H()
-    G = corr.k2.matrix_H_inverse() @ G
-    G = G / sol.c
+    G = corr.k2.matrix_H_inverse() @ (sol.W @ corr.k1.matrix_H()) / sol.c
     R0 = project_to_SO3(G[:3, :3])
     T0 = solve_translation(corr, R0)
     pose0 = RelativePose(R0, T0)
@@ -570,8 +572,6 @@ def estimate_pose(corr: CorrespondenceSet, refine: bool = True) -> EstimationRes
             degeneracy=report,
             initial_cost=initial_cost,
             final_cost=initial_cost,
-            iterations=0,
-            converged=True,
             refined=False,
         )
     max_iterations = 100

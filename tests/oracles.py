@@ -19,11 +19,22 @@ geometry from the outside:
 - ``checkerboard_texture`` and ``blob_texture`` are scene textures for the
   rendered test pairs; ``refine_checkerboard_corner``, ``fit_line_tls`` and
   ``blob_centroid`` measure them in the rendered images.
+- ``read_correspondence_csv_by_line`` converts a correspondence CSV one row
+  at a time, and ``has_duplicate_pairs`` finds repeated pairs with a set of
+  tuples: the forms that ``lfrect.lfio.read_correspondence_csv`` and the
+  sorted duplicate check of ``lfrect.pose.CorrespondenceSet`` replace.
 """
+
+import csv
+import io
+from pathlib import Path
 
 import numpy as np
 
+from lfrect.errors import ConfigError
 from lfrect.geometry import LFIntrinsics
+from lfrect.lfio import CORRESPONDENCE_HEADER
+from lfrect.pose import CorrespondenceSet
 from lfrect.simulate import _grid_offsets
 
 _EPS = 1e-12
@@ -91,6 +102,51 @@ def refit_lfpoint(obs: np.ndarray) -> np.ndarray:
     b[n:] = obs[:, :, 1].ravel()
     sol, *_ = np.linalg.lstsq(A, b, rcond=None)
     return sol
+
+
+# --------------------------------------------------------------------------
+# Correspondence CSV
+# --------------------------------------------------------------------------
+
+
+def read_correspondence_csv_by_line(path, k1: LFIntrinsics, k2: LFIntrinsics) -> CorrespondenceSet:
+    """Read LF-point pairs, skipping blank rows and converting each row as
+    it is met; a bad row raises ConfigError naming its line."""
+    path = Path(path)
+    try:
+        text = path.read_text()
+    except OSError as e:
+        raise ConfigError(f"cannot read {path}: {e}") from e
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows or [c.strip() for c in rows[0]] != CORRESPONDENCE_HEADER:
+        raise ConfigError(
+            f"{path}: first line must be '{','.join(CORRESPONDENCE_HEADER)}'"
+        )
+    first, second = [], []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != 6:
+            raise ConfigError(f"{path}:{lineno}: expected 6 columns, got {len(row)}")
+        try:
+            vals = [float(c) for c in row]
+        except ValueError as e:
+            raise ConfigError(f"{path}:{lineno}: {e}") from e
+        first.append(vals[:3])
+        second.append(vals[3:])
+    try:
+        return CorrespondenceSet(
+            first=np.array(first, float), second=np.array(second, float), k1=k1, k2=k2
+        )
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from e
+
+
+def has_duplicate_pairs(first: np.ndarray, second: np.ndarray) -> bool:
+    """Whether two rows of the (n, 3) arrays repeat the same pair, by
+    collecting the pairs as tuples of floats in a set."""
+    pairs = {(*pa, *pb) for pa, pb in zip(map(tuple, first), map(tuple, second))}
+    return len(pairs) != len(first)
 
 
 # --------------------------------------------------------------------------

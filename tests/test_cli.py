@@ -391,6 +391,25 @@ def test_argparse_rejects_bad_usage():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["bench", "--scenario", "noise-sweep", "--trials", "0"], "--trials"),
+        (["bench", "--scenario", "noise-sweep", "--trials", "1", "--seed", "-1"], "--seed"),
+        (["simulate", "--trial", "-1"], "--trial"),
+        (["simulate", "--seed", "-3"], "--seed"),
+    ],
+    ids=["bench-trials-0", "bench-seed-negative", "simulate-trial-negative", "simulate-seed-negative"],
+)
+def test_out_of_range_integer_flag_exits_2(tmp_path, capsys, argv, flag):
+    if argv[0] == "simulate":
+        argv = [*argv, "--config", str(_sim_config(tmp_path))]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "out.csv")])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected an integer >=" in capsys.readouterr().err
+
+
 EXIT_CODES = {ConfigError: 2, GenerationFailure: 3, DegenerateGeometry: 4, NoOverlap: 5}
 
 

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lfrect.errors import ConfigError
 from lfrect.geometry import LFIntrinsics, RelativePose, euler_xyz_intrinsic
@@ -38,7 +40,10 @@ from lfrect.lfio import (
     write_pgm16,
 )
 from lfrect.rectify import build_rectified_setup
+from lfrect.pose import CorrespondenceSet
 from lfrect.simulate import SimConfig, default_intrinsics_pair, make_sim_config
+
+from oracles import has_duplicate_pairs, read_correspondence_csv_by_line
 
 from test_resample import MAP, S3, random_lf
 from lfrect.resample import plan_aligned_grid
@@ -144,6 +149,88 @@ def test_correspondence_csv_skips_blank_lines(tmp_path):
     p.write_text(f"{head}\n{rows}\n\n")
     back = read_correspondence_csv(p, k1, k2)
     assert back.first.shape == (4, 3)
+
+
+# Values drawn for data rows: 0.0 and -0.0 make pairs that differ only in
+# the sign of a zero, which count as duplicates.
+_CSV_VALUES = [0.0, -0.0, 1.5, -2.25, 1e-05, 317.0625]
+
+
+@st.composite
+def correspondence_csv_text(draw):
+    """A correspondence CSV: data rows with padded and quoted fields,
+    repeated rows with the sign of their zeros flipped, blank,
+    whitespace-only and blank-field lines, and at most one row with a bad
+    field, too few columns or a non-finite value, with LF or CRLF line
+    ends."""
+    header = ",".join(CORRESPONDENCE_HEADER)
+    lines = [draw(st.sampled_from([header, f'"u_c", {header[4:]} ']))]
+    kinds = draw(st.lists(st.sampled_from(
+        ["row"] * 16 + ["repeat", "blank", "spaces", "blank-fields"]
+    ), min_size=3, max_size=16))
+    fault = draw(st.sampled_from([None, None, None, "bad", "short", "inf"]))
+    if fault:
+        kinds.insert(draw(st.integers(0, len(kinds))), fault)
+    rows = []
+    for kind in kinds:
+        if kind == "row" or (kind == "repeat" and not rows):
+            row = [repr(v) for v in draw(st.lists(st.sampled_from(_CSV_VALUES), min_size=6, max_size=6))]
+            rows.append(row)
+            fmt = draw(st.sampled_from(["{}", " {} ", '"{}"', '"{}\n"']))
+            lines.append(",".join(fmt.format(c) if i == 0 else c for i, c in enumerate(row)))
+        elif kind == "repeat":
+            row = draw(st.sampled_from(rows))
+            flip = {"0.0": "-0.0", "-0.0": "0.0"}
+            lines.append(",".join(flip.get(c, c) for c in row))
+        else:
+            lines.append({
+                "blank": "",
+                "spaces": " \t ",
+                "blank-fields": draw(st.sampled_from([" , ,,,, ", '""'])),
+                "bad": "1.0,2.0,-0.5,4.0,x,-0.5",
+                "short": "1.0,2.0,-0.5",
+                "inf": "1.0,2.0,-0.5,inf,5.0,-0.5",
+            }[kind])
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + end
+
+
+def _read_outcome(reader, path, k1, k2):
+    """The pairs as bytes (so -0.0 differs from 0.0), or the error text."""
+    try:
+        corr = reader(path, k1, k2)
+    except ConfigError as e:
+        return str(e)
+    return corr.first.tobytes() + corr.second.tobytes()
+
+
+@given(correspondence_csv_text())
+@settings(max_examples=300, deadline=None)
+def test_correspondence_csv_matches_line_by_line_reader(tmp_path_factory, text):
+    k1, k2 = default_intrinsics_pair()
+    p = tmp_path_factory.mktemp("csv") / "c.csv"
+    p.write_bytes(text.encode())
+    want = _read_outcome(read_correspondence_csv_by_line, p, k1, k2)
+    got = _read_outcome(read_correspondence_csv, p, k1, k2)
+    if want == f"{p}: correspondences must be matching (n, 3) arrays":
+        # A file with no data rows: the one-pass reader hands the set an
+        # empty (0, 3) array where the old one handed it shape (0,).
+        assert got == f"{p}: at least 4 correspondences are required"
+    else:
+        assert got == want
+
+
+@given(st.lists(st.lists(st.sampled_from(_CSV_VALUES), min_size=6, max_size=6), min_size=4, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_duplicate_check_matches_tuple_set(rows):
+    k1, k2 = default_intrinsics_pair()
+    pairs = np.array(rows)
+    first, second = pairs[:, :3], pairs[:, 3:]
+    if has_duplicate_pairs(first, second):
+        with pytest.raises(ValueError, match="duplicate"):
+            CorrespondenceSet(first=first, second=second, k1=k1, k2=k2)
+    else:
+        CorrespondenceSet(first=first, second=second, k1=k1, k2=k2)
 
 
 def test_readme_correspondence_example_reads(tmp_path):

@@ -260,6 +260,17 @@ class TestDegeneracy:
         )
         assert not detect_degeneracy(corr).coplanar
 
+    def test_report_counts_excluded_points(self, corr_exact):
+        assert detect_degeneracy(corr_exact).excluded == 0
+        first = np.array(corr_exact.first)
+        first[5, 2] = -corr_exact.k1.K1 - 1e-7   # one point at Z around 1.6e9 mm
+        corr = CorrespondenceSet(
+            first=first, second=corr_exact.second, k1=corr_exact.k1, k2=corr_exact.k2
+        )
+        report = detect_degeneracy(corr)
+        assert report.excluded == 1
+        assert not report.coplanar
+
     def test_all_disparities_at_pole_raises(self, k_pair):
         k1, k2 = k_pair
         n = 8
