@@ -23,8 +23,6 @@ from .errors import (
     NoOverlap,
     NonPositiveDepth,
     NumericalFailure,
-    OutOfAperture,
-    ParallelRay,
     RankDeficient,
     SingularInput,
     ZeroBaseline,
@@ -32,7 +30,6 @@ from .errors import (
 )
 from .geometry import (
     LFIntrinsics,
-    Ray4D,
     RelativePose,
     angular_error_rotation,
     angular_error_translation,
@@ -59,7 +56,6 @@ from .rectify import (
     RectifiedSetup,
     build_rectified_setup,
     rectifying_rotation,
-    warp_ray,
     warp_rays,
 )
 from .resample import (
@@ -68,9 +64,9 @@ from .resample import (
     SampledLF,
     SpatialMapping,
     extract_epi,
-    interpolate_ray,
     plan_aligned_grid,
     render_aligned_sais,
+    sample_rays,
 )
 from .simulate import (
     BoardPose,

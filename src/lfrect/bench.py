@@ -80,6 +80,8 @@ class BenchSpec:
             raise ValueError("benchmark needs at least one row")
         if self.trials < 1:
             raise ValueError("at least one trial per row")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,15 @@ from .simulate import simulate_correspondences
 log = logging.getLogger("lfrect")
 
 
+def _write(save, path, data):
+    """``save(path, data)`` for a user-named output ``path``; a failure to
+    write it becomes a ConfigError that names it."""
+    try:
+        save(path, data)
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror or e}") from e
+
+
 def _cmd_simulate(args) -> int:
     cfg = lfio.load_sim_config(args.config)
     if args.seed is not None:
@@ -68,7 +77,7 @@ def _cmd_estimate(args) -> int:
             "singular_values": [float(s) for s in result.linear.singular_values],
         }
     )
-    lfio.save_json(args.out, doc)
+    _write(lfio.save_json, args.out, doc)
     print(
         f"estimated pose from {len(corr)} correspondences: "
         f"cost {result.initial_cost:.6g} -> {result.final_cost:.6g} "
@@ -103,8 +112,8 @@ def _cmd_epi(args) -> int:
     lf, _ = lfio.load_sampled_lf(args.sais)
     epi = extract_epi(lf, row=args.row, line=args.line)
     out = Path(args.out)
-    lfio.write_pgm16(out, epi.image)
-    lfio.write_pbm(out.with_suffix(".pbm"), epi.mask)
+    _write(lfio.write_pgm16, out, epi.image)
+    _write(lfio.write_pbm, out.with_suffix(".pbm"), epi.mask)
     print(f"wrote {epi.image.shape[0]}x{epi.image.shape[1]} EPI to {out}")
     return 0
 
@@ -191,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--spec", help="custom sweep JSON")
     pb.add_argument("--trials", type=_int_at_least(1), default=None)
     pb.add_argument("--seed", type=_int_at_least(0), default=None)
-    pb.add_argument("--jobs", type=int, default=1, help="worker processes")
+    pb.add_argument("--jobs", type=_int_at_least(1), default=1, help="worker processes")
     pb.add_argument("--out", required=True, help="output CSV (a .dat twin is written too)")
     pb.set_defaults(func=_cmd_bench)
     return p

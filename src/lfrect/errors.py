@@ -21,7 +21,6 @@ __all__ = [
     "DegenerateGeometry",
     "NoOverlap",
     "IndexOutOfRange",
-    "OutOfAperture",
     "BehindCamera",
     "NonPositiveDepth",
     "DegenerateDisparity",
@@ -34,7 +33,6 @@ __all__ = [
     "NumericalFailure",
     "ZeroBaseline",
     "CollinearConstruction",
-    "ParallelRay",
 ]
 
 
@@ -65,10 +63,6 @@ class NoOverlap(LfRectError):
 
 class IndexOutOfRange(ConfigError, IndexError):
     """A grid row / scan-line index is outside the sampled range."""
-
-
-class OutOfAperture(ConfigError):
-    """A query ray leaves the sampled aperture or pixel grid."""
 
 
 class BehindCamera(GenerationFailure):
@@ -125,8 +119,3 @@ class ZeroBaseline(DegenerateGeometry):
 class CollinearConstruction(DegenerateGeometry):
     """The rectifying-frame construction degenerates: the baseline is
     parallel to the auxiliary direction used to fix the second axis."""
-
-
-class ParallelRay(DegenerateGeometry):
-    """A ray is parallel to the parameterization planes and has no
-    closed-form image under the two-plane transform."""

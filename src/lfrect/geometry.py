@@ -43,7 +43,6 @@ from .errors import ZeroVector
 __all__ = [
     "LFIntrinsics",
     "RelativePose",
-    "Ray4D",
     "angular_error_rotation",
     "angular_error_translation",
     "euler_xyz_intrinsic",
@@ -55,20 +54,6 @@ __all__ = [
 # snapped to +-1, so that comparing a rotation against itself yields exactly
 # zero instead of the ~1e-8 rad noise floor of arccos near 1.
 _COS_SNAP = 4.0 * np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class Ray4D:
-    """A ray in two-plane parameterization: through (s, t, 0) and
-    (s+u, t+v, 1)."""
-
-    s: float
-    t: float
-    u: float
-    v: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.s, self.t, self.u, self.v], dtype=float)
 
 
 @dataclass(frozen=True)

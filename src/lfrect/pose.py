@@ -3,13 +3,14 @@ correspondences.
 
 The estimation pipeline:
 
-1. Normalize both LF-point sets to zero centroid and unit per-axis RMS.
+1. Normalize both LF-point sets to zero centroid and unit per-axis RMS,
+   each by one 4x4 homogeneous matrix N = [diag(v) x; 0 1].
 2. Solve a homogeneous linear system for the 4x4 projective map W' between
    the normalized homogeneous LF-points.  The intrinsic structure of the map
    forces its third row to be a combination of the other rows, which a
    16x13 constraint matrix Q builds in; the reduced system is solved by SVD.
-3. Undo the normalization and conjugate by the intrinsic blocks to obtain a
-   candidate [R T; 0 1]; project the rotation block onto SO(3).
+3. Undo the normalization (W = N2^-1 W' N1) and conjugate by the intrinsic
+   blocks to obtain a candidate [R T; 0 1]; project the rotation onto SO(3).
 4. Re-solve the translation linearly given the projected rotation.
 5. Refine (R, T) by Levenberg-Marquardt on the reprojection residual, with
    the rotation updated on the SO(3) manifold (right-multiplied exponential).
@@ -48,7 +49,6 @@ from .geometry import LFIntrinsics, RelativePose, so3_exp
 
 __all__ = [
     "CorrespondenceSet",
-    "NormalizationTransform",
     "ProjectiveSolution",
     "DegeneracyReport",
     "EstimationResult",
@@ -80,6 +80,9 @@ _COND_LIMIT = 1e12
 # Total squared reprojection error below this is machine noise (residuals
 # around 1e-10 px): refinement stops rather than chase rounding.
 _COST_FLOOR = 1e-16
+
+# LM step budget; the stock benchmarks never use more than about 30.
+_MAX_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -116,38 +119,6 @@ class CorrespondenceSet:
 
     def __len__(self):
         return self.first.shape[0]
-
-
-@dataclass(frozen=True)
-class NormalizationTransform:
-    """Affine per-axis scaling v and offset x taking LF-points to zero
-    centroid and unit RMS: p_norm = diag(v) p + x."""
-
-    v1: float
-    v2: float
-    v3: float
-    x1: float
-    x2: float
-    x3: float
-
-    def __post_init__(self):
-        if not (self.v1 > 0 and self.v2 > 0 and self.v3 > 0):
-            raise ValueError("normalization scales must be positive")
-
-    def as_matrix(self) -> np.ndarray:
-        N = np.diag([self.v1, self.v2, self.v3, 1.0])
-        N[:3, 3] = (self.x1, self.x2, self.x3)
-        return N
-
-    def inverse_matrix(self) -> np.ndarray:
-        Ni = np.diag([1.0 / self.v1, 1.0 / self.v2, 1.0 / self.v3, 1.0])
-        Ni[:3, 3] = (-self.x1 / self.v1, -self.x2 / self.v2, -self.x3 / self.v3)
-        return Ni
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        v = np.array([self.v1, self.v2, self.v3])
-        x = np.array([self.x1, self.x2, self.x3])
-        return np.asarray(points, float) * v + x
 
 
 @dataclass(frozen=True)
@@ -200,9 +171,11 @@ class EstimationResult:
     refined: bool = True
 
 
-def normalize_points(points) -> tuple[np.ndarray, NormalizationTransform]:
+def normalize_points(points) -> tuple[np.ndarray, np.ndarray]:
     """Scale and shift (n, 3) LF-point coordinates to zero mean and unit
-    per-axis RMS.  Raises DegenerateSpread if some axis has no spread."""
+    per-axis RMS.  Returns (Pn, N): Pn = diag(v) P + x and the 4x4 matrix
+    N = [diag(v) x; 0 1] of the same map.  Raises DegenerateSpread if some
+    axis has no spread."""
     P = np.asarray(points, float)
     centroid = P.mean(axis=0)
     rms = np.sqrt(((P - centroid) ** 2).mean(axis=0))
@@ -210,25 +183,30 @@ def normalize_points(points) -> tuple[np.ndarray, NormalizationTransform]:
         raise DegenerateSpread(f"zero spread along axis {int(np.argmin(rms))}")
     v = 1.0 / rms
     x = -v * centroid
-    nt = NormalizationTransform(v[0], v[1], v[2], x[0], x[1], x[2])
-    return nt.apply(P), nt
+    N = np.diag([*v, 1.0])
+    N[:3, 3] = x
+    return P * v + x, N
 
 
-def build_dlt_system(
-    corr: CorrespondenceSet,
-    n1: NormalizationTransform,
-    n2: NormalizationTransform,
-) -> np.ndarray:
+def _normalization_inverse(N: np.ndarray) -> np.ndarray:
+    """Closed-form inverse of a matrix N from :func:`normalize_points`."""
+    v = N.diagonal()[:3]
+    Ni = np.diag([*(1.0 / v), 1.0])
+    Ni[:3, 3] = -N[:3, 3] / v
+    return Ni
+
+
+def build_dlt_system(Pn1: np.ndarray, Pn2: np.ndarray) -> np.ndarray:
     """The (6n, 16) homogeneous design matrix A with A vec(W') = 0.
 
     Each correspondence contributes the six cross-product constraints
     p'_i (W' p)_j - p'_j (W' p)_i = 0 between the normalized homogeneous
-    LF-points p (camera 1) and p' (camera 2); only three are independent.
-    vec(W') is row-major.
+    LF-points p (a row of Pn1, camera 1) and p' (of Pn2, camera 2); only
+    three are independent.  vec(W') is row-major.
     """
-    P = np.column_stack([n1.apply(corr.first), np.ones(len(corr))])
-    Pp = np.column_stack([n2.apply(corr.second), np.ones(len(corr))])
-    n = len(corr)
+    n = Pn1.shape[0]
+    P = np.column_stack([Pn1, np.ones(n)])
+    Pp = np.column_stack([Pn2, np.ones(n)])
     A = np.zeros((6 * n, 16))
     for r, (i, j) in enumerate(combinations(range(4), 2)):
         block = A[r::6]
@@ -240,8 +218,8 @@ def build_dlt_system(
 def constraint_matrix(
     k1: LFIntrinsics,
     k2: LFIntrinsics,
-    n1: NormalizationTransform,
-    n2: NormalizationTransform,
+    N1: np.ndarray,
+    N2: np.ndarray,
 ) -> np.ndarray:
     """The 16x13 matrix Q lifting the reduced unknown vector to vec(W').
 
@@ -256,12 +234,12 @@ def constraint_matrix(
         w11 = alpha' w15 - w0
         w12 = alpha' w16 + alpha w0
 
-    where alpha = x3 - K1 v3 (camera-1 normalization) and
-    alpha' = x3' - K1' v3' (camera-2 normalization).  The reduced vector is
-    (w1..w8, w13..w16, w0).
+    where alpha = x3 - K1 v3 from camera 1's normalization (v3 = N1[2, 2],
+    x3 = N1[2, 3]) and alpha' = x3' - K1' v3' from N2.  The reduced vector
+    is (w1..w8, w13..w16, w0).
     """
-    alpha = n1.x3 - k1.K1 * n1.v3
-    alpha_p = n2.x3 - k2.K1 * n2.v3
+    alpha = N1[2, 3] - k1.K1 * N1[2, 2]
+    alpha_p = N2[2, 3] - k2.K1 * N2[2, 2]
     Q = np.zeros((16, 13))
     Q[:8, :8] = np.eye(8)
     Q[8, 8] = alpha_p
@@ -285,10 +263,10 @@ def solve_linear(corr: CorrespondenceSet) -> ProjectiveSolution:
     as a coplanar scene produces, makes both of the smallest values
     numerically zero without making them equal).
     """
-    Pn1, n1 = normalize_points(corr.first)
-    Pn2, n2 = normalize_points(corr.second)
-    A = build_dlt_system(corr, n1, n2)
-    Q = constraint_matrix(corr.k1, corr.k2, n1, n2)
+    Pn1, N1 = normalize_points(corr.first)
+    Pn2, N2 = normalize_points(corr.second)
+    A = build_dlt_system(Pn1, Pn2)
+    Q = constraint_matrix(corr.k1, corr.k2, N1, N2)
     _, s, Vt = np.linalg.svd(A @ Q, full_matrices=False)
     if s[-1] >= (1.0 - _RANK_GAP) * s[-2] or s[-2] <= _NULL_FLOOR * s[0]:
         raise RankDeficient(
@@ -301,7 +279,7 @@ def solve_linear(corr: CorrespondenceSet) -> ProjectiveSolution:
     if w16[np.argmax(np.abs(w16))] < 0:
         w16 = -w16
     W_prime = w16.reshape(4, 4)
-    W = n2.inverse_matrix() @ W_prime @ n1.as_matrix()
+    W = _normalization_inverse(N2) @ W_prime @ N1
     G = corr.k2.matrix_H_inverse() @ W @ corr.k1.matrix_H()
     c = float(G[3, 3])
     if abs(c) <= 1e-15:
@@ -455,7 +433,6 @@ def _jacobian(corr: CorrespondenceSet, p, e, R, T):
 def refine_pose(
     corr: CorrespondenceSet,
     initial: RelativePose,
-    max_iterations: int = 100,
     cost_trace: list | None = None,
 ) -> tuple[RelativePose, float, int]:
     """Levenberg-Marquardt refinement of (R, T) on SO(3) x R^3.
@@ -469,7 +446,7 @@ def refine_pose(
     cost sequence is monotone because only improving steps are accepted.
 
     Returns (pose, final_cost, iterations); ``iterations`` counts attempted
-    LM steps, so ``iterations < max_iterations`` means the refinement
+    LM steps, so ``iterations < _MAX_ITERATIONS`` means the refinement
     terminated on its own.  When ``cost_trace`` is a list, the initial cost
     and the cost after every accepted step are appended to it (a strictly
     decreasing sequence).  Raises NumericalFailure if the cost is
@@ -487,7 +464,7 @@ def refine_pose(
     damping = 1e-3
     iterations = 0
     converged = False
-    while iterations < max_iterations:
+    while iterations < _MAX_ITERATIONS:
         if cost <= _COST_FLOOR:
             converged = True
             break
@@ -499,7 +476,7 @@ def refine_pose(
             break
         JtJ = J.T @ J
         accepted = False
-        while iterations < max_iterations:
+        while iterations < _MAX_ITERATIONS:
             iterations += 1
             D = np.diag(np.maximum(np.diag(JtJ), 1e-12))
             try:
@@ -574,8 +551,7 @@ def estimate_pose(corr: CorrespondenceSet, refine: bool = True) -> EstimationRes
             final_cost=initial_cost,
             refined=False,
         )
-    max_iterations = 100
-    pose, cost, iterations = refine_pose(corr, pose0, max_iterations)
+    pose, cost, iterations = refine_pose(corr, pose0)
     # A refinement that ran out of its iteration budget is conservatively
     # reported as not converged.
     return EstimationResult(
@@ -585,6 +561,6 @@ def estimate_pose(corr: CorrespondenceSet, refine: bool = True) -> EstimationRes
         initial_cost=initial_cost,
         final_cost=cost,
         iterations=iterations,
-        converged=iterations < max_iterations,
+        converged=iterations < _MAX_ITERATIONS,
         refined=True,
     )

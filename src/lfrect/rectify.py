@@ -7,9 +7,9 @@ another frame means rigidly moving those two anchor points and re-intersecting
 the moved line with the new frame's z=0 and z=1 planes.  The module
 implements the closed form obtained by eliminating the intermediate points,
 split into a slope half (``warp_slopes``, which depends only on the
-rotation) and a position half (``warp_positions``); ``warp_ray`` applies
-both to one ray and ``warp_rays`` to a bundle.  The explicit geometric
-construction is kept with the tests as an independent cross-check.
+rotation) and a position half (``warp_positions``); ``warp_rays`` applies
+both to an (n, 4) ray bundle.  The explicit geometric construction is kept
+with the tests as an independent cross-check.
 
 The rectifying rotation builds a frame whose x-axis is the baseline, so that
 after warping both light fields, corresponding sub-apertures sit on common
@@ -28,12 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CollinearConstruction, ParallelRay, ZeroBaseline
-from .geometry import Ray4D, RelativePose
+from .errors import CollinearConstruction, ZeroBaseline
+from .geometry import RelativePose
 
 __all__ = [
     "RectifiedSetup",
-    "warp_ray",
     "warp_rays",
     "warp_slopes",
     "warp_positions",
@@ -132,26 +131,11 @@ def warp_positions(s, t, u_p, v_p, R: np.ndarray, T: np.ndarray):
     return s_p, t_p
 
 
-def warp_ray(ray, transform: RelativePose) -> Ray4D:
-    """Map a TPP ray through a rigid transform into the target frame's TPP.
-
-    The closed form of :func:`warp_slopes` then :func:`warp_positions` on
-    one ray.  Raises ParallelRay when the warped ray is parallel to the
-    parameterization planes.
-    """
-    s, t, u, v = ray.as_array() if isinstance(ray, Ray4D) else np.asarray(ray, float)
-    u_p, v_p, valid = warp_slopes(u, v, transform.R)
-    if not valid:
-        raise ParallelRay("ray is parallel to the target parameterization planes")
-    s_p, t_p = warp_positions(s, t, u_p, v_p, transform.R, transform.T)
-    return Ray4D(s_p, t_p, u_p, v_p)
-
-
 def warp_rays(rays: np.ndarray, R, T) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form warp of an (n, 4) ray bundle; no exceptions.
 
-    Returns (warped, valid); rows with |denominator| <= 1e-12 are invalid
-    and their warped values are zeros.
+    Returns (warped, valid); rays parallel to the target planes
+    (|denominator| <= 1e-12) are invalid and their warped values are zeros.
     """
     rays = np.asarray(rays, float)
     R = np.asarray(R, float)

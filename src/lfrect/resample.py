@@ -25,7 +25,8 @@ The second half runs per target sub-aperture: the position half of the warp
 then one lookup in the source's cell-valid mask (``SampledLF.cell_valid``,
 the AND of the mask over each 2x2x2x2 cell, built once per light field)
 and 16 ``take``s from the flat image at precomputed corner offsets.
-``_sample_many`` runs both halves back to back for an arbitrary ray bundle.
+``sample_rays`` runs both halves back to back for an arbitrary ray bundle;
+a query outside the sampled light field comes back invalid, with value 0.
 Each corner weight is ((w_t * w_s) * w_r) * w_c and the corners are summed
 in ``product((0, 1), repeat=4)`` order, so a stored sample reproduces bit
 for bit.
@@ -40,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NoOverlap, OutOfAperture
+from .errors import IndexOutOfRange, NoOverlap
 from .rectify import RectifiedSetup, warp_positions, warp_rays, warp_slopes
 
 __all__ = [
@@ -49,7 +50,7 @@ __all__ = [
     "AlignedGrid",
     "EpiImage",
     "plan_aligned_grid",
-    "interpolate_ray",
+    "sample_rays",
     "render_aligned_sais",
     "extract_epi",
 ]
@@ -322,46 +323,24 @@ def _sample_taps(lf: SampledLF, taps: _SlopeTaps, s, t) -> tuple[np.ndarray, np.
     return values, ok
 
 
-def _sample_many(lf: SampledLF, rays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def sample_rays(lf: SampledLF, rays) -> tuple[np.ndarray, np.ndarray]:
     """4D multilinear interpolation of an (n, 4) ray bundle in the LF's own
     TPP.  Returns (values, valid); invalid entries are 0.  A query is valid
     only if all four coordinates lie inside the sampled extent and none of
-    the 16 samples of its interpolation neighborhood is masked out."""
+    the 16 samples of its interpolation neighborhood is masked out; a ray
+    exactly on a stored sample reproduces that sample's value."""
     rays = np.asarray(rays, float)
     taps = _slope_taps(lf, rays[:, 2], rays[:, 3])
     return _sample_taps(lf, taps, rays[:, 0], rays[:, 1])
-
-
-def interpolate_ray(lf: SampledLF, ray) -> float:
-    """Luminance of one ray by 4D multilinear interpolation.
-
-    A ray exactly on a stored sample reproduces that sample's value.
-    Raises OutOfAperture when the ray leaves the sampled extent or its
-    neighborhood touches a masked-out pixel.
-    """
-    from .geometry import Ray4D
-
-    r = ray.as_array() if isinstance(ray, Ray4D) else np.asarray(ray, float)
-    values, ok = _sample_many(lf, r.reshape(1, 4))
-    if not ok[0]:
-        raise OutOfAperture("ray outside the sampled light field")
-    return float(values[0])
 
 
 def _warped_centers(lf: SampledLF, R, T):
     """Warp every sub-aperture's central ray (s, t, 0, 0); returns
     (s', t', valid) arrays of shape (n_t, n_s)."""
     S, Tg = np.meshgrid(lf.s_mm, lf.t_mm)
-    rays = np.column_stack(
-        [S.ravel(), Tg.ravel(), np.zeros(S.size), np.zeros(S.size)]
-    )
+    rays = np.column_stack([S.ravel(), Tg.ravel(), np.zeros((S.size, 2))])
     warped, valid = warp_rays(rays, R, T)
-    shape = S.shape
-    return (
-        warped[:, 0].reshape(shape),
-        warped[:, 1].reshape(shape),
-        valid.reshape(shape),
-    )
+    return warped[:, 0].reshape(S.shape), warped[:, 1].reshape(S.shape), valid.reshape(S.shape)
 
 
 def _row_representative(values: np.ndarray, valid: np.ndarray, center: int):
@@ -372,6 +351,18 @@ def _row_representative(values: np.ndarray, valid: np.ndarray, center: int):
     if valid.any():
         return float(values[valid].mean())
     return float("nan")
+
+
+def _representatives(values: np.ndarray, valid: np.ndarray, center: int) -> np.ndarray:
+    """:func:`_row_representative` of every row of (values, valid)."""
+    return np.array([_row_representative(v, ok, center) for v, ok in zip(values, valid)])
+
+
+def _valid_range(values: np.ndarray, valid: np.ndarray) -> list:
+    """[min, max] of the valid entries ignoring NaNs; NaNs if none is valid."""
+    if not valid.any():
+        return [float("nan"), float("nan")]
+    return [float(np.nanmin(values[valid])), float(np.nanmax(values[valid]))]
 
 
 def plan_aligned_grid(
@@ -389,14 +380,8 @@ def plan_aligned_grid(
     sl, tl, vl = _warped_centers(left, setup.R_l, setup.T_l)
     sr, tr, vr = _warped_centers(right, setup.R_r, setup.T_r)
     diagnostics = {
-        "left_t_range": [float(np.nanmin(np.where(vl, tl, np.nan)))
-                         if vl.any() else float("nan"),
-                         float(np.nanmax(np.where(vl, tl, np.nan)))
-                         if vl.any() else float("nan")],
-        "right_t_range": [float(np.nanmin(np.where(vr, tr, np.nan)))
-                          if vr.any() else float("nan"),
-                          float(np.nanmax(np.where(vr, tr, np.nan)))
-                          if vr.any() else float("nan")],
+        "left_t_range": _valid_range(tl, vl),
+        "right_t_range": _valid_range(tr, vr),
         "left_mappable": int(vl.sum()),
         "right_mappable": int(vr.sum()),
     }
@@ -413,23 +398,22 @@ def plan_aligned_grid(
         pitch = 1.0  # single sub-aperture per axis; arbitrary unit lattice
 
     # Rows: one target row per left grid row.
-    row_vals = np.array(
-        [_row_representative(tl[i], vl[i], ctr_col_l) for i in range(left.n_rows)]
-    )
+    row_vals = _representatives(tl, vl, ctr_col_l)
     row_keep = np.isfinite(row_vals)
 
-    # Column lattice anchored at the warped left centre.
+    # Column lattice anchored at the warped left centre; each source column
+    # snaps to lattice index k (meaningless where the column has no value).
     anchor = _row_representative(sl[ctr_row_l], vl[ctr_row_l], ctr_col_l)
     if not np.isfinite(anchor):
         anchor = float(sl[vl].mean())
-    col_vals_l = np.array(
-        [_row_representative(sl[:, j], vl[:, j], ctr_row_l) for j in range(left.n_cols)]
-    )
-    col_vals_r = np.array(
-        [_row_representative(sr[:, j], vr[:, j], ctr_row_r) for j in range(right.n_cols)]
-    )
-    k_left = np.round((col_vals_l[np.isfinite(col_vals_l)] - anchor) / pitch).astype(int)
-    k_right = np.round((col_vals_r[np.isfinite(col_vals_r)] - anchor) / pitch).astype(int)
+    col_vals_l = _representatives(sl.T, vl.T, ctr_row_l)
+    col_vals_r = _representatives(sr.T, vr.T, ctr_row_r)
+    col_ok_l = np.isfinite(col_vals_l)
+    col_ok_r = np.isfinite(col_vals_r)
+    k_col_l = np.round((np.where(col_ok_l, col_vals_l, anchor) - anchor) / pitch).astype(int)
+    k_col_r = np.round((np.where(col_ok_r, col_vals_r, anchor) - anchor) / pitch).astype(int)
+    k_left = k_col_l[col_ok_l]
+    k_right = k_col_r[col_ok_r]
     if k_left.size == 0 or k_right.size == 0:
         raise NoOverlap("no mappable columns on one side", diagnostics=diagnostics)
     k_min = int(min(k_left.min(), k_right.min()))
@@ -440,42 +424,25 @@ def plan_aligned_grid(
     rows_mm = row_vals[row_keep][rows_sorted_idx]
     # Map each surviving left row to its (sorted) target row slot.
     left_row_target = np.full(left.n_rows, -1)
-    left_row_target[np.flatnonzero(row_keep)[rows_sorted_idx]] = np.arange(
-        rows_mm.size
-    )
+    left_row_target[np.flatnonzero(row_keep)[rows_sorted_idx]] = np.arange(rows_mm.size)
 
+    # Right rows snap to the nearest target row within half a row pitch.
+    row_pitch = abs(float(np.diff(rows_mm).mean())) if rows_mm.size > 1 else pitch
+    rep_t = _representatives(tr, vr, ctr_col_r)
+    dist = np.abs(rows_mm[None, :] - rep_t[:, None])
+    right_row_target = dist.argmin(axis=1)
+    nearest = dist[np.arange(right.n_rows), right_row_target]
+    right_row_keep = np.isfinite(rep_t) & (nearest <= 0.5 * row_pitch + _EDGE_TOL)
+
+    # Each valid sub-aperture on a kept row and column marks its target
+    # cell: bit 1 for the left source, bit 2 for the right.
     provenance = np.zeros((rows_mm.size, cols_mm.size), np.int8)
-    # Left sub-apertures land on their own row and snapped column.
-    for i in range(left.n_rows):
-        tgt = left_row_target[i]
-        if tgt < 0:
-            continue
-        for j in range(left.n_cols):
-            if not vl[i, j] or not np.isfinite(col_vals_l[j]):
-                continue
-            k = int(round((col_vals_l[j] - anchor) / pitch)) - k_min
-            provenance[tgt, k] |= 1
-    # Right sub-apertures snap to the nearest target row and column.
-    row_pitch = (
-        abs(float(np.diff(rows_mm).mean())) if rows_mm.size > 1 else pitch
-    )
-    for i in range(right.n_rows):
-        rep_t = _row_representative(tr[i], vr[i], ctr_col_r)
-        if not np.isfinite(rep_t):
-            continue
-        tgt = int(np.argmin(np.abs(rows_mm - rep_t)))
-        if abs(rows_mm[tgt] - rep_t) > 0.5 * row_pitch + _EDGE_TOL:
-            continue
-        for j in range(right.n_cols):
-            if not vr[i, j] or not np.isfinite(col_vals_r[j]):
-                continue
-            k = int(round((col_vals_r[j] - anchor) / pitch)) - k_min
-            provenance[tgt, k] |= 2
+    i, j = np.nonzero(vl & (left_row_target >= 0)[:, None] & col_ok_l)
+    provenance[left_row_target[i], k_col_l[j] - k_min] |= 1
+    i, j = np.nonzero(vr & right_row_keep[:, None] & col_ok_r)
+    provenance[right_row_target[i], k_col_r[j] - k_min] |= 2
 
-    has_both = np.any(
-        np.any(provenance & 1, axis=1) & np.any(provenance & 2, axis=1)
-    )
-    if not has_both:
+    if not np.any(np.any(provenance & 1, axis=1) & np.any(provenance & 2, axis=1)):
         raise NoOverlap(
             "no target row receives sub-apertures from both cameras",
             diagnostics=diagnostics,

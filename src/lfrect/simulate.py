@@ -148,12 +148,14 @@ class SimConfig:
             object.__setattr__(self, "board_poses", tuple(default_board_poses()))
         else:
             object.__setattr__(self, "board_poses", tuple(self.board_poses))
-        if self.sai_rows < 1 or self.sai_cols < 1:
-            raise ValueError("sub-aperture grid must be at least 1x1")
+        if min(self.sai_rows, self.sai_cols) < 1 or self.sai_rows * self.sai_cols < 2:
+            raise ValueError("need at least two sub-apertures to measure disparity")
         if self.sigma_px < 0:
             raise ValueError("noise sigma must be non-negative")
         if self.trials < 1:
             raise ValueError("at least one trial")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def make_sim_config(

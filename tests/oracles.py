@@ -15,7 +15,7 @@ geometry from the outside:
   return plain arrays.
 - ``warp_ray_geometric`` moves the two anchor points of a ray and
   re-intersects the planes, an independent derivation of the closed-form
-  ``lfrect.rectify.warp_ray``.
+  ``lfrect.rectify.warp_rays``.
 - ``checkerboard_texture`` and ``blob_texture`` are scene textures for the
   rendered test pairs; ``refine_checkerboard_corner``, ``fit_line_tls`` and
   ``blob_centroid`` measure them in the rendered images.

@@ -17,7 +17,6 @@ import numpy as np
 from lfrect.bench import BenchSpec, noise_sweep_pose, noise_sweep_spec, pose_grid_presets, pose_grid_spec, run_bench
 from lfrect.cli import main as cli_main
 from lfrect.geometry import (
-    Ray4D,
     RelativePose,
     angular_error_rotation,
     angular_error_translation,
@@ -33,21 +32,20 @@ from lfrect.pose import (
     refine_pose,
     solve_linear,
 )
-from lfrect.rectify import build_rectified_setup, rectifying_rotation, warp_ray, warp_rays
-from lfrect.resample import interpolate_ray
+from lfrect.rectify import build_rectified_setup, rectifying_rotation, warp_rays
+from lfrect.resample import sample_rays
 from lfrect.simulate import make_sim_config, simulate_correspondences
 
 from oracles import warp_ray_geometric
 from test_pose import fd_jacobian, true_w_prime, vec_gap
-from test_rectify import random_pose, random_rays
+from test_rectify import random_pose, random_rays, warp_one
 from test_resample import (
-    H as LF_H,
-    MAP,
-    W as LF_W,
     affine_field,
     affine_lf,
+    affine_queries,
     measure_corner_scan_alignment,
     measure_epi_trace,
+    node_rays,
     random_lf,
 )
 
@@ -154,14 +152,14 @@ def test_03_pose_grid_accuracy(capsys):
 
 
 def test_04_solver_algebra(capsys, corr_exact, corr_noisy, sweep_pose):
-    _, n1 = normalize_points(corr_exact.first)
-    _, n2 = normalize_points(corr_exact.second)
-    w = true_w_prime(corr_exact, sweep_pose, n1, n2)
+    Pn1, N1 = normalize_points(corr_exact.first)
+    Pn2, N2 = normalize_points(corr_exact.second)
+    w = true_w_prime(corr_exact, sweep_pose, N1, N2)
 
-    A = build_dlt_system(corr_exact, n1, n2)
+    A = build_dlt_system(Pn1, Pn2)
     dlt_resid = float(np.abs(A @ w).max())
 
-    Q = constraint_matrix(corr_exact.k1, corr_exact.k2, n1, n2)
+    Q = constraint_matrix(corr_exact.k1, corr_exact.k2, N1, N2)
     x, *_ = np.linalg.lstsq(Q, w, rcond=None)
     lift_resid = float(np.linalg.norm(Q @ x - w))
 
@@ -214,9 +212,9 @@ def test_05_rectification_geometry(capsys):
     closed_vs_geom = 0.0
     for _ in range(1000):
         pose = random_pose(rng)
-        ray = Ray4D(*random_rays(rng, 1)[0])
-        a = warp_ray(ray, pose).as_array()
-        b = warp_ray_geometric(ray.as_array(), pose.R, pose.T)
+        ray = random_rays(rng, 1)[0]
+        a = warp_one(ray, pose)
+        b = warp_ray_geometric(ray, pose.R, pose.T)
         closed_vs_geom = max(closed_vs_geom, np.abs(a - b).max() / max(1.0, np.abs(a).max()))
 
     rng = np.random.default_rng(1)
@@ -224,7 +222,7 @@ def test_05_rectification_geometry(capsys):
     for _ in range(1000):
         pose = random_pose(rng)
         ray = random_rays(rng, 1)[0]
-        back = warp_ray(warp_ray(ray, pose).as_array(), pose.inverse()).as_array()
+        back = warp_one(warp_one(ray, pose), pose.inverse())
         round_trip = max(round_trip, np.abs(back - ray).max())
 
     rng = np.random.default_rng(4)
@@ -286,26 +284,16 @@ def test_05_rectification_geometry(capsys):
 
 def test_06_resampling_fidelity(capsys, checker_rectified, blob_rectified, blob_world):
     lf = random_lf()
-    node_err = 0.0
-    for i in range(lf.n_rows):
-        for j in range(lf.n_cols):
-            for r in range(0, LF_H, 3):
-                for col in range(0, LF_W, 3):
-                    v, u = lf.mapping.slopes(r, col)
-                    got = interpolate_ray(lf, [lf.s_mm[j], lf.t_mm[i], u, v])
-                    node_err = max(node_err, abs(got - lf.images[i, j, r, col]))
+    rays, stored = node_rays(lf)
+    values, node_ok = sample_rays(lf, rays)
+    node_err = float(np.abs(values - stored).max()) if node_ok.all() else np.inf
 
     c = np.array([0.3, 0.01, -0.02, 0.5, -0.4])
-    alf = affine_lf(c)
-    field = affine_field(c)
-    rng = np.random.default_rng(5)
-    affine_err = 0.0
-    for _ in range(500):
-        s = rng.uniform(-2, 2)
-        t = rng.uniform(-2, 2)
-        u = rng.uniform(MAP.u0, MAP.u0 + MAP.du * (LF_W - 1))
-        v = rng.uniform(MAP.v0, MAP.v0 + MAP.dv * (LF_H - 1))
-        affine_err = max(affine_err, abs(interpolate_ray(alf, [s, t, u, v]) - field(s, t, u, v)))
+    rays = affine_queries(np.random.default_rng(5), 500)
+    values, affine_ok = sample_rays(affine_lf(c), rays)
+    affine_err = (
+        float(np.abs(values - affine_field(c)(*rays.T)).max()) if affine_ok.all() else np.inf
+    )
 
     k, out, grid, setup = checker_rectified
     pairs = measure_corner_scan_alignment(k, out, grid, setup)

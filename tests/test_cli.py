@@ -304,6 +304,48 @@ def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, key, value):
     assert f"sim.json: {key}: expected a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"seed": -1}, "seed must be non-negative, got -1"),
+        ({"sai_rows": 1, "sai_cols": 1}, "need at least two sub-apertures to measure disparity"),
+    ],
+    ids=["negative-seed", "one-sub-aperture"],
+)
+def test_out_of_range_sim_config_value_exits_2(tmp_path, capsys, overrides, message):
+    cfg = _sim_config(tmp_path, **overrides)
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+
+
+def test_negative_seed_in_bench_spec_exits_2(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    save_json(spec_path, {"seed": -1, "rows": [dict(POSE_DOC, label="a", sigma_px=0.2)]})
+    rc = main(["bench", "--spec", str(spec_path), "--out", str(tmp_path / "b.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {spec_path}: seed must be non-negative, got -1\n"
+    assert not (tmp_path / "b.csv").exists()
+
+
+def test_estimate_to_missing_directory_exits_2(tmp_path, capsys):
+    sim_dir = _run_simulate(tmp_path, capsys)
+    out = tmp_path / "nodir" / "pose.json"
+    rc, _ = _run_estimate(tmp_path, sim_dir, out=out)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+
+
+def test_epi_to_missing_directory_exits_2(tmp_path, capsys):
+    lf_dir = tmp_path / "lf"
+    save_sampled_lf(lf_dir, random_lf(seed=5))
+    out = tmp_path / "nodir" / "e.pgm"
+    rc = main(["epi", "--sais", str(lf_dir), "--row", "0", "--line", "0", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+
+
 def test_rectify_without_overlap_exits_5(tmp_path, capsys):
     left = random_lf(seed=6)
     right = random_lf(seed=7)
@@ -398,8 +440,17 @@ def test_argparse_rejects_bad_usage():
         (["bench", "--scenario", "noise-sweep", "--trials", "1", "--seed", "-1"], "--seed"),
         (["simulate", "--trial", "-1"], "--trial"),
         (["simulate", "--seed", "-3"], "--seed"),
+        (["bench", "--scenario", "noise-sweep", "--jobs", "0"], "--jobs"),
+        (["bench", "--scenario", "noise-sweep", "--jobs", "-5"], "--jobs"),
     ],
-    ids=["bench-trials-0", "bench-seed-negative", "simulate-trial-negative", "simulate-seed-negative"],
+    ids=[
+        "bench-trials-0",
+        "bench-seed-negative",
+        "simulate-trial-negative",
+        "simulate-seed-negative",
+        "bench-jobs-0",
+        "bench-jobs-negative",
+    ],
 )
 def test_out_of_range_integer_flag_exits_2(tmp_path, capsys, argv, flag):
     if argv[0] == "simulate":

@@ -16,7 +16,6 @@ from scipy.spatial.transform import Rotation
 from lfrect.errors import ZeroVector
 from lfrect.geometry import (
     LFIntrinsics,
-    Ray4D,
     RelativePose,
     angular_error_rotation,
     angular_error_translation,
@@ -317,7 +316,3 @@ class TestRotationHelpers:
             R = so3_exp(rng.normal(0, 2, 3))
             assert np.abs(R @ R.T - np.eye(3)).max() < 1e-12
             assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_value_types_as_array():
-    assert np.array_equal(Ray4D(1.0, 2.0, 0.1, -0.2).as_array(), [1.0, 2.0, 0.1, -0.2])

@@ -29,6 +29,7 @@ from lfrect.geometry import (
 from lfrect.pose import (
     CorrespondenceSet,
     _jacobian,
+    _normalization_inverse,
     _residuals,
     _translation_system,
     build_dlt_system,
@@ -48,12 +49,13 @@ from lfrect.simulate import (
 )
 
 
-def true_w_prime(corr, pose, n1, n2):
+def true_w_prime(corr, pose, N1, N2):
     """The projective map between normalized homogeneous LF-points, built
-    from its factors, as a unit row-major 16-vector."""
+    from its factors, as a unit row-major 16-vector.  N1, N2 are the
+    normalization matrices from ``normalize_points``."""
     M = pose.matrix()
     W = corr.k2.matrix_H() @ M @ corr.k1.matrix_H_inverse()
-    Wp = n2.as_matrix() @ W @ n1.inverse_matrix()
+    Wp = N2 @ W @ _normalization_inverse(N1)
     w = Wp.reshape(-1)
     return w / np.linalg.norm(w)
 
@@ -65,9 +67,8 @@ def vec_gap(a, b):
 
 @pytest.fixture(scope="module")
 def norms(corr_exact):
-    _, n1 = normalize_points(corr_exact.first)
-    _, n2 = normalize_points(corr_exact.second)
-    return n1, n2
+    """(Pn1, N1, Pn2, N2): both normalized point sets and their matrices."""
+    return (*normalize_points(corr_exact.first), *normalize_points(corr_exact.second))
 
 
 # ---------------------------------------------------------------------------
@@ -76,12 +77,13 @@ def norms(corr_exact):
 
 
 def test_normalize_points_centers_and_scales(corr_noisy):
-    Pn, nt = normalize_points(corr_noisy.first)
+    Pn, N = normalize_points(corr_noisy.first)
     assert np.abs(Pn.mean(axis=0)).max() < 1e-10
     assert np.abs(np.sqrt((Pn**2).mean(axis=0)) - 1.0).max() < 1e-10
-    # the transform object reproduces the array it returned
-    assert np.allclose(nt.apply(corr_noisy.first), Pn, atol=1e-12)
-    assert np.abs(nt.as_matrix() @ nt.inverse_matrix() - np.eye(4)).max() < 1e-12
+    # the matrix reproduces the array it returned, on homogeneous points
+    homogeneous = np.column_stack([corr_noisy.first, np.ones(len(corr_noisy))])
+    assert np.allclose(homogeneous @ N.T, np.column_stack([Pn, np.ones(len(Pn))]), atol=1e-12)
+    assert np.abs(N @ _normalization_inverse(N) - np.eye(4)).max() < 1e-12
 
 
 def test_normalize_points_zero_spread_raises():
@@ -96,16 +98,16 @@ def test_normalize_points_zero_spread_raises():
 
 
 def test_dlt_annihilates_true_solution(corr_exact, sweep_pose, norms):
-    n1, n2 = norms
-    A = build_dlt_system(corr_exact, n1, n2)
-    w = true_w_prime(corr_exact, sweep_pose, n1, n2)
+    Pn1, N1, Pn2, N2 = norms
+    A = build_dlt_system(Pn1, Pn2)
+    w = true_w_prime(corr_exact, sweep_pose, N1, N2)
     assert np.abs(A @ w).max() <= 1e-10
 
 
 def test_true_solution_in_constraint_column_space(corr_exact, sweep_pose, norms):
-    n1, n2 = norms
-    Q = constraint_matrix(corr_exact.k1, corr_exact.k2, n1, n2)
-    w = true_w_prime(corr_exact, sweep_pose, n1, n2)
+    _, N1, _, N2 = norms
+    Q = constraint_matrix(corr_exact.k1, corr_exact.k2, N1, N2)
+    w = true_w_prime(corr_exact, sweep_pose, N1, N2)
     x, *_ = np.linalg.lstsq(Q, w, rcond=None)
     assert np.linalg.norm(Q @ x - w) <= 1e-10
 
@@ -114,24 +116,24 @@ def test_swapped_scalars_do_not_span_true_solution(corr_exact, sweep_pose, norms
     # Exchanging the two per-camera scalars gives a structurally different
     # lift; the true map must fall visibly outside its column space.  This
     # is what fixes which camera each scalar is computed from.
-    n1, n2 = norms
-    Q_bad = constraint_matrix(corr_exact.k2, corr_exact.k1, n2, n1)
-    w = true_w_prime(corr_exact, sweep_pose, n1, n2)
+    _, N1, _, N2 = norms
+    Q_bad = constraint_matrix(corr_exact.k2, corr_exact.k1, N2, N1)
+    w = true_w_prime(corr_exact, sweep_pose, N1, N2)
     x, *_ = np.linalg.lstsq(Q_bad, w, rcond=None)
     assert np.linalg.norm(Q_bad @ x - w) > 1e-4
 
 
 def test_constraint_matrix_shape_and_rank(corr_exact, norms):
-    n1, n2 = norms
-    Q = constraint_matrix(corr_exact.k1, corr_exact.k2, n1, n2)
+    _, N1, _, N2 = norms
+    Q = constraint_matrix(corr_exact.k1, corr_exact.k2, N1, N2)
     assert Q.shape == (16, 13)
     assert np.linalg.matrix_rank(Q) == 13
 
 
 def test_solve_linear_recovers_true_map(corr_exact, sweep_pose, norms):
-    n1, n2 = norms
+    _, N1, _, N2 = norms
     sol = solve_linear(corr_exact)
-    w_true = true_w_prime(corr_exact, sweep_pose, n1, n2)
+    w_true = true_w_prime(corr_exact, sweep_pose, N1, N2)
     assert vec_gap(sol.W_prime.reshape(-1), w_true) <= 1e-8
     assert sol.singular_values.shape == (13,)
     assert np.all(np.diff(sol.singular_values) <= 0)  # descending

@@ -12,13 +12,12 @@ cameras triangulate scene points consistently in the common frame.
 import numpy as np
 import pytest
 
-from lfrect.errors import CollinearConstruction, ParallelRay, ZeroBaseline
-from lfrect.geometry import Ray4D, RelativePose, euler_xyz_intrinsic, so3_exp
+from lfrect.errors import CollinearConstruction, ZeroBaseline
+from lfrect.geometry import RelativePose, euler_xyz_intrinsic, so3_exp
 from lfrect.rectify import (
     RectifiedSetup,
     build_rectified_setup,
     rectifying_rotation,
-    warp_ray,
     warp_rays,
 )
 from oracles import warp_ray_geometric
@@ -28,6 +27,13 @@ def random_pose(rng, max_angle_deg=20.0, t_scale=20.0):
     w = rng.normal(0, 1, 3)
     w *= np.radians(rng.uniform(0, max_angle_deg)) / np.linalg.norm(w)
     return RelativePose(so3_exp(w), rng.normal(0, t_scale, 3))
+
+
+def warp_one(ray, pose):
+    """``warp_rays`` on a bundle of one ray; the ray must map."""
+    warped, valid = warp_rays(np.reshape(ray, (1, 4)), pose.R, pose.T)
+    assert valid[0]
+    return warped[0]
 
 
 def random_rays(rng, n):
@@ -48,21 +54,21 @@ def random_rays(rng, n):
 
 def test_identity_warp_is_identity():
     pose = RelativePose(np.eye(3), np.zeros(3))
-    r = warp_ray(Ray4D(3.0, -2.0, 0.1, 0.25), pose)
-    assert np.allclose(r.as_array(), [3.0, -2.0, 0.1, 0.25], atol=1e-15)
+    r = warp_one([3.0, -2.0, 0.1, 0.25], pose)
+    assert np.allclose(r, [3.0, -2.0, 0.1, 0.25], atol=1e-15)
 
 
 def test_pure_translation_shifts_positions_only():
     pose = RelativePose(np.eye(3), np.array([10.0, -5.0, 0.0]))
-    r = warp_ray(Ray4D(1.0, 2.0, 0.1, -0.2), pose)
-    assert np.allclose(r.as_array(), [11.0, -3.0, 0.1, -0.2], atol=1e-12)
+    r = warp_one([1.0, 2.0, 0.1, -0.2], pose)
+    assert np.allclose(r, [11.0, -3.0, 0.1, -0.2], atol=1e-12)
 
 
 def test_z_translation_slides_along_slopes():
     # Moving the planes back by dz advances the intersection by dz * slope.
     pose = RelativePose(np.eye(3), np.array([0.0, 0.0, 7.0]))
-    r = warp_ray(Ray4D(1.0, 2.0, 0.1, -0.2), pose)
-    assert np.allclose(r.as_array(), [1.0 - 0.7, 2.0 + 1.4, 0.1, -0.2], atol=1e-12)
+    r = warp_one([1.0, 2.0, 0.1, -0.2], pose)
+    assert np.allclose(r, [1.0 - 0.7, 2.0 + 1.4, 0.1, -0.2], atol=1e-12)
 
 
 def test_closed_vs_geometric_1000_cases():
@@ -70,9 +76,9 @@ def test_closed_vs_geometric_1000_cases():
     worst = 0.0
     for _ in range(1000):
         pose = random_pose(rng)
-        ray = Ray4D(*random_rays(rng, 1)[0])
-        a = warp_ray(ray, pose).as_array()
-        b = warp_ray_geometric(ray.as_array(), pose.R, pose.T)
+        ray = random_rays(rng, 1)[0]
+        a = warp_one(ray, pose)
+        b = warp_ray_geometric(ray, pose.R, pose.T)
         worst = max(worst, np.abs(a - b).max() / max(1.0, np.abs(a).max()))
     assert worst <= 1e-10
 
@@ -83,21 +89,9 @@ def test_round_trip_1000_cases():
     for _ in range(1000):
         pose = random_pose(rng)
         ray = random_rays(rng, 1)[0]
-        there = warp_ray(ray, pose).as_array()
-        back = warp_ray(there, pose.inverse()).as_array()
+        back = warp_one(warp_one(ray, pose), pose.inverse())
         worst = max(worst, np.abs(back - ray).max())
     assert worst <= 1e-9
-
-
-def test_warp_rays_matches_scalar_warp():
-    rng = np.random.default_rng(2)
-    pose = random_pose(rng)
-    rays = random_rays(rng, 200)
-    batch, valid = warp_rays(rays, pose.R, pose.T)
-    assert valid.all()
-    for i in range(rays.shape[0]):
-        single = warp_ray(rays[i], pose).as_array()
-        assert np.abs(batch[i] - single).max() <= 1e-12
 
 
 def test_warp_preserves_point_incidence():
@@ -109,7 +103,7 @@ def test_warp_preserves_point_incidence():
         P = rng.uniform([-100, -100, 200], [100, 100, 2000])
         u, v = rng.uniform(-0.3, 0.3, 2)
         ray = np.array([P[0] - u * P[2], P[1] - v * P[2], u, v])
-        w = warp_ray(ray, pose).as_array()
+        w = warp_one(ray, pose)
         Pw = pose.apply(P)
         # point on warped ray at the transformed depth
         hit = np.array([w[0] + w[2] * Pw[2], w[1] + w[3] * Pw[2]])
@@ -119,13 +113,12 @@ def test_warp_preserves_point_incidence():
 def test_parallel_ray_raises_both_methods():
     # 90 degree turn about x makes the central ray parallel to the planes.
     pose = RelativePose(euler_xyz_intrinsic(90.0, 0.0, 0.0), np.zeros(3))
-    with pytest.raises(ParallelRay):
-        warp_ray(Ray4D(0.0, 0.0, 0.0, 0.0), pose)
     with pytest.raises(ValueError, match="share a depth"):
         warp_ray_geometric(np.zeros(4), pose.R, pose.T)
-    # the batch form masks instead of raising
-    out, valid = warp_rays(np.zeros((1, 4)), pose.R, pose.T)
-    assert not valid[0]
+    # the closed form masks the ray instead of raising, and keeps the rest
+    rays = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 0.1, 0.3]])
+    out, valid = warp_rays(rays, pose.R, pose.T)
+    assert valid.tolist() == [False, True]
     assert np.all(out[0] == 0.0)
 
 

@@ -17,19 +17,18 @@ import sampler_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfrect.errors import IndexOutOfRange, NoOverlap, OutOfAperture
-from lfrect.geometry import LFIntrinsics, Ray4D, RelativePose, euler_xyz_intrinsic
+from lfrect.errors import IndexOutOfRange, NoOverlap
+from lfrect.geometry import LFIntrinsics, RelativePose, euler_xyz_intrinsic
 from lfrect.rectify import RectifiedSetup, build_rectified_setup
 from lfrect.resample import (
     _EDGE_TOL,
     AlignedGrid,
     SampledLF,
     SpatialMapping,
-    _sample_many,
     extract_epi,
-    interpolate_ray,
     plan_aligned_grid,
     render_aligned_sais,
+    sample_rays,
 )
 from lfrect.simulate import (
     RenderGrid,
@@ -91,61 +90,72 @@ def identity_setup(baseline):
 # ---------------------------------------------------------------------------
 
 
+def node_rays(lf):
+    """Rays through every third stored pixel of every sub-aperture, and the
+    stored samples they hit."""
+    i, j, r, col = np.meshgrid(
+        np.arange(lf.n_rows), np.arange(lf.n_cols), np.arange(0, H, 3), np.arange(0, W, 3),
+        indexing="ij",
+    )
+    v, u = lf.mapping.slopes(r.ravel(), col.ravel())
+    rays = np.column_stack([lf.s_mm[j.ravel()], lf.t_mm[i.ravel()], u, v])
+    return rays, lf.images[i, j, r, col].ravel()
+
+
+def affine_queries(rng, n):
+    """n rays drawn inside the extent of ``affine_lf``, one (s, t, u, v) at
+    a time."""
+    return np.array(
+        [
+            [
+                rng.uniform(-2, 2),
+                rng.uniform(-2, 2),
+                rng.uniform(MAP.u0, MAP.u0 + MAP.du * (W - 1)),
+                rng.uniform(MAP.v0, MAP.v0 + MAP.dv * (H - 1)),
+            ]
+            for _ in range(n)
+        ]
+    )
+
+
 def test_interpolation_at_nodes_is_exact():
     lf = random_lf()
-    for i in range(lf.n_rows):
-        for j in range(lf.n_cols):
-            for r in range(0, H, 3):
-                for col in range(0, W, 3):
-                    v, u = lf.mapping.slopes(r, col)
-                    got = interpolate_ray(lf, [lf.s_mm[j], lf.t_mm[i], u, v])
-                    assert got == lf.images[i, j, r, col]
+    rays, stored = node_rays(lf)
+    values, ok = sample_rays(lf, rays)
+    assert ok.all()
+    assert np.array_equal(values, stored)
 
 
 def test_interpolation_of_affine_field_is_exact():
     c = np.array([0.3, 0.01, -0.02, 0.5, -0.4])
     lf = affine_lf(c)
-    field = affine_field(c)
-    rng = np.random.default_rng(5)
-    for _ in range(500):
-        s = rng.uniform(-2, 2)
-        t = rng.uniform(-2, 2)
-        u = rng.uniform(MAP.u0, MAP.u0 + MAP.du * (W - 1))
-        v = rng.uniform(MAP.v0, MAP.v0 + MAP.dv * (H - 1))
-        assert interpolate_ray(lf, [s, t, u, v]) == pytest.approx(
-            field(s, t, u, v), abs=1e-12
-        )
-
-
-def test_interpolate_accepts_ray4d():
-    lf = random_lf()
-    v, u = lf.mapping.slopes(2, 3)
-    as_seq = interpolate_ray(lf, [0.0, 0.0, u, v])
-    as_ray = interpolate_ray(lf, Ray4D(0.0, 0.0, float(u), float(v)))
-    assert as_seq == as_ray
+    rays = affine_queries(np.random.default_rng(5), 500)
+    values, ok = sample_rays(lf, rays)
+    assert ok.all()
+    assert np.abs(values - affine_field(c)(*rays.T)).max() <= 1e-12
 
 
 def test_out_of_aperture_raises():
     lf = random_lf()
     v, u = lf.mapping.slopes(2, 3)
-    with pytest.raises(OutOfAperture):
-        interpolate_ray(lf, [2.1, 0.0, u, v])  # past the s extent
-    with pytest.raises(OutOfAperture):
-        interpolate_ray(lf, [0.0, -2.1, u, v])
-    with pytest.raises(OutOfAperture):
-        interpolate_ray(lf, [0.0, 0.0, MAP.u0 - 0.001, v])
-    with pytest.raises(OutOfAperture):
-        interpolate_ray(lf, [0.0, 0.0, u, MAP.v0 + MAP.dv * (H - 1) + 0.001])
+    rays = [
+        [2.1, 0.0, u, v],  # past the s extent
+        [0.0, -2.1, u, v],
+        [0.0, 0.0, MAP.u0 - 0.001, v],
+        [0.0, 0.0, u, MAP.v0 + MAP.dv * (H - 1) + 0.001],
+    ]
+    values, ok = sample_rays(lf, rays)
+    assert not ok.any()
+    assert np.all(values == 0.0)
 
 
 def test_edge_tolerance_absorbs_roundoff_only():
     lf = random_lf()
     v, u = lf.mapping.slopes(0, 0)
-    # a hair outside the corner: inside the documented slack
-    got = interpolate_ray(lf, [-2.0 - 5e-10, -2.0, u, v])
-    assert got == pytest.approx(lf.images[0, 0, 0, 0], abs=1e-8)
-    with pytest.raises(OutOfAperture):
-        interpolate_ray(lf, [-2.0 - 1e-5, -2.0, u, v])
+    # a hair outside the corner: inside the documented slack; then past it
+    values, ok = sample_rays(lf, [[-2.0 - 5e-10, -2.0, u, v], [-2.0 - 1e-5, -2.0, u, v]])
+    assert ok.tolist() == [True, False]
+    assert values[0] == pytest.approx(lf.images[0, 0, 0, 0], abs=1e-8)
 
 
 def test_masked_neighbor_invalidates_cell():
@@ -154,27 +164,28 @@ def test_masked_neighbor_invalidates_cell():
     mask[1, 1, 4, 5] = False
     lf = make_lf(lf.images, mask=mask)
     v, u = lf.mapping.slopes(4, 5)
-    # on the masked sample itself
-    with pytest.raises(OutOfAperture):
-        interpolate_ray(lf, [0.0, 0.0, u, v])
-    # fractional query whose 16-point neighborhood touches it
-    with pytest.raises(OutOfAperture):
-        interpolate_ray(lf, [0.5, -0.5, u + 0.5 * MAP.du, v + 0.5 * MAP.dv])
-    # one full cell away in s: neighborhood is (s in {0,2}) x ... wait, the
-    # query below uses sub-apertures 1..2 and pixels 5..6 only on the other
-    # side of the masked pixel's cell fan, so it stays valid.
-    got = interpolate_ray(lf, [-1.5, 0.0, u + 1.5 * MAP.du, v + 1.5 * MAP.dv])
-    assert math.isfinite(got)
+    rays = [
+        # on the masked sample itself
+        [0.0, 0.0, u, v],
+        # fractional query whose 16-point neighborhood touches it
+        [0.5, -0.5, u + 0.5 * MAP.du, v + 0.5 * MAP.dv],
+        # s sub-apertures 0..1, pixel rows 5..6 and columns 6..7: a
+        # neighborhood that misses the masked sample, so it stays valid
+        [-1.5, 0.0, u + 1.5 * MAP.du, v + 1.5 * MAP.dv],
+    ]
+    values, ok = sample_rays(lf, rays)
+    assert ok.tolist() == [False, False, True]
+    assert math.isfinite(values[2])
 
 
 def test_nan_ray_is_out_of_aperture():
     lf = random_lf()
     v, u = lf.mapping.slopes(2, 3)
-    for k in range(4):
-        ray = [0.0, 0.0, u, v]
-        ray[k] = math.nan
-        with pytest.raises(OutOfAperture):
-            interpolate_ray(lf, ray)
+    rays = np.tile([0.0, 0.0, u, v], (4, 1))
+    rays[np.arange(4), np.arange(4)] = math.nan
+    values, ok = sample_rays(lf, rays)
+    assert not ok.any()
+    assert np.all(values == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +250,7 @@ def lf_and_rays(draw):
 @settings(max_examples=300, deadline=None)
 def test_sampler_matches_reference(case):
     lf, rays = case
-    values, ok = _sample_many(lf, rays)
+    values, ok = sample_rays(lf, rays)
     # The reference cannot place a NaN coordinate in a cell; those queries
     # must come out invalid and zero.
     nan = np.isnan(rays).any(axis=1)
@@ -278,7 +289,7 @@ def test_masked_upper_edge_sample_invalidates_hi_corner_queries(n_t):
             [-2.0, t, u_hi, v_hi],  # a cell of sub-apertures without it
         ]
     )
-    values, ok = _sample_many(lf, rays)
+    values, ok = sample_rays(lf, rays)
     ref_values, ref_ok = sampler_oracle.sample_many(lf, rays)
     assert np.array_equal(values, ref_values)
     assert np.array_equal(ok, ref_ok)

@@ -187,6 +187,11 @@ def test_sim_config_validation(sweep_pose):
         make_sim_config(sweep_pose, trials=0)
     with pytest.raises(ValueError):
         make_sim_config(sweep_pose, sai_rows=0)
+    with pytest.raises(ValueError, match="at least two sub-apertures"):
+        make_sim_config(sweep_pose, sai_rows=1, sai_cols=1)
+    with pytest.raises(ValueError, match="seed"):
+        make_sim_config(sweep_pose, seed=-1)
+    assert make_sim_config(sweep_pose, sai_rows=1, sai_cols=2).sai_cols == 2
     cfg = make_sim_config(sweep_pose, sigma_px=0.2, trials=7, seed=3)
     assert cfg.sigma_px == 0.2 and cfg.trials == 7 and cfg.seed == 3
     assert len(cfg.board_poses) == len(default_board_poses())
