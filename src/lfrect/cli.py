@@ -200,7 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--spec", help="custom sweep JSON")
     pb.add_argument("--trials", type=_int_at_least(1), default=None)
     pb.add_argument("--seed", type=_int_at_least(0), default=None)
-    pb.add_argument("--jobs", type=_int_at_least(1), default=1, help="worker processes")
+    pb.add_argument(
+        "--jobs", type=_int_at_least(1), default=1, help="worker processes (capped at the CPU count)"
+    )
     pb.add_argument("--out", required=True, help="output CSV (a .dat twin is written too)")
     pb.set_defaults(func=_cmd_bench)
     return p

@@ -17,6 +17,12 @@ A rendered or resampled light field is stored as a directory::
     grid.json                sub-aperture coordinates, pixel->slope mapping,
                              and (for rectified output) the aligned-grid
                              provenance
+
+Files with equal contents in one directory may be hard links of each other
+(all unrendered sub-apertures, for example, share one image and one mask).
+``save_sampled_lf`` always replaces a file and never edits one in place, so
+rewriting a directory is safe; a tool that edits one of these files in
+place changes its twins too.  ``cp -r`` copies contents, not links.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ import csv
 import io
 import json
 import os
-import re
 import stat
 from contextlib import contextmanager
 from itertools import chain
@@ -177,16 +182,30 @@ def read_correspondence_csv(path, k1: LFIntrinsics, k2: LFIntrinsics) -> Corresp
 # --------------------------------------------------------------------------
 
 
-def write_pgm16(path, image: np.ndarray):
+def _pgm16_bytes(image: np.ndarray) -> bytes:
     """16-bit binary PGM (big-endian sample order) of a [0, 1] image."""
     img = np.asarray(image, float)
     if img.ndim != 2:
         raise ValueError("image must be 2D")
     data = np.round(np.clip(img, 0.0, 1.0) * 65535.0).astype(">u2")
     h, w = img.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
-        f.write(data.tobytes())
+    return f"P5\n{w} {h}\n65535\n".encode("ascii") + data.tobytes()
+
+
+def _pbm_bytes(valid_mask: np.ndarray) -> bytes:
+    """Binary PBM of a validity mask: black bits (1) mark invalid pixels."""
+    valid = np.asarray(valid_mask, bool)
+    if valid.ndim != 2:
+        raise ValueError("mask must be 2D")
+    h, w = valid.shape
+    bits = np.packbits((~valid).astype(np.uint8), axis=1)
+    return f"P4\n{w} {h}\n".encode("ascii") + bits.tobytes()
+
+
+def write_pgm16(path, image: np.ndarray):
+    """Write a [0, 1] image to ``path`` as a 16-bit PGM, in place: a
+    symlink or device there is written through."""
+    Path(path).write_bytes(_pgm16_bytes(image))
 
 
 def _read_pnm_tokens(raw: bytes, count: int):
@@ -227,15 +246,9 @@ def read_pgm16(path) -> np.ndarray:
 
 
 def write_pbm(path, valid_mask: np.ndarray):
-    """Binary PBM of a validity mask: black bits (1) mark invalid pixels."""
-    valid = np.asarray(valid_mask, bool)
-    if valid.ndim != 2:
-        raise ValueError("mask must be 2D")
-    h, w = valid.shape
-    bits = np.packbits((~valid).astype(np.uint8), axis=1)
-    with open(path, "wb") as f:
-        f.write(f"P4\n{w} {h}\n".encode("ascii"))
-        f.write(bits.tobytes())
+    """Write a validity mask to ``path`` as a PBM, in place: a symlink or
+    device there is written through."""
+    Path(path).write_bytes(_pbm_bytes(valid_mask))
 
 
 def read_pbm(path) -> np.ndarray:
@@ -255,37 +268,65 @@ def read_pbm(path) -> np.ndarray:
 # Light-field directories
 # --------------------------------------------------------------------------
 
-_SAI_RE = re.compile(r"^sai_r(\d+)_c(\d+)\.pgm$")
 
-
-def _unlink_regular(path):
+def _unlink_regular(path) -> bool:
     """Remove ``path`` if it is a regular file, so that the next write
-    creates it anew.  On ext4, truncating a file that was just written
-    forces a flush of its data, which made rewriting a light-field
-    directory stall.  Symlinks and special files are left in place and
-    written through."""
+    creates it anew; return whether the name is now free.
+
+    Files in a light-field directory may be hard links of one another, so
+    this is what keeps a rewrite from writing through one file into its
+    twins.  It also avoids an ext4 stall: truncating a file that was just
+    written forces a flush of its data.  Symlinks and special files are
+    left in place and written through."""
     try:
-        if stat.S_ISREG(os.lstat(path).st_mode):
-            os.unlink(path)
+        if not stat.S_ISREG(os.lstat(path).st_mode):
+            return False
+        os.unlink(path)
     except FileNotFoundError:
         pass
+    return True
+
+
+def _save_shared(path: Path, data: bytes, made: dict[bytes, Path]):
+    """Replace ``path`` with ``data``, as a hard link to an earlier file of
+    this save when one holds the same bytes.
+
+    ``made`` maps the SHA-256 digest of a content to a regular file that
+    this save created with it; only such files are linked to.  Where
+    ``os.link`` fails (no hard links on the filesystem, too many links) the
+    bytes are written, and the new file serves the later twins."""
+    import hashlib  # deferred: it loads OpenSSL, which only this writer needs
+
+    if not _unlink_regular(path):  # a symlink or device: written through
+        path.write_bytes(data)
+        return
+    key = hashlib.sha256(data).digest()
+    if key in made:
+        try:
+            os.link(made[key], path)
+            return
+        except OSError:
+            pass
+    path.write_bytes(data)
+    made[key] = path
 
 
 def save_sampled_lf(dirpath, lf: SampledLF, grid: AlignedGrid | None = None):
     """Write a light field as one PGM + PBM per sub-aperture plus grid.json.
 
-    ``grid`` attaches aligned-grid provenance (which side each rectified
-    sub-aperture came from) when saving rectified output.
+    Files with equal contents are written once and hard-linked, since
+    creating a file costs far more than linking one; unrendered
+    sub-apertures all share one image and one mask.  ``grid`` attaches
+    aligned-grid provenance (which side each rectified sub-aperture came
+    from) when saving rectified output.
     """
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
+    made = {}
     for i in range(lf.n_rows):
         for j in range(lf.n_cols):
-            pgm, pbm = d / f"sai_r{i}_c{j}.pgm", d / f"sai_r{i}_c{j}.pbm"
-            _unlink_regular(pgm)
-            write_pgm16(pgm, lf.images[i, j])
-            _unlink_regular(pbm)
-            write_pbm(pbm, lf.mask[i, j])
+            _save_shared(d / f"sai_r{i}_c{j}.pgm", _pgm16_bytes(lf.images[i, j]), made)
+            _save_shared(d / f"sai_r{i}_c{j}.pbm", _pbm_bytes(lf.mask[i, j]), made)
     meta = {
         "rows_mm": [float(x) for x in lf.t_mm],
         "cols_mm": [float(x) for x in lf.s_mm],

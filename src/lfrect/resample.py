@@ -71,6 +71,8 @@ class SpatialMapping:
     dv: float
 
     def __post_init__(self):
+        if not np.isfinite([self.u0, self.du, self.v0, self.dv]).all():
+            raise ValueError("mapping u0, du, v0, dv must be finite")
         if self.du == 0 or self.dv == 0:
             raise ValueError("pixel pitches du, dv must be nonzero")
 
@@ -88,6 +90,8 @@ class SpatialMapping:
 def _check_regular(coords: np.ndarray, name: str):
     if coords.ndim != 1 or coords.size == 0:
         raise ValueError(f"{name} must be a non-empty 1D array")
+    if not np.isfinite(coords).all():
+        raise ValueError(f"{name} must be finite")
     if coords.size >= 2:
         d = np.diff(coords)
         if np.abs(d - d.mean()).max() > 1e-9:
@@ -198,6 +202,9 @@ class AlignedGrid:
         if prov.shape != (rows.size, cols.size):
             raise ValueError("provenance shape must be (n_rows, n_cols)")
         _check_regular(cols, "cols_mm")
+        for name in ("rows_mm", "left_cols_mm", "right_cols_mm"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         for arr, name in ((rows, "rows_mm"), (cols, "cols_mm"), (prov, "provenance")):
             object.__setattr__(self, name, arr)
 

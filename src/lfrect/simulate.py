@@ -28,6 +28,7 @@ centroids, line fits) are test oracles in ``tests/oracles.py``.
 from __future__ import annotations
 
 import concurrent.futures
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -300,9 +301,11 @@ def run_trials(cfg: SimConfig, jobs: int = 1) -> TrialReport:
     """Run the configured number of simulate->estimate trials.
 
     Each trial draws its noise from ``default_rng(seed + trial_index)``, so
-    the report is identical however many worker processes are used.
+    the report is identical however many worker processes are used.  At
+    most ``os.cpu_count()`` workers are started, however large ``jobs`` is.
     """
     indices = range(cfg.trials)
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         outcomes = [_run_one_trial(cfg, t) for t in indices]
     else:

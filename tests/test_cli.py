@@ -273,6 +273,22 @@ def _drop_aligned_cols(d):
     save_json(d / "grid.json", meta)
 
 
+def _set_grid_value(*keys, value=float("nan")):
+    """A corruption that sets one value of grid.json; json writes and
+    reads NaN and Infinity."""
+
+    def corrupt(d):
+        meta = load_json(d / "grid.json")
+        *path, last = keys
+        node = meta
+        for key in path:
+            node = node[key]
+        node[last] = value
+        save_json(d / "grid.json", meta)
+
+    return corrupt
+
+
 LF_CORRUPTIONS = {
     "missing-pgm": ("sai_r1_c1.pgm", lambda d: (d / "sai_r1_c1.pgm").unlink()),
     "not-p5": ("sai_r1_c1.pgm", lambda d: (d / "sai_r1_c1.pgm").write_bytes(b"P2\n1 1\n255\n0\n")),
@@ -281,6 +297,9 @@ LF_CORRUPTIONS = {
         lambda d: (d / "sai_r1_c1.pgm").write_bytes((d / "sai_r1_c1.pgm").read_bytes()[:-2]),
     ),
     "aligned-without-cols": ("grid.json", _drop_aligned_cols),
+    "nan-col": ("grid.json", _set_grid_value("cols_mm", 1)),
+    "inf-row": ("grid.json", _set_grid_value("rows_mm", 0, value=float("inf"))),
+    "nan-pitch": ("grid.json", _set_grid_value("mapping", "du")),
 }
 
 
@@ -294,6 +313,23 @@ def test_corrupt_light_field_exits_2(tmp_path, capsys, case):
     rc = main(["epi", "--sais", str(d), "--row", "0", "--line", "0", "--out", str(out)])
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: {d / name}: ")
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("case", ["nan-col", "inf-row", "nan-pitch"])
+def test_rectify_non_finite_lattice_exits_2(tmp_path, capsys, side, case):
+    for name, seed in (("left", 6), ("right", 7)):
+        save_sampled_lf(tmp_path / name, random_lf(seed=seed))
+    LF_CORRUPTIONS[case][1](tmp_path / side)
+    save_pose(tmp_path / "pose.json", RelativePose(np.eye(3), np.array([4.0, 0.0, 0.0])))
+    rc = main(
+        ["rectify", "--pose", str(tmp_path / "pose.json"), "--pose-direction", "2to1",
+         "--left", str(tmp_path / "left"), "--right", str(tmp_path / "right"),
+         "--out", str(tmp_path / "rect")]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / side / 'grid.json'}: ")
+    assert not (tmp_path / "rect").exists()
 
 
 @pytest.mark.parametrize("key, value", [("board", [1, 2]), ("pose", "abc")], ids=["board", "pose"])

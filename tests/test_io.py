@@ -7,7 +7,10 @@ interchange or run-to-run reproducibility fails here.
 """
 
 import dataclasses
+import errno
+import itertools
 import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +48,7 @@ from lfrect.simulate import SimConfig, default_intrinsics_pair, make_sim_config
 
 from oracles import has_duplicate_pairs, read_correspondence_csv_by_line
 
-from test_resample import MAP, S3, random_lf
+from test_resample import MAP, S3, make_lf, random_lf
 from lfrect.resample import plan_aligned_grid
 from test_resample import identity_setup
 
@@ -343,20 +346,124 @@ def test_sampled_lf_rewrite_is_byte_identical(tmp_path):
     assert (tmp_path / "old.pgm").read_bytes() == old
 
 
+def twin_lf():
+    """A 3x3 light field with repeated contents: sub-apertures (0, 0) and
+    (0, 1) share an image, row 2 is black and invalid as an unrendered
+    sub-aperture is, and rows 0 and 1 are valid everywhere."""
+    lf = random_lf(seed=8)
+    images, mask = lf.images.copy(), lf.mask.copy()
+    images[0, 1] = images[0, 0]
+    images[2] = 0.0
+    mask[2] = False
+    return make_lf(images, mask=mask)
+
+
+def _sai_files(d):
+    return sorted(p for p in d.iterdir() if p.name.startswith("sai_"))
+
+
 def test_sampled_lf_writes_through_symlinked_files(tmp_path):
     """Only regular files in the output directory are replaced; a symlink
-    there stays a symlink and its target receives the data."""
-    lf = random_lf(seed=6)
+    there stays a symlink and its target receives the data.  The target is
+    never a link source: the symlink's twins stay separate files."""
+    lf = twin_lf()
     d = tmp_path / "lf"
     save_sampled_lf(d, lf)
-    target = tmp_path / "target.pgm"
-    target.write_bytes(b"old")
-    (d / "sai_r0_c0.pgm").unlink()
-    (d / "sai_r0_c0.pgm").symlink_to(target)
+    targets = [tmp_path / "target.pgm", tmp_path / "target.pbm"]
+    for target in targets:
+        target.write_bytes(b"old")
+        (d / f"sai_r2_c0{target.suffix}").unlink()
+        (d / f"sai_r2_c0{target.suffix}").symlink_to(target)
     save_sampled_lf(d, lf)
-    assert (d / "sai_r0_c0.pgm").is_symlink()
     save_sampled_lf(tmp_path / "fresh", lf)
-    assert target.read_bytes() == (tmp_path / "fresh" / "sai_r0_c0.pgm").read_bytes()
+    for target in targets:
+        assert (d / f"sai_r2_c0{target.suffix}").is_symlink()
+        assert target.read_bytes() == (tmp_path / "fresh" / f"sai_r2_c0{target.suffix}").read_bytes()
+        assert target.stat().st_nlink == 1
+        twins = [d / f"sai_r2_c{j}{target.suffix}" for j in (1, 2)]
+        assert not any(p.is_symlink() for p in twins)
+        assert os.path.samefile(*twins)
+        assert twins[0].read_bytes() == target.read_bytes()
+
+
+def test_sampled_lf_files_equal_single_file_writes(tmp_path):
+    lf = twin_lf()
+    d = tmp_path / "lf"
+    save_sampled_lf(d, lf)
+    assert len(_sai_files(d)) == 2 * lf.n_rows * lf.n_cols
+    for i, j in np.ndindex(lf.n_rows, lf.n_cols):
+        write_pgm16(tmp_path / "one.pgm", lf.images[i, j])
+        write_pbm(tmp_path / "one.pbm", lf.mask[i, j])
+        for ext in ("pgm", "pbm"):
+            assert (d / f"sai_r{i}_c{j}.{ext}").read_bytes() == (tmp_path / f"one.{ext}").read_bytes()
+
+
+def test_sampled_lf_hard_links_equal_files(tmp_path):
+    d = tmp_path / "lf"
+    save_sampled_lf(d, twin_lf())
+    files = _sai_files(d)
+    for a, b in itertools.combinations(files, 2):
+        same = a.read_bytes() == b.read_bytes()
+        assert (a.stat().st_ino == b.stat().st_ino) == same, (a.name, b.name)
+    # 4 distinct images, one shared pair, 3 black images and 3 invalid
+    # masks (3 names each), 6 valid masks
+    assert sorted(p.stat().st_nlink for p in files) == [1] * 4 + [2] * 2 + [3] * 6 + [6] * 6
+
+
+def test_sampled_lf_without_hard_links_writes_every_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError(errno.EPERM, "Operation not permitted")
+
+    lf = twin_lf()
+    save_sampled_lf(tmp_path / "linked", lf)
+    monkeypatch.setattr(os, "link", refuse)
+    d = tmp_path / "lf"
+    save_sampled_lf(d, lf)
+    files = _sai_files(d)
+    assert len({p.stat().st_ino for p in files}) == len(files)
+    for p in files:
+        assert stat.S_ISREG(p.lstat().st_mode) and p.stat().st_nlink == 1
+        assert p.read_bytes() == (tmp_path / "linked" / p.name).read_bytes()
+
+
+def test_sampled_lf_link_limit_starts_a_new_source(tmp_path, monkeypatch):
+    """When a file cannot take another link (EMLINK), the twin is written
+    and later twins link to it instead."""
+    link = os.link
+
+    def link_at_most_twice(src, dst):
+        if os.stat(src).st_nlink >= 2:
+            raise OSError(errno.EMLINK, "Too many links")
+        link(src, dst)
+
+    monkeypatch.setattr(os, "link", link_at_most_twice)
+    d = tmp_path / "lf"
+    save_sampled_lf(d, twin_lf())
+    valid = [d / f"sai_r{i}_c{j}.pbm" for i in (0, 1) for j in (0, 1, 2)]
+    assert [p.stat().st_nlink for p in valid] == [2] * 6
+    assert len({p.stat().st_ino for p in valid}) == 3
+    assert os.path.samefile(valid[2], valid[3])
+
+
+def test_sampled_lf_rewrite_keeps_twins_apart(tmp_path):
+    """Re-saving a directory where one of two linked twins changes gives
+    each its own bytes: the changed file is replaced, not edited in place
+    through the link."""
+    lf = twin_lf()
+    d = tmp_path / "lf"
+    save_sampled_lf(d, lf)
+    a, b = d / "sai_r0_c0.pgm", d / "sai_r0_c1.pgm"
+    assert os.path.samefile(a, b)
+    old = a.read_bytes()
+    images = lf.images.copy()
+    images[0, 1] = 1.0 - images[0, 1]
+    changed = make_lf(images, mask=lf.mask)
+    save_sampled_lf(d, changed)
+    save_sampled_lf(tmp_path / "fresh", changed)
+    assert a.read_bytes() == old
+    assert b.read_bytes() != old
+    for p in _sai_files(d):
+        assert p.read_bytes() == (tmp_path / "fresh" / p.name).read_bytes(), p.name
 
 
 WRITERS = {

@@ -420,6 +420,29 @@ def test_sampled_lf_validation():
     assert m2 == MAP
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_lattices_and_mappings_reject_non_finite_values(bad):
+    """NaN passes a tolerance test such as ``abs(d - mean) > tol``, so
+    non-finite entries are rejected before the regularity check."""
+    with pytest.raises(ValueError, match="s_mm must be finite"):
+        make_lf(np.zeros((3, 3, H, W)), s_mm=np.array([0.0, bad, 2.0]))
+    with pytest.raises(ValueError, match="t_mm must be finite"):
+        make_lf(np.zeros((3, 3, H, W)), t_mm=np.array([bad, 1.0, 2.0]))
+    grid = dict(
+        rows_mm=S3, cols_mm=S3, provenance=np.ones((3, 3), np.int8),
+        left_cols_mm=S3, right_cols_mm=S3[1:],
+    )
+    for name in ("rows_mm", "cols_mm", "left_cols_mm", "right_cols_mm"):
+        coords = grid[name].copy()
+        coords[0] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            AlignedGrid(**{**grid, name: coords})
+    AlignedGrid(**grid)
+    for name in ("u0", "du", "v0", "dv"):
+        with pytest.raises(ValueError, match="must be finite"):
+            SpatialMapping(**{**MAP.to_json_dict(), name: bad})
+
+
 # ---------------------------------------------------------------------------
 # rendering onto the aligned grid
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ model assigns to its depth.
 import numpy as np
 import pytest
 
+import lfrect.simulate
 from lfrect.errors import BehindCamera, CoplanarDegeneracy
 from lfrect.geometry import (
     LFIntrinsics,
@@ -240,6 +241,45 @@ def test_run_trials_is_deterministic_and_job_invariant(sweep_pose):
     assert serial.n_failures == 0
     assert serial.converged.all()
     assert serial.mean_err_R < 1.0 and serial.mean_err_T < 3.0
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the worker count it was
+    asked for and runs the map in this process, so no process starts."""
+
+    started = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, None])
+def test_run_trials_starts_at_most_cpu_count_workers(sweep_pose, monkeypatch, cpus):
+    cfg = make_sim_config(sweep_pose, sigma_px=0.3, trials=6, seed=11)
+    serial = run_trials(cfg, jobs=1)
+    monkeypatch.setattr(RecordingPool, "started", [])
+    monkeypatch.setattr(lfrect.simulate.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(lfrect.simulate.os, "cpu_count", lambda: cpus)
+    for jobs in (2, 3, 64, 10**9):
+        report = run_trials(cfg, jobs=jobs)
+        assert np.array_equal(serial.err_R_deg, report.err_R_deg)
+        assert np.array_equal(serial.err_T_deg, report.err_T_deg)
+        assert np.array_equal(serial.converged, report.converged)
+        assert np.array_equal(serial.iterations, report.iterations)
+        assert serial.failures == report.failures
+    # os.cpu_count() is None when the count is unknown: one process then.
+    cap = cpus or 1
+    want = [min(jobs, cap) for jobs in (2, 3, 64, 10**9) if min(jobs, cap) > 1]
+    assert RecordingPool.started == want
 
 
 def test_run_trials_records_failures(sweep_pose):
