@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import RelativePose, euler_xyz_intrinsic
-from .simulate import TrialReport, make_sim_config, run_trials
+from .simulate import TrialReport, make_sim_config, run_trials, trial_pool
 
 __all__ = [
     "BenchRow",
@@ -124,15 +124,18 @@ def parse_bench_spec(data: dict, source: str = "<spec>") -> BenchSpec:
 
 
 def run_bench(spec: BenchSpec, jobs: int = 1) -> BenchResult:
+    """Run every row of ``spec``; with ``jobs`` > 1 all rows share one pool
+    of worker processes."""
     reports = []
-    for idx, row in enumerate(spec.rows):
-        cfg = make_sim_config(
-            pose=row.pose,
-            sigma_px=row.sigma_px,
-            trials=spec.trials,
-            seed=spec.seed + 1000 * idx,
-        )
-        reports.append(run_trials(cfg, jobs=jobs))
+    with trial_pool(jobs) as pool:
+        for idx, row in enumerate(spec.rows):
+            cfg = make_sim_config(
+                pose=row.pose,
+                sigma_px=row.sigma_px,
+                trials=spec.trials,
+                seed=spec.seed + 1000 * idx,
+            )
+            reports.append(run_trials(cfg, jobs=jobs, pool=pool))
     return BenchResult(spec=spec, reports=tuple(reports))
 
 

@@ -74,14 +74,20 @@ __all__ = [
 ]
 
 
+def _read_text(path: Path) -> str:
+    """The text of ``path``; a file that cannot be read or decoded raises
+    ConfigError naming it."""
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read {path}: {e}") from e
+
+
 def load_json(path) -> dict:
     """Read a JSON file, turning syntax errors into ConfigError with the
     offending line and column."""
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as e:
-        raise ConfigError(f"cannot read {path}: {e}") from e
+    text = _read_text(path)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
@@ -141,14 +147,41 @@ def write_correspondence_csv(path, corr: CorrespondenceSet):
 def read_correspondence_csv(path, k1: LFIntrinsics, k2: LFIntrinsics) -> CorrespondenceSet:
     """Read LF-point pairs; the intrinsics give the set its camera models.
 
-    Rows whose fields are all blank are skipped.  All fields are converted
-    in one pass; only a file that fails it is scanned again, row by row
-    (numbered from 2, the line after the header), to name the bad line."""
+    Rows whose fields are all blank are skipped.  A file without quotes
+    whose data rows are all six numbers is converted by one ``np.loadtxt``
+    pass; any other file (quoted fields, whitespace or blank-field rows,
+    bad rows, no data rows) is tokenized by ``csv.reader``, converted in
+    one pass and, if that fails, scanned row by row (numbered from 2, the
+    line after the header) to name the bad line.  Both conversions round
+    each field as ``float`` does."""
     path = Path(path)
+    text = _read_text(path)
+    pairs = _plain_csv_pairs(text)
+    if pairs is None:
+        pairs = _csv_pairs(path, text)
     try:
-        text = path.read_text()
-    except OSError as e:
-        raise ConfigError(f"cannot read {path}: {e}") from e
+        return CorrespondenceSet(first=pairs[:, :3], second=pairs[:, 3:], k1=k1, k2=k2)
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from e
+
+
+def _plain_csv_pairs(text: str) -> np.ndarray | None:
+    """The (n, 6) pairs of a correspondence CSV without quotes, whose
+    records are then its lines, or None if the C-level parse rejects it."""
+    head, _, body = text.partition("\n")
+    if '"' in text or [c.strip() for c in head.split(",")] != CORRESPONDENCE_HEADER:
+        return None
+    if not body or body.isspace():  # no data rows, which np.loadtxt warns about
+        return None
+    try:
+        pairs = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return pairs if pairs.shape[1] == 6 else None
+
+
+def _csv_pairs(path: Path, text: str) -> np.ndarray:
+    """The (n, 6) pairs of any correspondence CSV, by ``csv.reader``."""
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or [c.strip() for c in rows[0]] != CORRESPONDENCE_HEADER:
         raise ConfigError(
@@ -170,11 +203,7 @@ def read_correspondence_csv(path, k1: LFIntrinsics, k2: LFIntrinsics) -> Corresp
             except ValueError as e:
                 raise ConfigError(f"{path}:{lineno}: {e}") from e
         raise
-    pairs = pairs.reshape(-1, 6)
-    try:
-        return CorrespondenceSet(first=pairs[:, :3], second=pairs[:, 3:], k1=k1, k2=k2)
-    except ValueError as e:
-        raise ConfigError(f"{path}: {e}") from e
+    return pairs.reshape(-1, 6)
 
 
 # --------------------------------------------------------------------------

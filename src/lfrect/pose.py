@@ -8,7 +8,8 @@ The estimation pipeline:
 2. Solve a homogeneous linear system for the 4x4 projective map W' between
    the normalized homogeneous LF-points.  The intrinsic structure of the map
    forces its third row to be a combination of the other rows, which a
-   16x13 constraint matrix Q builds in; the reduced system is solved by SVD.
+   16x13 constraint matrix Q builds in; the reduced system is solved by QR,
+   then the SVD of the 13x13 triangle.
 3. Undo the normalization (W = N2^-1 W' N1) and conjugate by the intrinsic
    blocks to obtain a candidate [R T; 0 1]; project the rotation onto SO(3).
 4. Re-solve the translation linearly given the projected rotation.
@@ -107,10 +108,11 @@ class CorrespondenceSet:
             raise ValueError("at least 4 correspondences are required")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("correspondences must be finite")
-        # Sorted rows put equal pairs side by side; == keeps -0.0 equal to 0.0.
-        rows = np.hstack([a, b])
-        rows = rows[np.lexsort(rows.T[::-1])]
-        if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
+        # Each row as one 48-byte record: equal pairs have equal bytes once
+        # + 0.0 has turned -0.0 into 0.0 (NaN, where bytes and == disagree
+        # the other way, was rejected above).
+        rows = np.hstack([a, b]) + 0.0
+        if len(set(rows.view((np.void, 48))[:, 0].tolist())) < len(rows):
             raise ValueError("duplicate correspondence pairs")
         object.__setattr__(self, "first", a)
         object.__setattr__(self, "second", b)
@@ -256,7 +258,11 @@ def solve_linear(corr: CorrespondenceSet) -> ProjectiveSolution:
     """Solve the constrained homogeneous system for the projective map.
 
     The right singular vector of A Q for the smallest singular value gives
-    the reduced unknowns; Q lifts them to vec(W').  Raises RankDeficient
+    the reduced unknowns; Q lifts them to vec(W').  It is found by QR, then
+    the SVD of the 13x13 triangle R, which has the singular values and right
+    singular vectors of A Q without forming its (6n, 13) left factor.
+    LAPACK's SVD of a tall matrix starts with the same QR, so the result is
+    bit for bit what the SVD of A Q itself gives.  Raises RankDeficient
     when the null vector is not unique: either the two smallest singular
     values agree to within a relative gap of 1e-6, or the second-smallest
     is below 1e-8 of the largest (a null space of dimension two or more,
@@ -267,7 +273,7 @@ def solve_linear(corr: CorrespondenceSet) -> ProjectiveSolution:
     Pn2, N2 = normalize_points(corr.second)
     A = build_dlt_system(Pn1, Pn2)
     Q = constraint_matrix(corr.k1, corr.k2, N1, N2)
-    _, s, Vt = np.linalg.svd(A @ Q, full_matrices=False)
+    _, s, Vt = np.linalg.svd(np.linalg.qr(A @ Q, mode="r"), full_matrices=False)
     if s[-1] >= (1.0 - _RANK_GAP) * s[-2] or s[-2] <= _NULL_FLOOR * s[0]:
         raise RankDeficient(
             f"no unique null vector: smallest singular values {s[-1]:.3e} vs {s[-2]:.3e}"

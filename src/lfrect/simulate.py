@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,7 @@ __all__ = [
     "default_board_poses",
     "make_sim_config",
     "simulate_correspondences",
+    "trial_pool",
     "run_trials",
     "TexturedPlane",
     "RenderGrid",
@@ -297,23 +299,40 @@ def _run_one_trial(cfg: SimConfig, trial: int):
         return (trial, float("nan"), float("nan"), False, 0, f"{type(exc).__name__}: {exc}")
 
 
-def run_trials(cfg: SimConfig, jobs: int = 1) -> TrialReport:
+@contextmanager
+def trial_pool(jobs: int):
+    """A pool of ``min(jobs, os.cpu_count())`` worker processes for
+    :func:`run_trials` calls to share, or None when that is one worker (no
+    process is started)."""
+    jobs = min(jobs, os.cpu_count() or 1)
+    if jobs <= 1:
+        yield None
+        return
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield pool
+
+
+def run_trials(cfg: SimConfig, jobs: int = 1, pool=None) -> TrialReport:
     """Run the configured number of simulate->estimate trials.
 
     Each trial draws its noise from ``default_rng(seed + trial_index)``, so
     the report is identical however many worker processes are used.  At
-    most ``os.cpu_count()`` workers are started, however large ``jobs`` is.
+    most ``os.cpu_count()`` workers are used, however large ``jobs`` is.
+    ``pool`` is a :func:`trial_pool` of ``jobs`` workers to run on; without
+    one, a pool is started for this call alone.
     """
     indices = range(cfg.trials)
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         outcomes = [_run_one_trial(cfg, t) for t in indices]
+    elif pool is None:
+        with trial_pool(jobs) as pool:
+            return run_trials(cfg, jobs, pool)
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, cfg.trials // (4 * jobs))
-            outcomes = list(
-                pool.map(_run_one_trial, [cfg] * cfg.trials, indices, chunksize=chunk)
-            )
+        chunk = max(1, cfg.trials // (4 * jobs))
+        outcomes = list(
+            pool.map(_run_one_trial, [cfg] * cfg.trials, indices, chunksize=chunk)
+        )
     err_R = np.array([o[1] for o in outcomes])
     err_T = np.array([o[2] for o in outcomes])
     converged = np.array([o[3] for o in outcomes], bool)

@@ -9,6 +9,7 @@ from lfrect.geometry import LFIntrinsics, RelativePose, euler_xyz_intrinsic
 from lfrect.rectify import build_rectified_setup
 from lfrect.resample import plan_aligned_grid, render_aligned_sais
 from lfrect.simulate import (
+    BoardSpec,
     RenderGrid,
     TexturedPlane,
     default_intrinsics_pair,
@@ -50,6 +51,14 @@ def corr_noisy(sweep_pose):
     """One sigma = 0.3 px draw, seed fixed."""
     cfg = make_sim_config(sweep_pose, sigma_px=0.3)
     return simulate_correspondences(cfg, np.random.default_rng(7))
+
+
+@pytest.fixture(scope="session")
+def corr_dense(sweep_pose):
+    """One sigma = 0.3 px draw of 7,700 pairs: four boards of 35 x 55
+    corners at 4.5 mm, the input size of a dense estimate."""
+    cfg = make_sim_config(sweep_pose, sigma_px=0.3, board=BoardSpec(35, 55, 4.5))
+    return simulate_correspondences(cfg, np.random.default_rng(0))
 
 
 def make_render_camera(pitch_mm=2.0):

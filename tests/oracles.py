@@ -22,7 +22,9 @@ geometry from the outside:
 - ``read_correspondence_csv_by_line`` converts a correspondence CSV one row
   at a time, and ``has_duplicate_pairs`` finds repeated pairs with a set of
   tuples: the forms that ``lfrect.lfio.read_correspondence_csv`` and the
-  sorted duplicate check of ``lfrect.pose.CorrespondenceSet`` replace.
+  row-bytes duplicate check of ``lfrect.pose.CorrespondenceSet`` replace.
+- ``solve_linear_full_svd`` takes the SVD of the whole reduced system, the
+  route that the QR-then-SVD of ``lfrect.pose.solve_linear`` replaces.
 """
 
 import csv
@@ -34,7 +36,7 @@ import numpy as np
 from lfrect.errors import ConfigError
 from lfrect.geometry import LFIntrinsics
 from lfrect.lfio import CORRESPONDENCE_HEADER
-from lfrect.pose import CorrespondenceSet
+from lfrect.pose import CorrespondenceSet, build_dlt_system, constraint_matrix, normalize_points
 from lfrect.simulate import _grid_offsets
 
 _EPS = 1e-12
@@ -115,7 +117,7 @@ def read_correspondence_csv_by_line(path, k1: LFIntrinsics, k2: LFIntrinsics) ->
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read {path}: {e}") from e
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or [c.strip() for c in rows[0]] != CORRESPONDENCE_HEADER:
@@ -147,6 +149,21 @@ def has_duplicate_pairs(first: np.ndarray, second: np.ndarray) -> bool:
     collecting the pairs as tuples of floats in a set."""
     pairs = {(*pa, *pb) for pa, pb in zip(map(tuple, first), map(tuple, second))}
     return len(pairs) != len(first)
+
+
+def solve_linear_full_svd(corr: CorrespondenceSet) -> tuple[np.ndarray, np.ndarray]:
+    """(singular values, W') of the constrained linear solve, from the thin
+    SVD of the (6n, 13) reduced system A Q itself, with the sign of W' pinned
+    as ``solve_linear`` pins it."""
+    Pn1, N1 = normalize_points(corr.first)
+    Pn2, N2 = normalize_points(corr.second)
+    Q = constraint_matrix(corr.k1, corr.k2, N1, N2)
+    _, s, Vt = np.linalg.svd(build_dlt_system(Pn1, Pn2) @ Q, full_matrices=False)
+    w16 = Q @ Vt[-1]
+    w16 /= np.linalg.norm(w16)
+    if w16[np.argmax(np.abs(w16))] < 0:
+        w16 = -w16
+    return s, w16.reshape(4, 4)
 
 
 # --------------------------------------------------------------------------

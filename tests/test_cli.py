@@ -128,6 +128,22 @@ def test_config_problems_exit_2(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+def test_input_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    sim_dir = _run_simulate(tmp_path, capsys)
+    if command == "estimate":
+        path = sim_dir / "correspondences.csv"
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        rc, _ = _run_estimate(tmp_path, sim_dir)
+    else:
+        path = _sim_config(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "s")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err
+
+
 def test_generation_failure_exits_3(tmp_path, capsys):
     cfg = _sim_config(tmp_path, pose={"euler_deg": [0, 0, 0], "T_mm": [0.0, 0.0, -2000.0]})
     rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s")])

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lfrect import lfio
 from lfrect.errors import ConfigError
 from lfrect.geometry import LFIntrinsics, RelativePose, euler_xyz_intrinsic
 from lfrect.lfio import (
@@ -221,6 +222,34 @@ def test_correspondence_csv_matches_line_by_line_reader(tmp_path_factory, text):
         assert got == f"{p}: at least 4 correspondences are required"
     else:
         assert got == want
+
+
+def _hand_formatted_csv():
+    """Decimals as people type them: short, exponent, padded, signed zero."""
+    head = ",".join(CORRESPONDENCE_HEADER)
+    rows = [
+        "64.4222,131.2756,-0.1769,326.4580,77.0080,-0.1531",
+        "1e-5,1E+2, 3.5 ,-0.0,0.0,-.25",
+        "  74.1058,131.1882,-0.1778,335.0921,77.3608,-0.1545  ",
+        "83.91,+131.0998,-1.787e-1,343.9287,77.7218,-0.156",
+        "93.8370,131.0102,-0.1797,352.9751,78.0915,-0.1575",
+    ]
+    return f"{head}\n" + "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("case", ["dense-repr", "hand-formatted"])
+def test_plain_csv_fast_path_matches_line_by_line_reader(tmp_path, corr_dense, case):
+    k1, k2 = corr_dense.k1, corr_dense.k2
+    p = tmp_path / "c.csv"
+    if case == "dense-repr":
+        write_correspondence_csv(p, corr_dense)
+    else:
+        p.write_text(_hand_formatted_csv())
+    # The file takes the one-pass np.loadtxt route, not the csv.reader one.
+    assert lfio._plain_csv_pairs(p.read_text()) is not None
+    got = _read_outcome(read_correspondence_csv, p, k1, k2)
+    assert got == _read_outcome(read_correspondence_csv_by_line, p, k1, k2)
+    assert isinstance(got, bytes)
 
 
 @given(st.lists(st.lists(st.sampled_from(_CSV_VALUES), min_size=6, max_size=6), min_size=4, max_size=12))

@@ -11,6 +11,7 @@ span it, which pins down which normalization each scalar belongs to.
 import numpy as np
 import pytest
 
+from lfrect.bench import NOISE_SWEEP_SIGMAS
 from lfrect.errors import (
     CoplanarDegeneracy,
     DegenerateDisparity,
@@ -47,6 +48,8 @@ from lfrect.simulate import (
     make_sim_config,
     simulate_correspondences,
 )
+
+from oracles import solve_linear_full_svd
 
 
 def true_w_prime(corr, pose, N1, N2):
@@ -141,6 +144,24 @@ def test_solve_linear_recovers_true_map(corr_exact, sweep_pose, norms):
     assert sol.singular_values[-1] <= 1e-8 * sol.singular_values[0]
     assert sol.singular_values[-2] > 1e-6 * sol.singular_values[0]
     assert sol.mu == pytest.approx(1.0 / sol.c)
+
+
+def test_solve_linear_matches_full_svd_bit_for_bit(sweep_pose, corr_dense):
+    # QR then the SVD of the 13x13 triangle must give what the SVD of the
+    # whole reduced system gives, to the bit: the benchmark digests and the
+    # bench CSVs depend on it.
+    draws = [
+        simulate_correspondences(
+            make_sim_config(sweep_pose, sigma_px=sigma), np.random.default_rng(1000 * row + trial)
+        )
+        for row, sigma in enumerate(NOISE_SWEEP_SIGMAS)
+        for trial in range(3)
+    ]
+    for corr in [*draws, corr_dense]:
+        s, W_prime = solve_linear_full_svd(corr)
+        sol = solve_linear(corr)
+        assert sol.singular_values.tobytes() == s.tobytes()
+        assert sol.W_prime.tobytes() == W_prime.tobytes()
 
 
 def test_solve_linear_coplanar_is_rank_deficient(k_pair, sweep_pose):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import lfrect.simulate
+from lfrect.bench import bench_csv_lines, noise_sweep_spec, run_bench
 from lfrect.errors import BehindCamera, CoplanarDegeneracy
 from lfrect.geometry import (
     LFIntrinsics,
@@ -248,6 +249,7 @@ class RecordingPool:
     asked for and runs the map in this process, so no process starts."""
 
     started = []
+    mapped = []
 
     def __init__(self, max_workers):
         self.started.append(max_workers)
@@ -259,6 +261,7 @@ class RecordingPool:
         return False
 
     def map(self, fn, *iterables, chunksize=1):
+        self.mapped.append(len(iterables[0]))
         return map(fn, *iterables)
 
 
@@ -280,6 +283,25 @@ def test_run_trials_starts_at_most_cpu_count_workers(sweep_pose, monkeypatch, cp
     cap = cpus or 1
     want = [min(jobs, cap) for jobs in (2, 3, 64, 10**9) if min(jobs, cap) > 1]
     assert RecordingPool.started == want
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 64])
+def test_run_bench_starts_at_most_one_pool(monkeypatch, jobs):
+    spec = noise_sweep_spec(trials=3, seed=4)
+    serial = run_bench(spec, jobs=1)
+    monkeypatch.setattr(RecordingPool, "started", [])
+    monkeypatch.setattr(RecordingPool, "mapped", [])
+    monkeypatch.setattr(lfrect.simulate.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(lfrect.simulate.os, "cpu_count", lambda: 4)
+    result = run_bench(spec, jobs=jobs)
+    # One pool for the whole sweep, each row mapped on it; none at jobs=1.
+    assert RecordingPool.started == ([min(jobs, 4)] if jobs > 1 else [])
+    assert RecordingPool.mapped == ([3] * len(spec.rows) if jobs > 1 else [])
+    for want, got in zip(serial.reports, result.reports):
+        for name in ("err_R_deg", "err_T_deg", "converged", "iterations"):
+            assert getattr(want, name).tobytes() == getattr(got, name).tobytes()
+        assert want.failures == got.failures
+    assert bench_csv_lines(result) == bench_csv_lines(serial)
 
 
 def test_run_trials_records_failures(sweep_pose):
