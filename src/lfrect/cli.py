@@ -9,8 +9,9 @@ Subcommands::
     bench      run a trial sweep and write the summary table
 
 Exit codes: 0 success, 2 bad configuration or arguments (including an
-out-of-range ``epi`` index), 3 generation failure, 4 degenerate geometry,
-5 no rectified overlap.  Each code is one group base in :mod:`lfrect.errors`,
+out-of-range ``epi`` index and an ``--out`` that cannot be created or
+written), 3 generation failure, 4 degenerate geometry, 5 no rectified
+overlap.  Each code is one group base in :mod:`lfrect.errors`,
 and ``main`` catches only those four bases.
 """
 
@@ -20,6 +21,7 @@ import argparse
 import dataclasses
 import logging
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -35,13 +37,16 @@ from .simulate import simulate_correspondences
 log = logging.getLogger("lfrect")
 
 
-def _write(save, path, data):
-    """``save(path, data)`` for a user-named output ``path``; a failure to
-    write it becomes a ConfigError that names it."""
+@contextmanager
+def _writing(path):
+    """Turn a failure to create or write the user-named output ``path``
+    (a file, or a directory and what goes in it) into a ConfigError that
+    names the file or directory that failed."""
     try:
-        save(path, data)
+        yield
     except OSError as e:
-        raise ConfigError(f"cannot write {path}: {e.strerror or e}") from e
+        name = path if e.filename is None else e.filename
+        raise ConfigError(f"cannot write {name}: {e.strerror or e}") from e
 
 
 def _cmd_simulate(args) -> int:
@@ -51,11 +56,12 @@ def _cmd_simulate(args) -> int:
     rng = np.random.default_rng(cfg.seed + args.trial)
     corr = simulate_correspondences(cfg, rng)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    lfio.write_correspondence_csv(out / "correspondences.csv", corr)
-    lfio.save_intrinsics(out / "intrinsics1.json", cfg.k1)
-    lfio.save_intrinsics(out / "intrinsics2.json", cfg.k2)
-    lfio.save_pose(out / "ground_truth.json", cfg.pose)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        lfio.write_correspondence_csv(out / "correspondences.csv", corr)
+        lfio.save_intrinsics(out / "intrinsics1.json", cfg.k1)
+        lfio.save_intrinsics(out / "intrinsics2.json", cfg.k2)
+        lfio.save_pose(out / "ground_truth.json", cfg.pose)
     log.info("simulated %d correspondences at sigma=%g px", len(corr), cfg.sigma_px)
     print(f"wrote {len(corr)} correspondences to {out}")
     return 0
@@ -77,7 +83,8 @@ def _cmd_estimate(args) -> int:
             "singular_values": [float(s) for s in result.linear.singular_values],
         }
     )
-    _write(lfio.save_json, args.out, doc)
+    with _writing(args.out):
+        lfio.save_json(args.out, doc)
     print(
         f"estimated pose from {len(corr)} correspondences: "
         f"cost {result.initial_cost:.6g} -> {result.final_cost:.6g} "
@@ -98,8 +105,9 @@ def _cmd_rectify(args) -> int:
     grid = plan_aligned_grid(left, right, setup)
     out_lf = render_aligned_sais(left, right, setup, grid)
     out = Path(args.out)
-    lfio.save_sampled_lf(out, out_lf, grid)
-    lfio.save_setup(out / "setup.json", setup)
+    with _writing(out):
+        lfio.save_sampled_lf(out, out_lf, grid)
+        lfio.save_setup(out / "setup.json", setup)
     n_both = int(np.sum(grid.provenance == 3))
     print(
         f"rectified onto {grid.rows_mm.size}x{grid.cols_mm.size} grid "
@@ -112,8 +120,9 @@ def _cmd_epi(args) -> int:
     lf, _ = lfio.load_sampled_lf(args.sais)
     epi = extract_epi(lf, row=args.row, line=args.line)
     out = Path(args.out)
-    _write(lfio.write_pgm16, out, epi.image)
-    _write(lfio.write_pbm, out.with_suffix(".pbm"), epi.mask)
+    with _writing(out):
+        lfio.write_pgm16(out, epi.image)
+        lfio.write_pbm(out.with_suffix(".pbm"), epi.mask)
     print(f"wrote {epi.image.shape[0]}x{epi.image.shape[1]} EPI to {out}")
     return 0
 
@@ -130,10 +139,11 @@ def _cmd_bench(args) -> int:
     log.info("running %s: %d rows x %d trials", spec.name, len(spec.rows), spec.trials)
     result = bench_mod.run_bench(spec, jobs=args.jobs)
     out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(bench_mod.bench_csv_lines(result)) + "\n")
-    out.with_suffix(".dat").write_text("\n".join(bench_mod.bench_dat_lines(result)) + "\n")
+    with _writing(out):
+        if out.parent != Path(""):
+            out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text("\n".join(bench_mod.bench_csv_lines(result)) + "\n")
+        out.with_suffix(".dat").write_text("\n".join(bench_mod.bench_dat_lines(result)) + "\n")
     for row, rep in zip(spec.rows, result.reports):
         print(
             f"{spec.name} {row.label}: err_R {rep.mean_err_R:.4f} deg, "

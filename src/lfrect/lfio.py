@@ -127,6 +127,12 @@ def load_setup(path) -> RectifiedSetup:
 
 
 def save_setup(path, setup: RectifiedSetup):
+    """Write a rectification setup, replacing a regular file at ``path``
+    rather than editing it in place, as :func:`save_sampled_lf` does with
+    the light-field directory it usually sits in (a hard-linked copy of
+    that directory keeps its old setup); a symlink or device is written
+    through."""
+    _unlink_regular(Path(path))
     save_json(path, setup.to_json_dict())
 
 
@@ -298,9 +304,18 @@ def read_pbm(path) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _unlink_regular(path) -> bool:
+def _listing(d: Path) -> dict[str, bool]:
+    """Whether each entry of directory ``d`` is a regular file, by name,
+    from one ``os.scandir`` pass (no ``lstat`` per entry where the
+    filesystem reports entry types)."""
+    with os.scandir(d) as entries:
+        return {e.name: e.is_file(follow_symlinks=False) for e in entries}
+
+
+def _unlink_regular(path: Path, listing: dict[str, bool] | None = None) -> bool:
     """Remove ``path`` if it is a regular file, so that the next write
-    creates it anew; return whether the name is now free.
+    creates it anew; return whether the name is now free.  ``listing`` is
+    the :func:`_listing` of its directory; without one, ``os.lstat`` tells.
 
     Files in a light-field directory may be hard links of one another, so
     this is what keeps a rewrite from writing through one file into its
@@ -308,7 +323,13 @@ def _unlink_regular(path) -> bool:
     written forces a flush of its data.  Symlinks and special files are
     left in place and written through."""
     try:
-        if not stat.S_ISREG(os.lstat(path).st_mode):
+        if listing is None:
+            regular = stat.S_ISREG(os.lstat(path).st_mode)
+        elif path.name in listing:
+            regular = listing[path.name]
+        else:
+            return True
+        if not regular:
             return False
         os.unlink(path)
     except FileNotFoundError:
@@ -316,20 +337,21 @@ def _unlink_regular(path) -> bool:
     return True
 
 
-def _save_shared(path: Path, data: bytes, made: dict[bytes, Path]):
+def _save_shared(
+    path: Path, data: bytes, key: bytes, made: dict[bytes, Path], listing: dict[str, bool]
+):
     """Replace ``path`` with ``data``, as a hard link to an earlier file of
     this save when one holds the same bytes.
 
-    ``made`` maps the SHA-256 digest of a content to a regular file that
-    this save created with it; only such files are linked to.  Where
-    ``os.link`` fails (no hard links on the filesystem, too many links) the
-    bytes are written, and the new file serves the later twins."""
-    import hashlib  # deferred: it loads OpenSSL, which only this writer needs
-
-    if not _unlink_regular(path):  # a symlink or device: written through
+    ``key`` is the SHA-256 digest of ``data``, and ``made`` maps the digest
+    of a content to a regular file that this save created with it; only
+    such files are linked to.  Where ``os.link`` fails (no hard links on
+    the filesystem, too many links) the bytes are written, and the new file
+    serves the later twins.  ``listing`` is the directory's
+    :func:`_listing` from before the save."""
+    if not _unlink_regular(path, listing):  # a symlink or device: written through
         path.write_bytes(data)
         return
-    key = hashlib.sha256(data).digest()
     if key in made:
         try:
             os.link(made[key], path)
@@ -344,18 +366,35 @@ def save_sampled_lf(dirpath, lf: SampledLF, grid: AlignedGrid | None = None):
     """Write a light field as one PGM + PBM per sub-aperture plus grid.json.
 
     Files with equal contents are written once and hard-linked, since
-    creating a file costs far more than linking one; unrendered
-    sub-apertures all share one image and one mask.  ``grid`` attaches
+    creating a file costs far more than linking one.  The directory is
+    listed once, and each sub-aperture is encoded on its own, except that
+    the blank one (all-zero image, all-invalid mask, as every unrendered
+    sub-aperture is) is encoded and hashed once per save; all blank
+    sub-apertures share one image and one mask.  ``grid`` attaches
     aligned-grid provenance (which side each rectified sub-aperture came
     from) when saving rectified output.
     """
+    import hashlib  # deferred: it loads OpenSSL, which only this writer needs
+
+    def content(data: bytes) -> tuple[bytes, bytes]:
+        return data, hashlib.sha256(data).digest()
+
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
+    listing = _listing(d)
     made = {}
+    blank = None
     for i in range(lf.n_rows):
         for j in range(lf.n_cols):
-            _save_shared(d / f"sai_r{i}_c{j}.pgm", _pgm16_bytes(lf.images[i, j]), made)
-            _save_shared(d / f"sai_r{i}_c{j}.pbm", _pbm_bytes(lf.mask[i, j]), made)
+            image, mask = lf.images[i, j], lf.mask[i, j]
+            if mask.any() or image.any():
+                files = content(_pgm16_bytes(image)), content(_pbm_bytes(mask))
+            else:
+                if blank is None:
+                    blank = content(_pgm16_bytes(image)), content(_pbm_bytes(mask))
+                files = blank
+            for ext, (data, key) in zip(("pgm", "pbm"), files):
+                _save_shared(d / f"sai_r{i}_c{j}.{ext}", data, key, made, listing)
     meta = {
         "rows_mm": [float(x) for x in lf.t_mm],
         "cols_mm": [float(x) for x in lf.s_mm],
@@ -364,7 +403,7 @@ def save_sampled_lf(dirpath, lf: SampledLF, grid: AlignedGrid | None = None):
     }
     if grid is not None:
         meta["aligned"] = grid.to_json_dict()
-    _unlink_regular(d / "grid.json")
+    _unlink_regular(d / "grid.json", listing)
     save_json(d / "grid.json", meta)
 
 

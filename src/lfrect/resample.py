@@ -15,21 +15,26 @@ interpolation (2x2 sub-apertures x 2x2 pixels).  Pixels whose interpolation
 neighborhood leaves the sampled aperture, or touches any invalid source
 pixel, are masked out rather than extrapolated.
 
-Sampling is split in two halves.  Every target sub-aperture keeps the
-left camera's pixel slopes, and a ray's warped slopes (u', v') depend only
-on its slopes and the source rotation, so the first half runs once per
-source: the slope half of the warp (``warp_slopes``), the pixel-row and
-pixel-column cell and weights of every query, and its pixel-extent check.
-The second half runs per target sub-aperture: the position half of the warp
-(``warp_positions``) gives (s', t'), their sub-aperture cell and weights,
-then one lookup in the source's cell-valid mask (``SampledLF.cell_valid``,
-the AND of the mask over each 2x2x2x2 cell, built once per light field)
-and 16 ``take``s from the flat image at precomputed corner offsets.
-``sample_rays`` runs both halves back to back for an arbitrary ray bundle;
-a query outside the sampled light field comes back invalid, with value 0.
-Each corner weight is ((w_t * w_s) * w_r) * w_c and the corners are summed
-in ``product((0, 1), repeat=4)`` order, so a stored sample reproduces bit
-for bit.
+Sampling is split in two halves, and each half drops the queries that
+fail its checks before any later work is done for them.  Every target
+sub-aperture keeps the left camera's pixel slopes, and a ray's warped
+slopes (u', v') depend only on its slopes and the source rotation, so the
+first half runs once per source: the slope half of the warp
+(``warp_slopes``) and the pixel-extent check, then the pixel-row and
+pixel-column cell and fractions of the queries that pass both.  The second
+half runs per target sub-aperture on those queries alone: the position
+half of the warp (``warp_positions``) gives (s', t'), their sub-aperture
+cell and fractions, the s/t extent check and one lookup in the source's
+cell-valid mask (``SampledLF.cell_valid``, the AND of the mask over each
+2x2x2x2 cell, built once per light field).  Only the queries that land
+read the 16 corners of their cell, one ``take`` per corner from the flat
+image shifted by the corner's offset, into reused buffers; their values
+are then scattered into the output, whose other entries stay 0 and
+invalid.  ``sample_rays`` runs both halves back to back for an arbitrary
+ray bundle.  Each corner weight is ((w_t * w_s) * w_r) * w_c and the
+corners are summed onto 0 in ``product((0, 1), repeat=4)`` order, so a
+stored sample reproduces bit for bit, and dropping a query early changes
+no bit of any other.
 """
 
 from __future__ import annotations
@@ -254,16 +259,18 @@ def _axis_positions(values: np.ndarray, coords: np.ndarray):
 
 class _SlopeTaps(NamedTuple):
     """The part of a batch of sample queries that depends only on the
-    source light field and the query slopes (u, v): the flat offsets of
-    the 16 cell corners in ``product((0, 1), repeat=4)`` order, the flat
-    index of each query's low (pixel-row, pixel-col) corner, the row and
-    column weights (1 - f, f), and the pixel-extent validity."""
+    source light field and the query slopes (u, v), kept for the queries
+    that pass the slope and pixel-extent checks: their positions in the
+    batch (``keep``), the flat offsets of the 16 cell corners in
+    ``product((0, 1), repeat=4)`` order, the flat index of each kept
+    query's low (pixel-row, pixel-col) corner, and its row and column
+    fractions."""
 
+    keep: np.ndarray
     offsets: list
     base: np.ndarray
-    w_r: tuple
-    w_c: tuple
-    valid: np.ndarray
+    r_f: np.ndarray
+    c_f: np.ndarray
 
 
 def _split(idx: np.ndarray, n: int):
@@ -283,8 +290,9 @@ def _slope_taps(lf: SampledLF, u, v, valid=True) -> _SlopeTaps:
     r_idx = (v - lf.mapping.v0) / lf.mapping.dv
     c_ok = (c_idx >= -_EDGE_TOL) & (c_idx <= W - 1 + _EDGE_TOL)
     r_ok = (r_idx >= -_EDGE_TOL) & (r_idx <= H - 1 + _EDGE_TOL)
-    r_lo, r_f = _split(r_idx, H)
-    c_lo, c_f = _split(c_idx, W)
+    keep = np.flatnonzero(valid & c_ok & r_ok)
+    r_lo, r_f = _split(r_idx.take(keep), H)
+    c_lo, c_f = _split(c_idx.take(keep), W)
     # Flat step to the high neighbour on each axis; 0 on a one-sample axis.
     n_t, n_s = lf.n_rows, lf.n_cols
     steps = [
@@ -295,39 +303,51 @@ def _slope_taps(lf: SampledLF, u, v, valid=True) -> _SlopeTaps:
         bt * steps[0] + bs * steps[1] + br * steps[2] + bc * steps[3]
         for bt, bs, br, bc in product((0, 1), repeat=4)
     ]
-    return _SlopeTaps(
-        offsets=offsets,
-        base=r_lo * W + c_lo,
-        w_r=(1.0 - r_f, r_f),
-        w_c=(1.0 - c_f, c_f),
-        valid=valid & c_ok & r_ok,
-    )
+    return _SlopeTaps(keep=keep, offsets=offsets, base=r_lo * W + c_lo, r_f=r_f, c_f=c_f)
 
 
-def _sample_taps(lf: SampledLF, taps: _SlopeTaps, s, t) -> tuple[np.ndarray, np.ndarray]:
-    """Finish the queries of ``taps`` at aperture positions (s, t): 4D
-    multilinear interpolation with the weight of each corner taken as
-    ((w_t * w_s) * w_r) * w_c and the corners summed in product order.
-    Returns (values, valid); invalid entries are 0."""
+def _sample_into(lf: SampledLF, taps: _SlopeTaps, s, t, values, valid):
+    """Finish the kept queries of ``taps`` at aperture positions (s, t),
+    one pair per kept query: 4D multilinear interpolation, the weight of
+    each corner taken as ((w_t * w_s) * w_r) * w_c and the corners summed
+    in product order onto 0.  Queries outside the s/t extent or on a cell
+    with a masked sample are dropped before the corners are read; the
+    rest are written to ``values`` and set in ``valid`` at their batch
+    positions.  Entries of the flat outputs that no query reaches are left
+    as they are."""
     s_idx, s_ok = _axis_positions(s, lf.s_mm)
     t_idx, t_ok = _axis_positions(t, lf.t_mm)
     t_lo, t_f = _split(t_idx, lf.n_rows)
     s_lo, s_f = _split(s_idx, lf.n_cols)
     base = (t_lo * lf.n_cols + s_lo) * (lf.height * lf.width) + taps.base
-    ok = taps.valid & s_ok & t_ok & lf.cell_valid.reshape(-1).take(base)
+    hit = np.flatnonzero(s_ok & t_ok & lf.cell_valid.reshape(-1).take(base))
+    base = base.take(hit)
+    t_f, s_f, r_f, c_f = (f.take(hit) for f in (t_f, s_f, taps.r_f, taps.c_f))
     w_t = (1.0 - t_f, t_f)
     w_s = (1.0 - s_f, s_f)
+    w_r = (1.0 - r_f, r_f)
+    w_c = (1.0 - c_f, c_f)
     flat = lf.images.reshape(-1)
-    values = np.zeros(base.shape)
+    acc = np.zeros(hit.size)
+    gathered = np.empty(hit.size)
+    weight = np.empty(hit.size)
     corner = iter(taps.offsets)
     for bt, bs in product((0, 1), repeat=2):
         w_ts = w_t[bt] * w_s[bs]
         for br in (0, 1):
-            w_tsr = w_ts * taps.w_r[br]
+            w_tsr = w_ts * w_r[br]
             for bc in (0, 1):
-                values += (w_tsr * taps.w_c[bc]) * flat.take(base + next(corner))
-    values[~ok] = 0.0
-    return values, ok
+                # flat[off:][base] is flat[base + off].  _split stops every
+                # low corner where its high neighbour exists, so no index
+                # passes the end and mode="clip" moves none; it only spares
+                # the buffered copy that take(out=...) makes under "raise".
+                flat[next(corner):].take(base, out=gathered, mode="clip")
+                np.multiply(w_tsr, w_c[bc], out=weight)
+                weight *= gathered
+                acc += weight
+    dst = taps.keep.take(hit)
+    values[dst] = acc
+    valid[dst] = True
 
 
 def sample_rays(lf: SampledLF, rays) -> tuple[np.ndarray, np.ndarray]:
@@ -337,8 +357,12 @@ def sample_rays(lf: SampledLF, rays) -> tuple[np.ndarray, np.ndarray]:
     the 16 samples of its interpolation neighborhood is masked out; a ray
     exactly on a stored sample reproduces that sample's value."""
     rays = np.asarray(rays, float)
+    values = np.zeros(rays.shape[0])
+    valid = np.zeros(rays.shape[0], bool)
     taps = _slope_taps(lf, rays[:, 2], rays[:, 3])
-    return _sample_taps(lf, taps, rays[:, 0], rays[:, 1])
+    s, t = rays[:, 0].take(taps.keep), rays[:, 1].take(taps.keep)
+    _sample_into(lf, taps, s, t, values, valid)
+    return values, valid
 
 
 def _warped_centers(lf: SampledLF, R, T):
@@ -490,7 +514,8 @@ def render_aligned_sais(
         2: (right, setup.R_r.T, -setup.R_r.T @ setup.T_r),
     }
     # Every target pixel keeps its slopes, so the slope half of the warp
-    # and of the sampling is done once per source.
+    # and of the sampling is done once per source, for the rays that pass
+    # it; the position half runs per target sub-aperture on those alone.
     prepared = {}
     n_rows, n_cols = grid.provenance.shape
     images = np.zeros((n_rows, n_cols, H, W))
@@ -504,14 +529,13 @@ def render_aligned_sais(
             source, R_inv, T_inv = inv[side]
             if side not in prepared:
                 u_p, v_p, ok = warp_slopes(u_px, v_px, R_inv)
-                prepared[side] = (u_p, v_p, _slope_taps(source, u_p, v_p, ok))
+                taps = _slope_taps(source, u_p, v_p, ok)
+                prepared[side] = (u_p.take(taps.keep), v_p.take(taps.keep), taps)
             u_p, v_p, taps = prepared[side]
             s_p, t_p = warp_positions(
                 grid.cols_mm[j], grid.rows_mm[i], u_p, v_p, R_inv, T_inv
             )
-            vals, good = _sample_taps(source, taps, s_p, t_p)
-            images[i, j] = vals.reshape(H, W)
-            mask[i, j] = good.reshape(H, W)
+            _sample_into(source, taps, s_p, t_p, images[i, j].reshape(-1), mask[i, j].reshape(-1))
     return SampledLF(
         images=images,
         mask=mask,

@@ -398,6 +398,57 @@ def test_epi_to_missing_directory_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
 
 
+def _rectify_argv(tmp_path, out, T=(4.0, 0.0, 0.0)):
+    """A rectify run of two random light fields under a pure translation,
+    with the inputs written on first use."""
+    for name, seed in (("left", 6), ("right", 7)):
+        if not (tmp_path / name).exists():
+            save_sampled_lf(tmp_path / name, random_lf(seed=seed))
+    pose_path = tmp_path / f"pose_{T[0]}.json"
+    save_pose(pose_path, RelativePose(np.eye(3), np.array(T)))
+    return ["rectify", "--pose", str(pose_path), "--pose-direction", "2to1",
+            "--left", str(tmp_path / "left"), "--right", str(tmp_path / "right"),
+            "--out", str(out)]
+
+
+UNWRITABLE_OUT = {
+    "simulate": lambda tmp_path, out: [
+        "simulate", "--config", str(_sim_config(tmp_path)), "--out", str(out)],
+    "rectify": _rectify_argv,
+    "bench": lambda tmp_path, out: [
+        "bench", "--scenario", "noise-sweep", "--trials", "1", "--out", str(out / "b.csv")],
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNWRITABLE_OUT))
+def test_unwritable_out_exits_2(tmp_path, capsys, command):
+    """An output directory that cannot be created, because a regular file
+    is in its way, exits 2 and names the path that failed."""
+    blocker = tmp_path / "file"
+    blocker.write_text("in the way")
+    out = blocker / "out"
+    rc = main(UNWRITABLE_OUT[command](tmp_path, out))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and str(blocker) in err
+    assert blocker.read_text() == "in the way"
+
+
+def test_rectify_replaces_setup_json(tmp_path, capsys):
+    """Every file of a rectify output directory is replaced on a rerun, so a
+    hard-linked snapshot of it (cp -al) keeps the first run's bytes."""
+    out, snapshot = tmp_path / "rect", tmp_path / "snapshot"
+    assert main(_rectify_argv(tmp_path, out)) == 0
+    snapshot.mkdir()
+    for p in out.iterdir():
+        os.link(p, snapshot / p.name)
+    first = {p.name: p.read_bytes() for p in snapshot.iterdir()}
+    assert main(_rectify_argv(tmp_path, out, T=(5.0, 0.0, 0.0))) == 0
+    assert (out / "setup.json").read_bytes() != first["setup.json"]
+    for name, data in first.items():
+        assert (snapshot / name).read_bytes() == data, name
+
+
 def test_rectify_without_overlap_exits_5(tmp_path, capsys):
     left = random_lf(seed=6)
     right = random_lf(seed=7)

@@ -495,6 +495,109 @@ def test_sampled_lf_rewrite_keeps_twins_apart(tmp_path):
         assert p.read_bytes() == (tmp_path / "fresh" / p.name).read_bytes(), p.name
 
 
+def near_blank_lf():
+    """A 3x3 light field where only row 2 is blank (zero image, invalid
+    mask); (0, 0) is a zero image with valid pixels, (0, 1) a zero image
+    with one valid pixel, (1, 0) an image with one non-zero sample under
+    an all-invalid mask, and (1, 1) an image of -0.0 under an all-invalid
+    mask, which encodes as zero."""
+    lf = random_lf(seed=9)
+    images, mask = lf.images.copy(), lf.mask.copy()
+    images[0, :2] = images[2] = 0.0
+    mask[0, 1] = mask[1, :2] = mask[2] = False
+    mask[0, 1, 3, 4] = True
+    images[1, 0] = 0.0
+    images[1, 0, 7, 9] = 1e-3
+    images[1, 1] = -0.0
+    return make_lf(images, mask=mask)
+
+
+def test_sampled_lf_bytes_equal_per_sai_encoding(tmp_path):
+    """Every file holds the bytes of its own sub-aperture's encoding: the
+    blank encoding is shared only by sub-apertures with a zero image and
+    an all-invalid mask."""
+    lf = near_blank_lf()
+    d = tmp_path / "lf"
+    save_sampled_lf(d, lf)
+    for i, j in np.ndindex(lf.n_rows, lf.n_cols):
+        assert (d / f"sai_r{i}_c{j}.pgm").read_bytes() == lfio._pgm16_bytes(lf.images[i, j])
+        assert (d / f"sai_r{i}_c{j}.pbm").read_bytes() == lfio._pbm_bytes(lf.mask[i, j])
+    blank_pgm, blank_pbm = d / "sai_r2_c0.pgm", d / "sai_r2_c0.pbm"
+    # zero images share the blank image's file, all-invalid masks its mask
+    assert os.path.samefile(d / "sai_r0_c0.pgm", blank_pgm)
+    assert os.path.samefile(d / "sai_r1_c1.pgm", blank_pgm)
+    assert os.path.samefile(d / "sai_r1_c0.pbm", blank_pbm)
+    assert not os.path.samefile(d / "sai_r1_c0.pgm", blank_pgm)
+    assert not os.path.samefile(d / "sai_r0_c1.pbm", blank_pbm)
+
+
+def test_sampled_lf_encodes_the_blank_sub_aperture_once(tmp_path, monkeypatch):
+    encoded = []
+    for name in ("_pgm16_bytes", "_pbm_bytes"):
+        encode = getattr(lfio, name)
+        monkeypatch.setattr(lfio, name, lambda a, encode=encode: encoded.append(a) or encode(a))
+    save_sampled_lf(tmp_path / "lf", near_blank_lf())
+    # five sub-apertures of their own plus the blank one, image and mask
+    # each; (1, 1), whose image is -0.0, is blank
+    assert len(encoded) == 2 * 6
+
+
+def test_sampled_lf_lists_the_directory_instead_of_lstat(tmp_path, monkeypatch):
+    """A rewrite learns which names hold regular files from one listing of
+    the directory: no os.lstat per file, and the same results as a fresh
+    save."""
+    lf = twin_lf()
+    d = tmp_path / "lf"
+    save_sampled_lf(d, random_lf(seed=10))
+    target = tmp_path / "target.pgm"
+    (d / "sai_r0_c2.pgm").unlink()
+    (d / "sai_r0_c2.pgm").symlink_to(target)
+    (d / "notes.txt").write_text("kept")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("os.lstat called")
+
+    monkeypatch.setattr(os, "lstat", refuse)
+    save_sampled_lf(d, lf)
+    monkeypatch.undo()
+    save_sampled_lf(tmp_path / "fresh", lf)
+    assert (d / "sai_r0_c2.pgm").is_symlink()
+    assert target.read_bytes() == (tmp_path / "fresh" / "sai_r0_c2.pgm").read_bytes()
+    assert (d / "notes.txt").read_text() == "kept"
+    for p in (tmp_path / "fresh").iterdir():
+        assert (d / p.name).read_bytes() == p.read_bytes(), p.name
+
+
+def test_sampled_lf_fails_on_a_directory_entry(tmp_path):
+    """A directory where a sub-aperture file belongs is neither removed nor
+    replaced: writing through it fails, as for any other non-regular
+    entry that cannot take bytes."""
+    d = tmp_path / "lf"
+    (d / "sai_r1_c1.pbm").mkdir(parents=True)
+    with pytest.raises(IsADirectoryError):
+        save_sampled_lf(d, twin_lf())
+    assert (d / "sai_r1_c1.pbm").is_dir()
+
+
+def test_save_setup_replaces_a_regular_file(tmp_path, sweep_pose):
+    """setup.json is replaced, not edited in place, so a hard-linked copy
+    keeps its old bytes; a symlink there is written through."""
+    path, copy = tmp_path / "setup.json", tmp_path / "copy.json"
+    save_setup(path, build_rectified_setup(sweep_pose))
+    old = path.read_bytes()
+    os.link(path, copy)
+    other = build_rectified_setup(RelativePose(sweep_pose.R, 2.0 * sweep_pose.T))
+    save_setup(path, other)
+    assert copy.read_bytes() == old
+    assert path.read_bytes() != old
+    path.unlink()
+    path.symlink_to(copy)
+    save_setup(path, other)
+    assert path.is_symlink()
+    save_setup(tmp_path / "fresh.json", other)
+    assert copy.read_bytes() == (tmp_path / "fresh.json").read_bytes()
+
+
 WRITERS = {
     "save_json": lambda p: save_json(p, {"a": 1}),
     "write_pgm16": lambda p: write_pgm16(p, np.full((2, 3), 0.5)),

@@ -327,6 +327,115 @@ def test_render_matches_reference_at_wide_pose():
     assert 0.2 < mask[rendered].mean() < 0.8
 
 
+def _assert_samples_match_reference(lf, rays):
+    """sample_rays equals the reference bit for bit, on the float values
+    and on the mask."""
+    values, ok = sample_rays(lf, rays)
+    ref_values, ref_ok = sampler_oracle.sample_many(lf, rays)
+    assert np.array_equal(values, ref_values)
+    assert np.array_equal(ok, ref_ok)
+    return values, ok
+
+
+def _pixel_queries(lf, step=0.25):
+    """Rays on a quarter-index lattice over the whole sampled extent,
+    every axis from its first sample to its last."""
+    t, s, r, c = (np.arange(0.0, n - 1 + step / 2, step) for n in lf.images.shape)
+    T, S, R, C = np.meshgrid(t, s, r, c, indexing="ij")
+    v, u = lf.mapping.slopes(R.ravel(), C.ravel())
+    s_mm = lf.s_mm[0] + S.ravel() * (lf.pitch_s or 1.0)
+    t_mm = lf.t_mm[0] + T.ravel() * (lf.pitch_t or 1.0)
+    return np.column_stack([s_mm, t_mm, u, v])
+
+
+def test_sampler_matches_reference_around_mask_holes():
+    """Holes inside the aperture invalidate exactly the cells that touch
+    them; every other query keeps the reference value."""
+    lf = random_lf(11)
+    mask = lf.mask.copy()
+    mask[1, 1, 3, 4] = mask[0, 2, 5, 7] = mask[2, 0, 1, 1] = False
+    lf = make_lf(lf.images, mask=mask)
+    _, ok = _assert_samples_match_reference(lf, _pixel_queries(lf))
+    assert 0.5 < ok.mean() < 1.0
+
+
+@pytest.mark.parametrize("axis", ["s", "t"])
+def test_sampler_matches_reference_on_one_sample_axis(axis):
+    lf = random_lf(12, **{f"{axis}_mm": np.array([0.5])})
+    _, ok = _assert_samples_match_reference(lf, _pixel_queries(lf))
+    assert ok.all()
+
+
+def test_sampler_matches_reference_on_far_edges():
+    """Queries on the last sample of each axis, and on all four at once,
+    read the last image sample through the highest corner offset; the
+    clipped gathers must not move any of them."""
+    lf = random_lf(13)
+    last = np.array(lf.images.shape) - 1.0
+    cases = [last * np.isin(np.arange(4), axes) for axes in ((0,), (1,), (2,), (3,), (0, 1, 2, 3))]
+    cases += [last - 0.5, last + 0.5 * _EDGE_TOL]
+    idx = np.array(cases)
+    v, u = lf.mapping.slopes(idx[:, 2], idx[:, 3])
+    rays = np.column_stack([lf.s_mm[0] + idx[:, 1] * lf.pitch_s, lf.t_mm[0] + idx[:, 0] * lf.pitch_t, u, v])
+    values, ok = _assert_samples_match_reference(lf, rays)
+    assert ok.all()
+    assert values[4] == lf.images[-1, -1, -1, -1]
+
+
+def test_sampler_rejects_nan_and_out_of_extent_queries():
+    """Rays with a NaN coordinate or past any edge come back invalid and
+    0 wherever they sit in the batch, and the valid rays between them keep
+    their reference values."""
+    lf = random_lf(14)
+    rays = _pixel_queries(lf, step=0.5)[::7].copy()
+    n = len(rays)
+    bad = np.arange(0, n, 3)
+    extent = np.array([[-2.0, 2.0], [-2.0, 2.0], [MAP.u0, MAP.u0 + MAP.du * (W - 1)], [MAP.v0, MAP.v0 + MAP.dv * (H - 1)]])
+    for k, row in enumerate(bad):
+        axis = k % 4
+        rays[row, axis] = [math.nan, extent[axis, 0] - 0.01, extent[axis, 1] + 0.01][k % 3]
+    values, ok = sample_rays(lf, rays)
+    assert not ok[bad].any() and np.all(values[bad] == 0.0)
+    good = np.setdiff1d(np.arange(n), bad)
+    assert ok[good].all()
+    ref_values, ref_ok = sampler_oracle.sample_many(lf, rays[good])
+    assert np.array_equal(values[good], ref_values)
+    assert np.array_equal(ok[good], ref_ok)
+    # No query passes the pixel-extent check, then none passes the s/t check.
+    for axis, past in ((2, extent[2, 1] + 0.01), (0, extent[0, 1] + 0.01)):
+        out = rays[good].copy()
+        out[:, axis] = past
+        values, ok = sample_rays(lf, out)
+        assert not ok.any() and np.all(values == 0.0)
+
+
+def test_render_matches_reference_with_mask_holes_and_an_empty_target():
+    """A hand-made grid whose second target column lies far outside the
+    source aperture: no ray of it lands, so it renders blank, while the
+    first column, sampled around holes in the source mask, equals the
+    reference."""
+    left = random_lf(15)
+    mask = left.mask.copy()
+    mask[1, :, 2:4, 3] = False
+    left = make_lf(left.images, mask=mask)
+    right = random_lf(16)
+    grid = AlignedGrid(
+        rows_mm=np.array([0.0, 1.0]),
+        cols_mm=np.array([0.5, 100.5]),
+        provenance=np.array([[1, 1], [1, 0]], np.int8),
+        left_cols_mm=np.array([0.5, 100.5]),
+        right_cols_mm=np.array([]),
+    )
+    setup = identity_setup(4.0)
+    out = render_aligned_sais(left, right, setup, grid)
+    images, mask = sampler_oracle.render_aligned_sais(left, right, setup, grid)
+    assert np.array_equal(out.images, images)
+    assert np.array_equal(out.mask, mask)
+    assert mask[0, 0].any() and not mask[0, 0].all()
+    for i, j in ((0, 1), (1, 1)):
+        assert not out.mask[i, j].any() and not out.images[i, j].any()
+
+
 # ---------------------------------------------------------------------------
 # grid planning
 # ---------------------------------------------------------------------------
