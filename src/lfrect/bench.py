@@ -66,6 +66,10 @@ class BenchRow:
     pose: RelativePose
     sigma_px: float
 
+    def __post_init__(self):
+        if not 0 <= self.sigma_px < np.inf:
+            raise ValueError(f"noise sigma must be finite and non-negative, got {self.sigma_px}")
+
 
 @dataclass(frozen=True)
 class BenchSpec:
@@ -101,6 +105,14 @@ def pose_grid_spec(trials: int = 100, seed: int = 0) -> BenchSpec:
     return BenchSpec(name="pose-grid", rows=rows, trials=trials, seed=seed)
 
 
+def _spec_value(data: dict, key: str, cast):
+    """``cast(data[key])``; a bad value raises ValueError naming the key."""
+    try:
+        return cast(data[key])
+    except (ValueError, TypeError, OverflowError) as e:
+        raise ValueError(f"{key}: {e}") from e
+
+
 def parse_bench_spec(data: dict, source: str = "<spec>") -> BenchSpec:
     """Custom sweep from JSON: {"name": ..., "trials": N, "seed": S,
     "rows": [{"label", "euler_deg", "T_mm", "sigma_px"}, ...]}."""
@@ -113,12 +125,12 @@ def parse_bench_spec(data: dict, source: str = "<spec>") -> BenchSpec:
                 BenchRow(
                     label=str(row["label"]),
                     pose=parse_pose_dict(row),
-                    sigma_px=float(row["sigma_px"]),
+                    sigma_px=_spec_value(row, "sigma_px", float),
                 )
             )
-        counts = {key: int(data[key]) for key in ("trials", "seed") if key in data}
+        counts = {key: _spec_value(data, key, int) for key in ("trials", "seed") if key in data}
         return BenchSpec(name=str(data.get("name", "custom")), rows=rows, **counts)
-    except (KeyError, ValueError, TypeError) as e:
+    except (KeyError, ValueError, TypeError, OverflowError) as e:
         msg = e.args[0] if e.args else e
         raise ConfigError(f"{source}: {msg}") from e
 

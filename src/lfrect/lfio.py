@@ -413,7 +413,7 @@ def _naming(path):
     that names the file."""
     try:
         yield
-    except (OSError, KeyError, ValueError, TypeError) as e:
+    except (OSError, KeyError, ValueError, TypeError, OverflowError) as e:
         raise ConfigError(f"{path}: {getattr(e, 'strerror', None) or e}") from e
 
 
@@ -518,7 +518,7 @@ def parse_sim_config(data: dict, source: str = "<config>") -> SimConfig:
             continue
         try:
             fields[field] = parse(data[key])
-        except (KeyError, ValueError, TypeError) as e:
+        except (KeyError, ValueError, TypeError, OverflowError) as e:
             msg = f"missing key {e.args[0]!r}" if isinstance(e, KeyError) else e
             raise ConfigError(f"{source}: {key}: {msg}") from e
     try:

@@ -166,11 +166,11 @@ class EstimationResult:
     pose: RelativePose
     linear: ProjectiveSolution
     degeneracy: DegeneracyReport
-    initial_cost: float = float("nan")
-    final_cost: float = float("nan")
-    iterations: int = 0
-    converged: bool = True
-    refined: bool = True
+    initial_cost: float
+    final_cost: float
+    iterations: int
+    converged: bool
+    refined: bool
 
 
 def normalize_points(points) -> tuple[np.ndarray, np.ndarray]:
@@ -343,13 +343,11 @@ def solve_translation(corr: CorrespondenceSet, R) -> np.ndarray:
     Raises IllConditioned when the translation design matrix has condition
     number above 1e12.
     """
-    R = np.asarray(R, float)
     A_R, A_T = _translation_system(corr)
-    sv = np.linalg.svd(A_T, compute_uv=False)
+    vec_R = np.asarray(R, float).reshape(-1, order="F")  # column-stacked
+    T, _, _, sv = np.linalg.lstsq(A_T, -A_R @ vec_R, rcond=None)
     if sv[-1] <= 0 or sv[0] / sv[-1] > _COND_LIMIT:
         raise IllConditioned("translation system condition number exceeds 1e12")
-    vec_R = R.reshape(-1, order="F")  # column-stacked
-    T, *_ = np.linalg.lstsq(A_T, -A_R @ vec_R, rcond=None)
     return T
 
 
@@ -436,6 +434,15 @@ def _jacobian(corr: CorrespondenceSet, p, e, R, T):
     return J.transpose(2, 0, 1).reshape(3 * n, 6)
 
 
+def _cost(corr: CorrespondenceSet, p, e, R, T):
+    """The residuals r and their summed square; the cost is inf when r is
+    None (a point at zero depth scale) or not finite."""
+    r = _residuals(corr, p, e, R, T)
+    if r is None or not np.all(np.isfinite(r)):
+        return r, np.inf
+    return r, float(r.reshape(-1) @ r.reshape(-1))
+
+
 def refine_pose(
     corr: CorrespondenceSet,
     initial: RelativePose,
@@ -444,79 +451,63 @@ def refine_pose(
     """Levenberg-Marquardt refinement of (R, T) on SO(3) x R^3.
 
     Minimizes the summed squared reprojection residual of all
-    correspondences.  Damping starts at 1e-3 and moves by factors of 10;
-    iteration stops when the relative cost decrease falls under 1e-12, the
-    gradient infinity-norm under 1e-10, or the cost itself under 1e-16
-    (residuals at the rounding floor; without this guard a start at the
-    exact optimum would burn its budget rejecting noise-level steps).  The
-    cost sequence is monotone because only improving steps are accepted.
+    correspondences.  Damping starts at 1e-3, falls by 10 after an accepted
+    step and rises by 10 after a rejected one; only improving steps are
+    accepted, so the cost sequence is monotone.  Refinement stops on:
+
+    - the cost floor: cost at most 1e-16 (residuals at the rounding floor;
+      a start at the exact optimum would otherwise burn its budget);
+    - the gradient: infinity-norm under 1e-10 at a new linearization;
+    - a small decrease: an accepted step gains a relative 1e-12 or less;
+    - a damping stall: damping passes 1e12 with no step accepted;
+    - the budget: 100 attempted steps.
 
     Returns (pose, final_cost, iterations); ``iterations`` counts attempted
     LM steps, so ``iterations < _MAX_ITERATIONS`` means the refinement
-    terminated on its own.  When ``cost_trace`` is a list, the initial cost
-    and the cost after every accepted step are appended to it (a strictly
-    decreasing sequence).  Raises NumericalFailure if the cost is
-    non-finite at the current state.
+    stopped before its budget ran out.  When ``cost_trace`` is a list, the
+    initial cost and the cost after every accepted step are appended to it
+    (a strictly decreasing sequence).  Raises NumericalFailure if the
+    residual is non-finite at the initial pose.
     """
     p, e = corr.k1.backproject(corr.first)
-    R = initial.R.copy()
-    T = initial.T.copy()
-    r = _residuals(corr, p, e, R, T)
-    if r is None or not np.all(np.isfinite(r)):
+    R, T = initial.R.copy(), initial.T.copy()
+    r, cost = _cost(corr, p, e, R, T)
+    if cost == np.inf:
         raise NumericalFailure("non-finite residual at the initial pose")
-    cost = float(r.reshape(-1) @ r.reshape(-1))
     if cost_trace is not None:
         cost_trace.append(cost)
     damping = 1e-3
     iterations = 0
-    converged = False
-    while iterations < _MAX_ITERATIONS:
-        if cost <= _COST_FLOOR:
-            converged = True
-            break
-        J = _jacobian(corr, p, e, R, T)
-        rv = r.reshape(-1)
-        g = J.T @ rv
-        if np.abs(g).max() < 1e-10:
-            converged = True
-            break
-        JtJ = J.T @ J
-        accepted = False
-        while iterations < _MAX_ITERATIONS:
-            iterations += 1
-            D = np.diag(np.maximum(np.diag(JtJ), 1e-12))
-            try:
-                delta = np.linalg.solve(JtJ + damping * D, -g)
-            except np.linalg.LinAlgError:
-                raise NumericalFailure("normal equations are singular")
-            R_new = R @ so3_exp(delta[:3])
-            T_new = T + delta[3:]
-            r_new = _residuals(corr, p, e, R_new, T_new)
-            new_cost = (
-                float(r_new.reshape(-1) @ r_new.reshape(-1))
-                if r_new is not None and np.all(np.isfinite(r_new))
-                else np.inf
-            )
-            if new_cost < cost:
-                decrease = (cost - new_cost) / max(cost, 1e-300)
-                R, T, r = R_new, T_new, r_new
-                cost = new_cost
-                if cost_trace is not None:
-                    cost_trace.append(cost)
-                damping = max(damping * 0.1, 1e-15)
-                accepted = True
-                if decrease < 1e-12:
-                    converged = True
+    JtJ = None  # relinearize at the current (R, T)
+    while iterations < _MAX_ITERATIONS and cost > _COST_FLOOR:
+        if JtJ is None:
+            J = _jacobian(corr, p, e, R, T)
+            g = J.T @ r.reshape(-1)
+            if np.abs(g).max() < 1e-10:
                 break
+            JtJ = J.T @ J
+            D = np.diag(np.maximum(np.diag(JtJ), 1e-12))
+        iterations += 1
+        try:
+            delta = np.linalg.solve(JtJ + damping * D, -g)
+        except np.linalg.LinAlgError:
+            raise NumericalFailure("normal equations are singular")
+        R_new = R @ so3_exp(delta[:3])
+        T_new = T + delta[3:]
+        r_new, new_cost = _cost(corr, p, e, R_new, T_new)
+        if new_cost < cost:
+            decrease = (cost - new_cost) / max(cost, 1e-300)
+            R, T, r, cost = R_new, T_new, r_new, new_cost
+            if cost_trace is not None:
+                cost_trace.append(cost)
+            damping = max(damping * 0.1, 1e-15)
+            if decrease < 1e-12:
+                break
+            JtJ = None
+        else:
             damping *= 10.0
             if damping > 1e12:
-                converged = True  # stalled at a (local) minimum
                 break
-        if converged or not accepted:
-            break
-    if not np.isfinite(cost):
-        raise NumericalFailure("cost is non-finite")
-    del converged
     # Re-orthonormalize drift accumulated over many manifold steps.
     R = project_to_SO3(R)
     return RelativePose(R, T), cost, iterations
@@ -541,23 +532,11 @@ def estimate_pose(corr: CorrespondenceSet, refine: bool = True) -> EstimationRes
     sol = solve_linear(corr)
     G = corr.k2.matrix_H_inverse() @ (sol.W @ corr.k1.matrix_H()) / sol.c
     R0 = project_to_SO3(G[:3, :3])
-    T0 = solve_translation(corr, R0)
-    pose0 = RelativePose(R0, T0)
-    p, e = corr.k1.backproject(corr.first)
-    r0 = _residuals(corr, p, e, R0, T0)
-    initial_cost = (
-        float(r0.reshape(-1) @ r0.reshape(-1)) if r0 is not None else float("inf")
-    )
-    if not refine:
-        return EstimationResult(
-            pose=pose0,
-            linear=sol,
-            degeneracy=report,
-            initial_cost=initial_cost,
-            final_cost=initial_cost,
-            refined=False,
-        )
-    pose, cost, iterations = refine_pose(corr, pose0)
+    pose = RelativePose(R0, solve_translation(corr, R0))
+    _, initial_cost = _cost(corr, *corr.k1.backproject(corr.first), pose.R, pose.T)
+    final_cost, iterations = initial_cost, 0
+    if refine:
+        pose, final_cost, iterations = refine_pose(corr, pose)
     # A refinement that ran out of its iteration budget is conservatively
     # reported as not converged.
     return EstimationResult(
@@ -565,8 +544,8 @@ def estimate_pose(corr: CorrespondenceSet, refine: bool = True) -> EstimationRes
         linear=sol,
         degeneracy=report,
         initial_cost=initial_cost,
-        final_cost=cost,
+        final_cost=final_cost,
         iterations=iterations,
         converged=iterations < _MAX_ITERATIONS,
-        refined=True,
+        refined=bool(refine),
     )

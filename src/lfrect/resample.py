@@ -203,9 +203,12 @@ class AlignedGrid:
     def __post_init__(self):
         rows = np.asarray(self.rows_mm, float)
         cols = np.asarray(self.cols_mm, float)
-        prov = np.asarray(self.provenance, np.int8)
+        prov = np.asarray(self.provenance)
         if prov.shape != (rows.size, cols.size):
             raise ValueError("provenance shape must be (n_rows, n_cols)")
+        if not np.isin(prov, (0, 1, 2, 3)).all():
+            raise ValueError("provenance entries must be 0, 1, 2 or 3")
+        prov = prov.astype(np.int8, copy=False)
         _check_regular(cols, "cols_mm")
         for name in ("rows_mm", "left_cols_mm", "right_cols_mm"):
             if not np.isfinite(getattr(self, name)).all():
@@ -509,32 +512,23 @@ def render_aligned_sais(
     rows_px, cols_px = np.meshgrid(np.arange(H), np.arange(W), indexing="ij")
     v_px, u_px = mp.slopes(rows_px.ravel(), cols_px.ravel())
 
-    inv = {
-        1: (left, setup.R_l.T, -setup.R_l.T @ setup.T_l),
-        2: (right, setup.R_r.T, -setup.R_r.T @ setup.T_r),
-    }
+    prov = grid.provenance
+    supplier = np.where(prov & 1, 1, prov & 2)  # the left source wins a shared cell
+    images = np.zeros(prov.shape + (H, W))
+    mask = np.zeros(prov.shape + (H, W), bool)
     # Every target pixel keeps its slopes, so the slope half of the warp
     # and of the sampling is done once per source, for the rays that pass
     # it; the position half runs per target sub-aperture on those alone.
-    prepared = {}
-    n_rows, n_cols = grid.provenance.shape
-    images = np.zeros((n_rows, n_cols, H, W))
-    mask = np.zeros((n_rows, n_cols, H, W), bool)
-    for i in range(n_rows):
-        for j in range(n_cols):
-            prov = int(grid.provenance[i, j])
-            if prov == 0:
-                continue
-            side = 1 if prov & 1 else 2
-            source, R_inv, T_inv = inv[side]
-            if side not in prepared:
-                u_p, v_p, ok = warp_slopes(u_px, v_px, R_inv)
-                taps = _slope_taps(source, u_p, v_p, ok)
-                prepared[side] = (u_p.take(taps.keep), v_p.take(taps.keep), taps)
-            u_p, v_p, taps = prepared[side]
-            s_p, t_p = warp_positions(
-                grid.cols_mm[j], grid.rows_mm[i], u_p, v_p, R_inv, T_inv
-            )
+    for side, source, R, T in ((1, left, setup.R_l, setup.T_l), (2, right, setup.R_r, setup.T_r)):
+        cells = np.argwhere(supplier == side)
+        if cells.size == 0:
+            continue
+        R_inv, T_inv = R.T, -R.T @ T
+        u_p, v_p, ok = warp_slopes(u_px, v_px, R_inv)
+        taps = _slope_taps(source, u_p, v_p, ok)
+        u_p, v_p = u_p.take(taps.keep), v_p.take(taps.keep)
+        for i, j in cells:
+            s_p, t_p = warp_positions(grid.cols_mm[j], grid.rows_mm[i], u_p, v_p, R_inv, T_inv)
             _sample_into(source, taps, s_p, t_p, images[i, j].reshape(-1), mask[i, j].reshape(-1))
     return SampledLF(
         images=images,

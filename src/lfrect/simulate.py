@@ -153,8 +153,8 @@ class SimConfig:
             object.__setattr__(self, "board_poses", tuple(self.board_poses))
         if min(self.sai_rows, self.sai_cols) < 1 or self.sai_rows * self.sai_cols < 2:
             raise ValueError("need at least two sub-apertures to measure disparity")
-        if self.sigma_px < 0:
-            raise ValueError("noise sigma must be non-negative")
+        if not 0 <= self.sigma_px < np.inf:
+            raise ValueError(f"noise sigma must be finite and non-negative, got {self.sigma_px}")
         if self.trials < 1:
             raise ValueError("at least one trial")
         if self.seed < 0:

@@ -25,6 +25,9 @@ geometry from the outside:
   row-bytes duplicate check of ``lfrect.pose.CorrespondenceSet`` replace.
 - ``solve_linear_full_svd`` takes the SVD of the whole reduced system, the
   route that the QR-then-SVD of ``lfrect.pose.solve_linear`` replaces.
+- ``refine_pose_nested`` is Levenberg-Marquardt as two nested loops steered
+  by ``accepted`` and ``converged`` flags, the form that the single loop of
+  ``lfrect.pose.refine_pose`` replaces; it also reports why it stopped.
 """
 
 import csv
@@ -33,10 +36,19 @@ from pathlib import Path
 
 import numpy as np
 
-from lfrect.errors import ConfigError
-from lfrect.geometry import LFIntrinsics
+from lfrect import pose as lfpose
+from lfrect.errors import ConfigError, NumericalFailure
+from lfrect.geometry import LFIntrinsics, RelativePose, so3_exp
 from lfrect.lfio import CORRESPONDENCE_HEADER
-from lfrect.pose import CorrespondenceSet, build_dlt_system, constraint_matrix, normalize_points
+from lfrect.pose import (
+    CorrespondenceSet,
+    _jacobian,
+    _residuals,
+    build_dlt_system,
+    constraint_matrix,
+    normalize_points,
+    project_to_SO3,
+)
 from lfrect.simulate import _grid_offsets
 
 _EPS = 1e-12
@@ -164,6 +176,75 @@ def solve_linear_full_svd(corr: CorrespondenceSet) -> tuple[np.ndarray, np.ndarr
     if w16[np.argmax(np.abs(w16))] < 0:
         w16 = -w16
     return s, w16.reshape(4, 4)
+
+
+def refine_pose_nested(corr: CorrespondenceSet, initial: RelativePose, cost_trace=None):
+    """(pose, final_cost, iterations, stop) of LM refinement with an outer
+    loop per linearization and an inner loop per damping trial.  ``stop``
+    names the exit: "cost floor", "gradient", "small decrease", "damping
+    stall" or "budget".  The step budget and cost floor are read from
+    ``lfrect.pose`` at call time, so a test can patch them for both forms."""
+    p, e = corr.k1.backproject(corr.first)
+    R = initial.R.copy()
+    T = initial.T.copy()
+    r = _residuals(corr, p, e, R, T)
+    if r is None or not np.all(np.isfinite(r)):
+        raise NumericalFailure("non-finite residual at the initial pose")
+    cost = float(r.reshape(-1) @ r.reshape(-1))
+    if cost_trace is not None:
+        cost_trace.append(cost)
+    damping = 1e-3
+    iterations = 0
+    converged = False
+    stop = "budget"
+    while iterations < lfpose._MAX_ITERATIONS:
+        if cost <= lfpose._COST_FLOOR:
+            converged, stop = True, "cost floor"
+            break
+        J = _jacobian(corr, p, e, R, T)
+        rv = r.reshape(-1)
+        g = J.T @ rv
+        if np.abs(g).max() < 1e-10:
+            converged, stop = True, "gradient"
+            break
+        JtJ = J.T @ J
+        accepted = False
+        while iterations < lfpose._MAX_ITERATIONS:
+            iterations += 1
+            D = np.diag(np.maximum(np.diag(JtJ), 1e-12))
+            try:
+                delta = np.linalg.solve(JtJ + damping * D, -g)
+            except np.linalg.LinAlgError:
+                raise NumericalFailure("normal equations are singular")
+            R_new = R @ so3_exp(delta[:3])
+            T_new = T + delta[3:]
+            r_new = _residuals(corr, p, e, R_new, T_new)
+            new_cost = (
+                float(r_new.reshape(-1) @ r_new.reshape(-1))
+                if r_new is not None and np.all(np.isfinite(r_new))
+                else np.inf
+            )
+            if new_cost < cost:
+                decrease = (cost - new_cost) / max(cost, 1e-300)
+                R, T, r = R_new, T_new, r_new
+                cost = new_cost
+                if cost_trace is not None:
+                    cost_trace.append(cost)
+                damping = max(damping * 0.1, 1e-15)
+                accepted = True
+                if decrease < 1e-12:
+                    converged, stop = True, "small decrease"
+                break
+            damping *= 10.0
+            if damping > 1e12:
+                converged, stop = True, "damping stall"
+                break
+        if converged or not accepted:
+            break
+    if not np.isfinite(cost):
+        raise NumericalFailure("cost is non-finite")
+    R = project_to_SO3(R)
+    return RelativePose(R, T), cost, iterations, stop
 
 
 # --------------------------------------------------------------------------

@@ -361,8 +361,10 @@ def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, key, value):
     [
         ({"seed": -1}, "seed must be non-negative, got -1"),
         ({"sai_rows": 1, "sai_cols": 1}, "need at least two sub-apertures to measure disparity"),
+        ({"sigma_px": float("nan")}, "noise sigma must be finite and non-negative, got nan"),
+        ({"sigma_px": float("inf")}, "noise sigma must be finite and non-negative, got inf"),
     ],
-    ids=["negative-seed", "one-sub-aperture"],
+    ids=["negative-seed", "one-sub-aperture", "nan-sigma", "infinite-sigma"],
 )
 def test_out_of_range_sim_config_value_exits_2(tmp_path, capsys, overrides, message):
     cfg = _sim_config(tmp_path, **overrides)
@@ -379,6 +381,85 @@ def test_negative_seed_in_bench_spec_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"error: {spec_path}: seed must be non-negative, got -1\n"
     assert not (tmp_path / "b.csv").exists()
+
+
+def _bench_spec(tmp_path, row=(), **counts):
+    """A one-row spec file; ``row`` overrides fields of the row."""
+    path = tmp_path / "spec.json"
+    save_json(path, {"rows": [{**POSE_DOC, "label": "a", "sigma_px": 0.2, **dict(row)}], **counts})
+    return path
+
+
+# json writes float("inf") as Infinity, which reads back as the same
+# infinity that a JSON number such as 1e400 overflows to.
+INF = float("inf")
+
+
+@pytest.mark.parametrize("sigma_px", [float("nan"), INF], ids=["nan", "infinity"])
+def test_non_finite_sigma_in_bench_spec_exits_2(tmp_path, capsys, monkeypatch, sigma_px):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli.bench_mod, "run_trials", no_trials)
+    spec_path = _bench_spec(tmp_path, {"sigma_px": sigma_px})
+    rc = main(["bench", "--spec", str(spec_path), "--out", str(tmp_path / "b.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {spec_path}: noise sigma must be finite and non-negative, got {sigma_px}\n"
+    )
+    assert not (tmp_path / "b.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [("simulate", "trials"), ("simulate", "seed"), ("simulate", "sai_rows"),
+     ("bench", "trials"), ("bench", "seed")],
+)
+def test_infinite_count_exits_2(tmp_path, capsys, command, key):
+    if command == "simulate":
+        path = _sim_config(tmp_path, **{key: INF})
+        argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "s")]
+    else:
+        path = _bench_spec(tmp_path, **{key: INF})
+        argv = ["bench", "--spec", str(path), "--out", str(tmp_path / "b.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: {key}: cannot convert float infinity to integer\n"
+    )
+
+
+@pytest.mark.parametrize("key", ["sigma_px", "euler_deg"])
+@pytest.mark.parametrize("command", ["simulate", "bench"])
+def test_integer_too_large_for_a_float_exits_2(tmp_path, capsys, command, key):
+    field = {"sigma_px": 10**400} if key == "sigma_px" else {"euler_deg": [10**400, 0.0, 0.0]}
+    if command == "simulate":
+        doc = field if key == "sigma_px" else {"pose": {**POSE_DOC, **field}}
+        path = _sim_config(tmp_path, **doc)
+        argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "s")]
+    else:
+        path = _bench_spec(tmp_path, field)
+        argv = ["bench", "--spec", str(path), "--out", str(tmp_path / "b.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert err.endswith("int too large to convert to float\n")
+    if key == "sigma_px":
+        assert ": sigma_px: int too large" in err
+
+
+@pytest.mark.parametrize("value", [300, 7, -1])
+def test_unknown_provenance_in_grid_json_exits_2(tmp_path, capsys, value):
+    """300 does not fit the int8 provenance; 7 and -1 fit but name no
+    source."""
+    rect = tmp_path / "rect"
+    assert main(_rectify_argv(tmp_path, rect)) == 0
+    capsys.readouterr()
+    _set_grid_value("aligned", "provenance", 0, 0, value=value)(rect)
+    rc = main(["epi", "--sais", str(rect), "--row", "0", "--line", "0",
+               "--out", str(tmp_path / "e.pgm")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {rect / 'grid.json'}: ")
+    assert not (tmp_path / "e.pgm").exists()
 
 
 def test_estimate_to_missing_directory_exits_2(tmp_path, capsys):

@@ -11,16 +11,20 @@ span it, which pins down which normalization each scalar belongs to.
 import numpy as np
 import pytest
 
-from lfrect.bench import NOISE_SWEEP_SIGMAS
+from lfrect import pose as lfpose
+from lfrect.bench import NOISE_SWEEP_SIGMAS, noise_sweep_pose
 from lfrect.errors import (
     CoplanarDegeneracy,
     DegenerateDisparity,
     DegenerateSpread,
+    IllConditioned,
     NonPositiveDepth,
+    NumericalFailure,
     RankDeficient,
     SingularInput,
 )
 from lfrect.geometry import (
+    LFIntrinsics,
     RelativePose,
     angular_error_rotation,
     angular_error_translation,
@@ -49,7 +53,7 @@ from lfrect.simulate import (
     simulate_correspondences,
 )
 
-from oracles import solve_linear_full_svd
+from oracles import refine_pose_nested, solve_linear_full_svd
 
 
 def true_w_prime(corr, pose, N1, N2):
@@ -403,6 +407,90 @@ def test_refine_recovers_from_perturbation(corr_exact, sweep_pose):
     assert iterations < 100
 
 
+def _rescaled(corr, s):
+    """``corr`` with every pixel quantity (coordinates and intrinsics)
+    multiplied by ``s``: the same geometry in other pixel units."""
+    scale_k = lambda k: LFIntrinsics(
+        fx=s * k.fx, fy=s * k.fy, cx=s * k.cx, cy=s * k.cy, K1=s * k.K1, K2=s * k.K2
+    )
+    return CorrespondenceSet(
+        first=s * corr.first, second=s * corr.second, k1=scale_k(corr.k1), k2=scale_k(corr.k2)
+    )
+
+
+def _sweep_draw(sigma_px, seed):
+    """The draw that ``lfrect bench`` makes for one trial of a noise-sweep
+    row, and the linear estimate LM starts from."""
+    corr = simulate_correspondences(
+        make_sim_config(noise_sweep_pose(), sigma_px=sigma_px), np.random.default_rng(seed)
+    )
+    return corr, estimate_pose(corr, refine=False).pose
+
+
+def _cost_floor_case():
+    corr, _ = _sweep_draw(0.0, 0)
+    return corr, noise_sweep_pose()
+
+
+def _gradient_case():
+    # Pixel units 1000x larger shrink the gradient at the optimum by 1e6,
+    # under the 1e-10 stop, while the cost stays far above the floor.
+    corr, _ = _sweep_draw(0.1, 0)
+    corr = _rescaled(corr, 1e-3)
+    return corr, estimate_pose(corr).pose
+
+
+LM_STOPS = {
+    "cost floor": (_cost_floor_case, 0),
+    "gradient": (_gradient_case, 0),
+    "small decrease": (lambda: _sweep_draw(0.1, 0), 4),
+    "damping stall": (lambda: _sweep_draw(0.2, 1003), 23),
+    "budget": (lambda: _sweep_draw(0.1, 0), 3),
+}
+
+
+@pytest.mark.parametrize("stop", LM_STOPS, ids=lambda stop: stop.replace(" ", "-"))
+def test_refine_stops_as_the_nested_loop_did(monkeypatch, stop):
+    """Each stop of the single LM loop returns, bit for bit, what the two
+    nested loops it replaced returned (``oracles.refine_pose_nested``).
+    The damping stall is trial 3 of the sigma = 0.2 row of the stock noise
+    sweep; the budget case is the small-decrease draw with 3 steps."""
+    make_case, iterations = LM_STOPS[stop]
+    corr, initial = make_case()
+    if stop == "budget":
+        monkeypatch.setattr(lfpose, "_MAX_ITERATIONS", 3)
+    trace, nested_trace = [], []
+    pose, cost, its = refine_pose(corr, initial, cost_trace=trace)
+    nested_pose, nested_cost, nested_its, nested_stop = refine_pose_nested(
+        corr, initial, cost_trace=nested_trace
+    )
+    assert nested_stop == stop and nested_its == iterations
+    assert its == nested_its
+    assert pose.R.tobytes() == nested_pose.R.tobytes()
+    assert pose.T.tobytes() == nested_pose.T.tobytes()
+    assert np.float64(cost).tobytes() == np.float64(nested_cost).tobytes()
+    assert np.array(trace).tobytes() == np.array(nested_trace).tobytes()
+
+
+def test_refine_raises_on_non_finite_initial_residual(corr_exact, sweep_pose):
+    # 100 m behind camera 2 puts every transformed point at negative depth.
+    behind = RelativePose(sweep_pose.R, np.array([0.0, 0.0, -1e5]))
+    for refine in (refine_pose, lambda *args: refine_pose_nested(*args)[:3]):
+        with pytest.raises(NumericalFailure, match="non-finite residual at the initial pose"):
+            refine(corr_exact, behind)
+
+
+def test_translation_with_camera_1_at_infinite_depth_is_ill_conditioned(corr_exact):
+    # lambda = -K1 gives every camera-1 point zero inverse depth, so the
+    # translation design matrix A_T is zero.
+    first = np.array(corr_exact.first)
+    first[:, 2] = -corr_exact.k1.K1
+    corr = CorrespondenceSet(first=first, second=corr_exact.second, k1=corr_exact.k1, k2=corr_exact.k2)
+    assert not _translation_system(corr)[1].any()
+    with pytest.raises(IllConditioned, match="condition number"):
+        solve_translation(corr, np.eye(3))
+
+
 # ---------------------------------------------------------------------------
 # full pipeline
 # ---------------------------------------------------------------------------
@@ -436,19 +524,7 @@ def test_estimate_pose_noisy_is_reasonable(corr_noisy, sweep_pose):
 def test_unit_rescale_invariance(corr_noisy, sweep_pose):
     # Expressing all pixel quantities in half-pixels (coordinates and
     # intrinsics scaled together) must not change the estimate.
-    from lfrect.geometry import LFIntrinsics
-
-    s = 2.0
-    scale_k = lambda k: LFIntrinsics(
-        fx=s * k.fx, fy=s * k.fy, cx=s * k.cx, cy=s * k.cy, K1=s * k.K1, K2=s * k.K2
-    )
-    corr2 = CorrespondenceSet(
-        first=s * corr_noisy.first,
-        second=s * corr_noisy.second,
-        k1=scale_k(corr_noisy.k1),
-        k2=scale_k(corr_noisy.k2),
-    )
     r1 = estimate_pose(corr_noisy)
-    r2 = estimate_pose(corr2)
+    r2 = estimate_pose(_rescaled(corr_noisy, 2.0))
     assert np.abs(r1.pose.R - r2.pose.R).max() <= 1e-8
     assert np.abs(r1.pose.T - r2.pose.T).max() <= 1e-6

@@ -17,6 +17,7 @@ import sampler_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lfrect import resample
 from lfrect.errors import IndexOutOfRange, NoOverlap
 from lfrect.geometry import LFIntrinsics, RelativePose, euler_xyz_intrinsic
 from lfrect.rectify import RectifiedSetup, build_rectified_setup
@@ -436,6 +437,38 @@ def test_render_matches_reference_with_mask_holes_and_an_empty_target():
         assert not out.mask[i, j].any() and not out.images[i, j].any()
 
 
+@pytest.mark.parametrize(
+    "provenance, sources", [([[1, 3], [0, 3]], ["left"]), ([[2, 3], [0, 2]], ["left", "right"])]
+)
+def test_render_prepares_only_the_sources_that_serve_a_cell(monkeypatch, provenance, sources):
+    """The slope half of the sampler runs once per source that supplies
+    some cell, and never for a source that every shared cell leaves to the
+    left camera."""
+    left, right = random_lf(15), random_lf(16)
+    names = {id(left): "left", id(right): "right"}
+    prepared = []
+    slope_taps = resample._slope_taps
+
+    def recording(lf, *args):
+        prepared.append(names[id(lf)])
+        return slope_taps(lf, *args)
+
+    monkeypatch.setattr(resample, "_slope_taps", recording)
+    grid = AlignedGrid(
+        rows_mm=np.array([0.0, 1.0]),
+        cols_mm=np.array([0.5, 1.5]),
+        provenance=np.array(provenance, np.int8),
+        left_cols_mm=np.array([0.5, 1.5]),
+        right_cols_mm=np.array([0.5, 1.5]),
+    )
+    setup = identity_setup(4.0)
+    out = render_aligned_sais(left, right, setup, grid)
+    assert sorted(prepared) == sources
+    images, mask = sampler_oracle.render_aligned_sais(left, right, setup, grid)
+    assert np.array_equal(out.images, images)
+    assert np.array_equal(out.mask, mask)
+
+
 # ---------------------------------------------------------------------------
 # grid planning
 # ---------------------------------------------------------------------------
@@ -513,6 +546,15 @@ def test_aligned_grid_json_round_trip():
     assert np.array_equal(back.provenance, grid.provenance)
     assert np.array_equal(back.left_cols_mm, grid.left_cols_mm)
     assert np.array_equal(back.right_cols_mm, grid.right_cols_mm)
+
+
+@pytest.mark.parametrize("value", [4, 7, -1, 258])
+def test_aligned_grid_rejects_unknown_provenance(value):
+    fields = plan_aligned_grid(random_lf(1), random_lf(2), identity_setup(4.0)).to_json_dict()
+    fields["provenance"] = np.array(fields["provenance"])
+    fields["provenance"][0, 0] = value  # 258 would wrap to 2 in int8
+    with pytest.raises(ValueError, match="provenance entries must be 0, 1, 2 or 3"):
+        AlignedGrid(**fields)
 
 
 def test_sampled_lf_validation():
