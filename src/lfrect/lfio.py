@@ -31,6 +31,7 @@ import csv
 import io
 import json
 import os
+import re
 import stat
 from contextlib import contextmanager
 from itertools import chain
@@ -243,41 +244,52 @@ def write_pgm16(path, image: np.ndarray):
     Path(path).write_bytes(_pgm16_bytes(image))
 
 
-def _read_pnm_tokens(raw: bytes, count: int):
-    """First ``count`` whitespace-separated tokens after the magic,
-    honouring '#' comments; returns (tokens, offset past final whitespace)."""
-    tokens = []
-    i = 0
-    while len(tokens) < count:
-        if i >= len(raw):
-            raise ValueError("truncated Netpbm header")
-        c = raw[i:i + 1]
-        if c == b"#":
-            while i < len(raw) and raw[i:i + 1] not in (b"\n", b"\r"):
-                i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(raw) and not raw[j:j + 1].isspace() and raw[j:j + 1] != b"#":
-                j += 1
-            tokens.append(raw[i:j])
-            i = j
-    return tokens, i + 1  # single whitespace byte terminates the header
+# A Netpbm header: the magic, whitespace-separated tokens with '#' comments
+# (each runs to the end of its line, so the pattern parses only one way),
+# and the single whitespace byte that ends the header.
+_PNM_SEP = rb"(?:\s|#[^\n\r]*(?![^\n\r]))"
+_PNM_TOKEN = rb"([^\s#]+)"
+
+
+def _pnm_header(magic: bytes, count: int) -> re.Pattern:
+    rest = (_PNM_SEP + b"+" + _PNM_TOKEN) * (count - 1)
+    return re.compile(magic + _PNM_SEP + b"*" + _PNM_TOKEN + rest + rb"[\s#]")
+
+
+_PGM_HEADER = _pnm_header(b"P5", 3)
+_PBM_HEADER = _pnm_header(b"P4", 2)
+
+
+def _pnm_fields(header: re.Pattern, raw: bytes, kind: str) -> tuple[list[int], int]:
+    """The integer header tokens of a Netpbm file and the offset of its
+    data."""
+    m = header.match(raw)
+    if m is None:
+        if raw[:2] != header.pattern[:2]:
+            raise ValueError(f"not a binary {kind}")
+        raise ValueError("truncated Netpbm header")
+    return [int(t) for t in m.groups()], m.end()
+
+
+def _read_bytes(path) -> bytes:
+    with open(path, "rb") as f:
+        return f.read()
+
+
+def _decode_pgm16(raw: bytes, out: np.ndarray | None = None) -> np.ndarray:
+    """A binary PGM as a float image scaled to [0, 1], into ``out`` if
+    given."""
+    (w, h, maxval), offset = _pnm_fields(_PGM_HEADER, raw, "PGM")
+    if not (0 < maxval < 65536):
+        raise ValueError(f"bad maxval {maxval}")
+    dtype = ">u2" if maxval > 255 else np.uint8
+    data = np.frombuffer(raw, dtype=dtype, count=w * h, offset=offset)
+    return np.divide(data.reshape(h, w), maxval, out=out)
 
 
 def read_pgm16(path) -> np.ndarray:
     """Read a binary PGM into a float image scaled to [0, 1]."""
-    raw = Path(path).read_bytes()
-    if raw[:2] != b"P5":
-        raise ValueError("not a binary PGM")
-    tokens, offset = _read_pnm_tokens(raw[2:], 3)
-    w, h, maxval = (int(t) for t in tokens)
-    if not (0 < maxval < 65536):
-        raise ValueError(f"bad maxval {maxval}")
-    dtype = ">u2" if maxval > 255 else np.uint8
-    data = np.frombuffer(raw, dtype=dtype, count=w * h, offset=2 + offset)
-    return data.reshape(h, w).astype(float) / maxval
+    return _decode_pgm16(_read_bytes(path))
 
 
 def write_pbm(path, valid_mask: np.ndarray):
@@ -286,17 +298,19 @@ def write_pbm(path, valid_mask: np.ndarray):
     Path(path).write_bytes(_pbm_bytes(valid_mask))
 
 
+def _decode_pbm(raw: bytes, out: np.ndarray | None = None) -> np.ndarray:
+    """A binary PBM as a validity mask (True = valid), into ``out`` if
+    given."""
+    (w, h), offset = _pnm_fields(_PBM_HEADER, raw, "PBM")
+    row_bytes = (w + 7) // 8
+    data = np.frombuffer(raw, dtype=np.uint8, count=h * row_bytes, offset=offset)
+    bits = np.unpackbits(data.reshape(h, row_bytes), axis=1)[:, :w]
+    return np.equal(bits, 0, out=out)
+
+
 def read_pbm(path) -> np.ndarray:
     """Read a binary PBM back into a validity mask (True = valid)."""
-    raw = Path(path).read_bytes()
-    if raw[:2] != b"P4":
-        raise ValueError("not a binary PBM")
-    tokens, offset = _read_pnm_tokens(raw[2:], 2)
-    w, h = (int(t) for t in tokens)
-    row_bytes = (w + 7) // 8
-    data = np.frombuffer(raw, dtype=np.uint8, count=h * row_bytes, offset=2 + offset)
-    bits = np.unpackbits(data.reshape(h, row_bytes), axis=1)[:, :w]
-    return bits == 0
+    return _decode_pbm(_read_bytes(path))
 
 
 # --------------------------------------------------------------------------
@@ -304,7 +318,7 @@ def read_pbm(path) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _listing(d: Path) -> dict[str, bool]:
+def _listing(d: str) -> dict[str, bool]:
     """Whether each entry of directory ``d`` is a regular file, by name,
     from one ``os.scandir`` pass (no ``lstat`` per entry where the
     filesystem reports entry types)."""
@@ -312,7 +326,7 @@ def _listing(d: Path) -> dict[str, bool]:
         return {e.name: e.is_file(follow_symlinks=False) for e in entries}
 
 
-def _unlink_regular(path: Path, listing: dict[str, bool] | None = None) -> bool:
+def _unlink_regular(path, listing: dict[str, bool] | None = None) -> bool:
     """Remove ``path`` if it is a regular file, so that the next write
     creates it anew; return whether the name is now free.  ``listing`` is
     the :func:`_listing` of its directory; without one, ``os.lstat`` tells.
@@ -325,10 +339,10 @@ def _unlink_regular(path: Path, listing: dict[str, bool] | None = None) -> bool:
     try:
         if listing is None:
             regular = stat.S_ISREG(os.lstat(path).st_mode)
-        elif path.name in listing:
-            regular = listing[path.name]
         else:
-            return True
+            regular = listing.get(os.path.basename(path))
+            if regular is None:
+                return True
         if not regular:
             return False
         os.unlink(path)
@@ -337,8 +351,13 @@ def _unlink_regular(path: Path, listing: dict[str, bool] | None = None) -> bool:
     return True
 
 
+def _write_bytes(path: str, data: bytes):
+    with open(path, "wb") as f:
+        f.write(data)
+
+
 def _save_shared(
-    path: Path, data: bytes, key: bytes, made: dict[bytes, Path], listing: dict[str, bool]
+    path: str, data: bytes, key: bytes, made: dict[bytes, str], listing: dict[str, bool]
 ):
     """Replace ``path`` with ``data``, as a hard link to an earlier file of
     this save when one holds the same bytes.
@@ -350,7 +369,7 @@ def _save_shared(
     serves the later twins.  ``listing`` is the directory's
     :func:`_listing` from before the save."""
     if not _unlink_regular(path, listing):  # a symlink or device: written through
-        path.write_bytes(data)
+        _write_bytes(path, data)
         return
     if key in made:
         try:
@@ -358,7 +377,7 @@ def _save_shared(
             return
         except OSError:
             pass
-    path.write_bytes(data)
+    _write_bytes(path, data)
     made[key] = path
 
 
@@ -379,8 +398,8 @@ def save_sampled_lf(dirpath, lf: SampledLF, grid: AlignedGrid | None = None):
     def content(data: bytes) -> tuple[bytes, bytes]:
         return data, hashlib.sha256(data).digest()
 
-    d = Path(dirpath)
-    d.mkdir(parents=True, exist_ok=True)
+    d = os.fspath(dirpath)
+    os.makedirs(d, exist_ok=True)
     listing = _listing(d)
     made = {}
     blank = None
@@ -394,7 +413,7 @@ def save_sampled_lf(dirpath, lf: SampledLF, grid: AlignedGrid | None = None):
                     blank = content(_pgm16_bytes(image)), content(_pbm_bytes(mask))
                 files = blank
             for ext, (data, key) in zip(("pgm", "pbm"), files):
-                _save_shared(d / f"sai_r{i}_c{j}.{ext}", data, key, made, listing)
+                _save_shared(os.path.join(d, f"sai_r{i}_c{j}.{ext}"), data, key, made, listing)
     meta = {
         "rows_mm": [float(x) for x in lf.t_mm],
         "cols_mm": [float(x) for x in lf.s_mm],
@@ -403,8 +422,9 @@ def save_sampled_lf(dirpath, lf: SampledLF, grid: AlignedGrid | None = None):
     }
     if grid is not None:
         meta["aligned"] = grid.to_json_dict()
-    _unlink_regular(d / "grid.json", listing)
-    save_json(d / "grid.json", meta)
+    meta_path = os.path.join(d, "grid.json")
+    _unlink_regular(meta_path, listing)
+    save_json(meta_path, meta)
 
 
 @contextmanager
@@ -421,8 +441,8 @@ def load_sampled_lf(dirpath) -> tuple[SampledLF, AlignedGrid | None]:
     """Read a light-field directory; a file that cannot be read, decoded or
     fitted to grid.json raises ConfigError naming it.  A missing ``.pbm``
     sidecar means every pixel of its image is valid."""
-    d = Path(dirpath)
-    meta_path = d / "grid.json"
+    d = os.fspath(dirpath)
+    meta_path = os.path.join(d, "grid.json")
     meta = load_json(meta_path)
     with _naming(meta_path):
         t_mm = np.array(meta["rows_mm"], float)
@@ -434,16 +454,21 @@ def load_sampled_lf(dirpath) -> tuple[SampledLF, AlignedGrid | None]:
     mask = None
     for i in range(nr):
         for j in range(nc):
-            pgm, pbm = d / f"sai_r{i}_c{j}.pgm", d / f"sai_r{i}_c{j}.pbm"
+            stem = os.path.join(d, f"sai_r{i}_c{j}")
+            pgm, pbm = stem + ".pgm", stem + ".pbm"
             with _naming(pgm):
-                img = read_pgm16(pgm)
+                raw = _read_bytes(pgm)
                 if images is None:
-                    images = np.empty((nr, nc) + img.shape)
-                    mask = np.ones((nr, nc) + img.shape, bool)
-                images[i, j] = img
-            if pbm.exists():
-                with _naming(pbm):
-                    mask[i, j] = read_pbm(pbm)
+                    shape = _decode_pgm16(raw).shape
+                    images = np.empty((nr, nc) + shape)
+                    mask = np.ones((nr, nc) + shape, bool)
+                _decode_pgm16(raw, out=images[i, j])
+            with _naming(pbm):
+                try:
+                    raw = _read_bytes(pbm)
+                except FileNotFoundError:
+                    continue
+                _decode_pbm(raw, out=mask[i, j])
     if images is None:
         raise ConfigError(f"{d}: no sub-aperture images")
     with _naming(meta_path):

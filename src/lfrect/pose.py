@@ -268,12 +268,15 @@ def solve_linear(corr: CorrespondenceSet) -> ProjectiveSolution:
     is below 1e-8 of the largest (a null space of dimension two or more,
     as a coplanar scene produces, makes both of the smallest values
     numerically zero without making them equal).
+
+    A itself is freed once A Q is formed, before the QR copies A Q, so the
+    peak is A plus A Q rather than A plus two copies of A Q.
     """
     Pn1, N1 = normalize_points(corr.first)
     Pn2, N2 = normalize_points(corr.second)
-    A = build_dlt_system(Pn1, Pn2)
     Q = constraint_matrix(corr.k1, corr.k2, N1, N2)
-    _, s, Vt = np.linalg.svd(np.linalg.qr(A @ Q, mode="r"), full_matrices=False)
+    AQ = build_dlt_system(Pn1, Pn2) @ Q
+    _, s, Vt = np.linalg.svd(np.linalg.qr(AQ, mode="r"), full_matrices=False)
     if s[-1] >= (1.0 - _RANK_GAP) * s[-2] or s[-2] <= _NULL_FLOOR * s[0]:
         raise RankDeficient(
             f"no unique null vector: smallest singular values {s[-1]:.3e} vs {s[-2]:.3e}"

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BehindCamera, LfRectError
+from .errors import BehindCamera, GenerationFailure, LfRectError
 from .geometry import (
     LFIntrinsics,
     RelativePose,
@@ -219,22 +219,60 @@ def _refit_batch(obs: np.ndarray) -> np.ndarray:
     return np.column_stack([u_c, v_c, lam])
 
 
+# Most samples (float64 values) in one block of simulate_correspondences:
+# 2 MiB per array, below numpy's 4 MiB huge-page threshold.
+_BLOCK_SAMPLES = 1 << 18
+
+
+def _refit_noisy(
+    lfp: np.ndarray, cfg: SimConfig, rng: np.random.Generator, noise: np.ndarray
+) -> np.ndarray:
+    """Observe (n, 3) LF-points in every sub-aperture, add pixel noise and
+    re-fit them.  The noise is drawn into ``noise``, an (m >= n, rows,
+    cols, 2) buffer.
+
+    ``rng.normal(0.0, sigma)`` computes 0.0 + sigma * z for each standard
+    normal z in turn, so scaling a ``standard_normal`` draw gives its bits
+    without allocating a fresh array per block."""
+    obs = _observe_batch(lfp, cfg.sai_rows, cfg.sai_cols)
+    if cfg.sigma_px > 0:
+        z = rng.standard_normal(out=noise[: lfp.shape[0]])
+        z *= cfg.sigma_px
+        z += 0.0
+        obs += z
+    return _refit_batch(obs)
+
+
 def simulate_correspondences(
     cfg: SimConfig, rng: np.random.Generator
 ) -> CorrespondenceSet:
     """One noisy draw of the full correspondence set.
 
     Projects every corner into every sub-aperture of both cameras, adds
-    pixel noise, and re-fits the LF-points.
+    pixel noise, and re-fits the LF-points, in blocks of at most
+    ``_BLOCK_SAMPLES`` samples: the working memory is one block's
+    observations and one noise buffer that every block reuses, whatever
+    the board size.  The noise is drawn block by block in point order,
+    which consumes the generator exactly as one draw of each camera's whole
+    sample grid would, and the re-fit is per point, so the result does not
+    depend on the block size.  Raises GenerationFailure when the draw is
+    not a usable correspondence set (coincident corners without noise give
+    duplicate pairs).
     """
     pts1, pts2 = _corner_arrays(cfg)
-    sets = []
-    for pts, k in ((pts1, cfg.k1), (pts2, cfg.k2)):
-        obs = _observe_batch(k.project(pts), cfg.sai_rows, cfg.sai_cols)
-        if cfg.sigma_px > 0:
-            obs = obs + rng.normal(0.0, cfg.sigma_px, obs.shape)
-        sets.append(_refit_batch(obs))
-    return CorrespondenceSet(first=sets[0], second=sets[1], k1=cfg.k1, k2=cfg.k2)
+    n = pts1.shape[0]
+    step = min(max(1, _BLOCK_SAMPLES // (cfg.sai_rows * cfg.sai_cols * 2)), n)
+    noise = np.empty((step, cfg.sai_rows, cfg.sai_cols, 2))
+    first, second = np.empty((n, 3)), np.empty((n, 3))
+    for fitted, pts, k in ((first, pts1, cfg.k1), (second, pts2, cfg.k2)):
+        lfp = k.project(pts)
+        for start in range(0, n, step):
+            block = slice(start, start + step)
+            fitted[block] = _refit_noisy(lfp[block], cfg, rng, noise)
+    try:
+        return CorrespondenceSet(first=first, second=second, k1=cfg.k1, k2=cfg.k2)
+    except ValueError as e:
+        raise GenerationFailure(f"simulated correspondences are unusable: {e}") from e
 
 
 @dataclass

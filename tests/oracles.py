@@ -28,6 +28,11 @@ geometry from the outside:
 - ``refine_pose_nested`` is Levenberg-Marquardt as two nested loops steered
   by ``accepted`` and ``converged`` flags, the form that the single loop of
   ``lfrect.pose.refine_pose`` replaces; it also reports why it stopped.
+- ``simulate_one_shot`` draws the noise of every sub-aperture sample in one
+  call and re-fits all LF-points at once, the form that the point blocks of
+  ``lfrect.simulate.simulate_correspondences`` replace.
+- ``read_pnm_tokens_bytewise`` scans a Netpbm header one byte at a time,
+  the form that the header pattern of ``lfrect.lfio`` replaces.
 """
 
 import csv
@@ -49,7 +54,7 @@ from lfrect.pose import (
     normalize_points,
     project_to_SO3,
 )
-from lfrect.simulate import _grid_offsets
+from lfrect.simulate import SimConfig, _corner_arrays, _grid_offsets, _observe_batch, _refit_batch
 
 _EPS = 1e-12
 
@@ -118,6 +123,19 @@ def refit_lfpoint(obs: np.ndarray) -> np.ndarray:
     return sol
 
 
+def simulate_one_shot(cfg: SimConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(first, second) LF-points of one noisy draw: each camera's whole
+    (n, rows, cols, 2) sample grid is observed, gets one noise draw of its
+    full shape, and is re-fitted at once."""
+    sets = []
+    for pts, k in zip(_corner_arrays(cfg), (cfg.k1, cfg.k2)):
+        obs = _observe_batch(k.project(pts), cfg.sai_rows, cfg.sai_cols)
+        if cfg.sigma_px > 0:
+            obs = obs + rng.normal(0.0, cfg.sigma_px, obs.shape)
+        sets.append(_refit_batch(obs))
+    return sets[0], sets[1]
+
+
 # --------------------------------------------------------------------------
 # Correspondence CSV
 # --------------------------------------------------------------------------
@@ -161,6 +179,31 @@ def has_duplicate_pairs(first: np.ndarray, second: np.ndarray) -> bool:
     collecting the pairs as tuples of floats in a set."""
     pairs = {(*pa, *pb) for pa, pb in zip(map(tuple, first), map(tuple, second))}
     return len(pairs) != len(first)
+
+
+def read_pnm_tokens_bytewise(raw: bytes, count: int) -> tuple[list[bytes], int]:
+    """First ``count`` whitespace-separated tokens of a Netpbm header after
+    its magic, honouring '#' comments that run to the end of their line;
+    returns (tokens, offset past the single whitespace byte that ends the
+    header).  Raises ValueError when the header ends early."""
+    tokens = []
+    i = 0
+    while len(tokens) < count:
+        if i >= len(raw):
+            raise ValueError("truncated Netpbm header")
+        c = raw[i : i + 1]
+        if c == b"#":
+            while i < len(raw) and raw[i : i + 1] not in (b"\n", b"\r"):
+                i += 1
+        elif c.isspace():
+            i += 1
+        else:
+            j = i
+            while j < len(raw) and not raw[j : j + 1].isspace() and raw[j : j + 1] != b"#":
+                j += 1
+            tokens.append(raw[i:j])
+            i = j
+    return tokens, i + 1
 
 
 def solve_linear_full_svd(corr: CorrespondenceSet) -> tuple[np.ndarray, np.ndarray]:

@@ -151,6 +151,21 @@ def test_generation_failure_exits_3(tmp_path, capsys):
     assert "BehindCamera" in capsys.readouterr().err
 
 
+def test_coincident_corners_exit_3(tmp_path, capsys):
+    """A placement listed twice, without noise, measures each corner twice
+    to the bit: the draw is no correspondence set, and nothing is
+    written."""
+    placement = {"euler_deg": [-30.0, 15.0, 10.0], "center_mm": [-310.0, -50.0, 1060.0]}
+    cfg = _sim_config(tmp_path, sigma_px=0.0, board_poses=[placement, placement])
+    out = tmp_path / "s"
+    rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "GenerationFailure" in err and "duplicate correspondence pairs" in err
+    assert not out.exists()
+
+
 def test_coplanar_points_exit_4(tmp_path, capsys):
     sim_dir = _run_simulate(
         tmp_path,

@@ -47,7 +47,7 @@ from lfrect.rectify import build_rectified_setup
 from lfrect.pose import CorrespondenceSet
 from lfrect.simulate import SimConfig, default_intrinsics_pair, make_sim_config
 
-from oracles import has_duplicate_pairs, read_correspondence_csv_by_line
+from oracles import has_duplicate_pairs, read_correspondence_csv_by_line, read_pnm_tokens_bytewise
 
 from test_resample import MAP, S3, make_lf, random_lf
 from lfrect.resample import plan_aligned_grid
@@ -315,6 +315,38 @@ def test_pgm_reader_handles_comments_and_8bit(tmp_path):
     (tmp_path / "bad").write_bytes(b"P6\n1 1\n255\nxxx")
     with pytest.raises(ValueError, match="not a binary PGM"):
         read_pgm16(tmp_path / "bad")
+
+
+def _header_outcome(parse):
+    """What a header parse gives: its fields and data offset, or None for
+    a ValueError (a bad or truncated header)."""
+    try:
+        return parse()
+    except ValueError:
+        return None
+
+
+def _bytewise_fields(raw: bytes, count: int):
+    tokens, offset = read_pnm_tokens_bytewise(raw[2:], count)
+    if 2 + offset > len(raw):  # no byte ends the header
+        raise ValueError("truncated Netpbm header")
+    return [int(t) for t in tokens], 2 + offset
+
+
+_HEADER_BYTES = [b" ", b"\n", b"\r", b"\t", b"\x0b", b"\x0c", b"#", b"0", b"7", b"12", b"-", b"x"]
+
+
+@given(
+    st.sampled_from([(b"P5", 3, "PGM"), (b"P4", 2, "PBM")]),
+    st.lists(st.sampled_from(_HEADER_BYTES), max_size=16),
+)
+@settings(max_examples=500, deadline=None)
+def test_netpbm_header_pattern_matches_bytewise_scan(kind, body):
+    magic, count, name = kind
+    raw = magic + b"".join(body)
+    header = lfio._PGM_HEADER if name == "PGM" else lfio._PBM_HEADER
+    want = _header_outcome(lambda: _bytewise_fields(raw, count))
+    assert _header_outcome(lambda: lfio._pnm_fields(header, raw, name)) == want
 
 
 def test_pbm_polarity_black_is_invalid(tmp_path):
@@ -629,12 +661,21 @@ def test_single_file_writers_write_in_place(tmp_path, monkeypatch, name):
 
 def test_sampled_lf_without_grid_or_masks(tmp_path):
     lf = random_lf(seed=5)
+    lf = make_lf(lf.images, mask=lf.images > 0.2)
     d = tmp_path / "lf"
     save_sampled_lf(d, lf)
     (d / "sai_r1_c1.pbm").unlink()  # a missing mask file means all-valid
     back, grid = load_sampled_lf(d)
     assert grid is None
     assert back.mask[1, 1].all()
+    assert np.array_equal(back.images, np.round(lf.images * 65535.0) / 65535.0)
+    mask = lf.mask.copy()
+    mask[1, 1] = True
+    assert np.array_equal(back.mask, mask)
+    # Any other failure to read a mask file names it.
+    (d / "sai_r1_c1.pbm").mkdir()
+    with pytest.raises(ConfigError, match="sai_r1_c1.pbm"):
+        load_sampled_lf(d)
 
 
 def test_sampled_lf_load_errors(tmp_path):

@@ -8,6 +8,8 @@ pose.  The constraint matrix built with its two scalars exchanged must NOT
 span it, which pins down which normalization each scalar belongs to.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,21 @@ def test_solve_linear_matches_full_svd_bit_for_bit(sweep_pose, corr_dense):
         sol = solve_linear(corr)
         assert sol.singular_values.tobytes() == s.tobytes()
         assert sol.W_prime.tobytes() == W_prime.tobytes()
+
+
+def test_solve_linear_frees_the_design_matrix_before_its_qr(corr_dense):
+    """The (6n, 16) matrix A is gone before the QR copies A Q: the peak
+    stays below A plus two copies of A Q, which holding A through the QR
+    would exceed."""
+    n = len(corr_dense)
+    a_bytes, aq_bytes = 6 * n * 16 * 8, 6 * n * 13 * 8
+    tracemalloc.start()
+    try:
+        solve_linear(corr_dense)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < a_bytes + 2 * aq_bytes
 
 
 def test_solve_linear_coplanar_is_rank_deficient(k_pair, sweep_pose):

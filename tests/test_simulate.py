@@ -10,12 +10,15 @@ through the sub-aperture grid with exactly the disparity the LF-point
 model assigns to its depth.
 """
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import lfrect.simulate
 from lfrect.bench import bench_csv_lines, noise_sweep_spec, run_bench
-from lfrect.errors import BehindCamera, CoplanarDegeneracy
+from lfrect.errors import BehindCamera, CoplanarDegeneracy, GenerationFailure
 from lfrect.geometry import (
     LFIntrinsics,
     RelativePose,
@@ -48,6 +51,7 @@ from oracles import (
     project_corner_observations,
     refine_checkerboard_corner,
     refit_lfpoint,
+    simulate_one_shot,
 )
 
 # ---------------------------------------------------------------------------
@@ -210,6 +214,70 @@ def test_simulate_correspondences_deterministic(sweep_pose):
     n_corners = len(cfg.board_poses) * cfg.board.rows * cfg.board.cols
     assert a.first.shape == (n_corners, 3)
     assert a.second.shape == (n_corners, 3)
+
+
+DENSE_BOARD = BoardSpec(35, 55, 4.5)  # 7,700 points with the four stock placements
+
+
+def _draws_agree(cfg, seed):
+    """Whether the block-wise draw gives the bytes of the one-shot draw and
+    leaves the generator where the one-shot draw leaves it."""
+    rng_blocks, rng_once = np.random.default_rng(seed), np.random.default_rng(seed)
+    corr = simulate_correspondences(cfg, rng_blocks)
+    first, second = simulate_one_shot(cfg, rng_once)
+    return (
+        corr.first.tobytes() == first.tobytes()
+        and corr.second.tobytes() == second.tobytes()
+        and rng_blocks.random() == rng_once.random()
+    )
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.3, 3.0])
+@pytest.mark.parametrize("board", ["stock", "dense"])
+def test_block_draw_matches_one_shot_draw(sweep_pose, board, sigma):
+    overrides = {"board": DENSE_BOARD} if board == "dense" else {}
+    cfg = make_sim_config(sweep_pose, sigma_px=sigma, **overrides)
+    samples = cfg.sai_rows * cfg.sai_cols * 2
+    n_points = len(cfg.board_poses) * cfg.board.rows * cfg.board.cols
+    per_block = lfrect.simulate._BLOCK_SAMPLES // samples
+    # The stock board is one block; the dense board spans many.
+    assert (n_points <= per_block) == (board == "stock")
+    assert board == "stock" or n_points >= 3 * per_block
+    for seed in range(2):
+        assert _draws_agree(cfg, seed)
+
+
+@pytest.mark.parametrize("block_samples", [1, 1000, 338 * 307])
+def test_block_draw_is_independent_of_block_size(sweep_pose, monkeypatch, block_samples):
+    """One point per block (a block smaller than one point's samples), two
+    points per block, and 307 points per block (a last block of one
+    point) all give the one-shot bytes."""
+    monkeypatch.setattr(lfrect.simulate, "_BLOCK_SAMPLES", block_samples)
+    for sigma in (0.0, 0.3):
+        assert _draws_agree(make_sim_config(sweep_pose, sigma_px=sigma), seed=5)
+
+
+def test_simulate_memory_is_bounded_by_the_block(sweep_pose):
+    """A 7,700-point draw holds a few 2 MiB blocks, not the whole
+    (n, 13, 13, 2) sample grid (62 MiB) and its noise."""
+    cfg = make_sim_config(sweep_pose, sigma_px=0.3, board=DENSE_BOARD)
+    tracemalloc.start()
+    try:
+        simulate_correspondences(cfg, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_coincident_corners_without_noise_fail_generation(sweep_pose):
+    placement = default_board_poses()[0]
+    cfg = make_sim_config(sweep_pose, board_poses=[placement, placement])
+    with pytest.raises(GenerationFailure, match="duplicate correspondence pairs"):
+        simulate_correspondences(cfg, np.random.default_rng(0))
+    # With noise the repeated corners are distinct measurements.
+    noisy = dataclasses.replace(cfg, sigma_px=0.3)
+    assert len(simulate_correspondences(noisy, np.random.default_rng(0))) == 2 * 77
 
 
 def test_noise_free_correspondences_equal_projection(corr_exact, sweep_pose, k_pair):
