@@ -9,10 +9,11 @@ Subcommands::
     bench      run a trial sweep and write the summary table
 
 Exit codes: 0 success, 2 bad configuration or arguments (including an
-out-of-range ``epi`` index and an ``--out`` that cannot be created or
-written), 3 generation failure, 4 degenerate geometry, 5 no rectified
-overlap.  Each code is one group base in :mod:`lfrect.errors`,
-and ``main`` catches only those four bases.
+out-of-range ``epi`` index, an ``--out`` that cannot be created or
+written, and an ``--out`` that its own twin would overwrite), 3 generation
+failure, 4 degenerate geometry, 5 no rectified overlap.  Each code is one
+group base in :mod:`lfrect.errors`, and ``main`` catches only those four
+bases.
 """
 
 from __future__ import annotations
@@ -47,6 +48,13 @@ def _writing(path):
     except OSError as e:
         name = path if e.filename is None else e.filename
         raise ConfigError(f"cannot write {name}: {e.strerror or e}") from e
+
+
+def _check_twin(out: Path, suffix: str):
+    """Refuse, before any work, an ``--out`` that is its own ``suffix``
+    twin: ``out.with_suffix(suffix)`` would overwrite it."""
+    if out.suffix == suffix:
+        raise ConfigError(f"--out {out} would be overwritten by its {suffix} twin")
 
 
 def _cmd_simulate(args) -> int:
@@ -117,9 +125,10 @@ def _cmd_rectify(args) -> int:
 
 
 def _cmd_epi(args) -> int:
+    out = Path(args.out)
+    _check_twin(out, ".pbm")
     lf, _ = lfio.load_sampled_lf(args.sais)
     epi = extract_epi(lf, row=args.row, line=args.line)
-    out = Path(args.out)
     with _writing(out):
         lfio.write_pgm16(out, epi.image)
         lfio.write_pbm(out.with_suffix(".pbm"), epi.mask)
@@ -128,6 +137,8 @@ def _cmd_epi(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    out = Path(args.out)
+    _check_twin(out, ".dat")
     overrides = {k: getattr(args, k) for k in ("trials", "seed") if getattr(args, k) is not None}
     if args.spec is not None:
         spec = bench_mod.parse_bench_spec(lfio.load_json(args.spec), source=str(args.spec))
@@ -138,7 +149,6 @@ def _cmd_bench(args) -> int:
         spec = bench_mod.pose_grid_spec(**overrides)
     log.info("running %s: %d rows x %d trials", spec.name, len(spec.rows), spec.trials)
     result = bench_mod.run_bench(spec, jobs=args.jobs)
-    out = Path(args.out)
     with _writing(out):
         if out.parent != Path(""):
             out.parent.mkdir(parents=True, exist_ok=True)
@@ -201,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--sais", required=True, help="light-field directory")
     pp.add_argument("--row", type=int, required=True, help="sub-aperture grid row")
     pp.add_argument("--line", type=int, required=True, help="image scan line")
-    pp.add_argument("--out", required=True, help="output PGM path")
+    pp.add_argument("--out", required=True, help="output PGM path (a .pbm mask twin is written too)")
     pp.set_defaults(func=_cmd_epi)
 
     pb = sub.add_parser("bench", help="run a benchmark sweep")

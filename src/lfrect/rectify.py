@@ -63,13 +63,17 @@ class RectifiedSetup:
     def __post_init__(self):
         for name in ("R_rect", "R_l", "R_r"):
             M = np.asarray(getattr(self, name), float)
-            if M.shape != (3, 3) or np.abs(M @ M.T - np.eye(3)).max() > 1e-9:
+            if M.shape != (3, 3) or not np.isfinite(M).all():
+                raise ValueError(f"{name} must be a finite 3x3 matrix")
+            if np.abs(M @ M.T - np.eye(3)).max() > 1e-9:
                 raise ValueError(f"{name} must be orthonormal")
             if np.linalg.det(M) < 0:
                 raise ValueError(f"{name} must have det +1")
             object.__setattr__(self, name, M)
         T_l = np.asarray(self.T_l, float).reshape(3)
         T_r = np.asarray(self.T_r, float).reshape(3)
+        if not (np.isfinite(T_l).all() and np.isfinite(T_r).all()):
+            raise ValueError("T_l and T_r must be finite")
         if np.abs(T_l).max() > 1e-12:
             raise ValueError("T_l must be zero: the left camera anchors the frame")
         if not self.baseline_mm > 0:

@@ -369,34 +369,16 @@ def sample_rays(lf: SampledLF, rays) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _warped_centers(lf: SampledLF, R, T):
-    """Warp every sub-aperture's central ray (s, t, 0, 0); returns
-    (s', t', valid) arrays of shape (n_t, n_s)."""
+    """Warp every sub-aperture's central ray (s, t, 0, 0); returns the
+    (n_t, n_s) arrays (s', t'), or None when the central rays do not warp.
+    A central ray warps iff |R[2, 2]| > 1e-12, so one camera's central
+    rays warp all or none."""
     S, Tg = np.meshgrid(lf.s_mm, lf.t_mm)
     rays = np.column_stack([S.ravel(), Tg.ravel(), np.zeros((S.size, 2))])
     warped, valid = warp_rays(rays, R, T)
-    return warped[:, 0].reshape(S.shape), warped[:, 1].reshape(S.shape), valid.reshape(S.shape)
-
-
-def _row_representative(values: np.ndarray, valid: np.ndarray, center: int):
-    """Representative coordinate of one grid row/column: the central entry
-    when valid, otherwise the mean of the valid entries (NaN if none)."""
-    if valid[center]:
-        return float(values[center])
-    if valid.any():
-        return float(values[valid].mean())
-    return float("nan")
-
-
-def _representatives(values: np.ndarray, valid: np.ndarray, center: int) -> np.ndarray:
-    """:func:`_row_representative` of every row of (values, valid)."""
-    return np.array([_row_representative(v, ok, center) for v, ok in zip(values, valid)])
-
-
-def _valid_range(values: np.ndarray, valid: np.ndarray) -> list:
-    """[min, max] of the valid entries ignoring NaNs; NaNs if none is valid."""
-    if not valid.any():
-        return [float("nan"), float("nan")]
-    return [float(np.nanmin(values[valid])), float(np.nanmax(values[valid]))]
+    if not valid.all():
+        return None
+    return warped[:, 0].reshape(S.shape), warped[:, 1].reshape(S.shape)
 
 
 def plan_aligned_grid(
@@ -404,91 +386,72 @@ def plan_aligned_grid(
 ) -> AlignedGrid:
     """Choose the rectified output grid.
 
-    Target rows are the warped rows of the left light field (each row
-    represented by its central sub-aperture).  Both cameras' warped columns
-    snap to a contiguous lattice at the left angular pitch anchored at the
-    warped left centre; the provenance map records which source feeds each
-    target sub-aperture.  Raises NoOverlap when no target row would receive
-    sub-apertures from both sources.
+    Target rows are the warped rows of the left light field, each read at
+    its central column.  Both cameras' central rows snap to a contiguous
+    column lattice at the left angular pitch, anchored at the warped left
+    centre.  Each right row, read at its central column, joins the nearest
+    target row within half a row pitch or is dropped.  The provenance map
+    records which source feeds each target sub-aperture.  Raises NoOverlap
+    when a camera's central rays do not warp (its rotation turns the
+    optical axis parallel to the rectified planes), or when no target row
+    would receive sub-apertures from both sources.
     """
-    sl, tl, vl = _warped_centers(left, setup.R_l, setup.T_l)
-    sr, tr, vr = _warped_centers(right, setup.R_r, setup.T_r)
+    lc = _warped_centers(left, setup.R_l, setup.T_l)
+    rc = _warped_centers(right, setup.R_r, setup.T_r)
+    nan = float("nan")
     diagnostics = {
-        "left_t_range": _valid_range(tl, vl),
-        "right_t_range": _valid_range(tr, vr),
-        "left_mappable": int(vl.sum()),
-        "right_mappable": int(vr.sum()),
+        "left_t_range": [nan, nan] if lc is None else [float(lc[1].min()), float(lc[1].max())],
+        "right_t_range": [nan, nan] if rc is None else [float(rc[1].min()), float(rc[1].max())],
+        "left_mappable": 0 if lc is None else lc[0].size,
+        "right_mappable": 0 if rc is None else rc[0].size,
     }
-    if not vl.any() or not vr.any():
+    if lc is None or rc is None:
         raise NoOverlap(
             "a camera has no sub-aperture mappable into the common frame",
             diagnostics=diagnostics,
         )
-
+    (sl, tl), (sr, tr) = lc, rc
     ctr_row_l, ctr_col_l = left.n_rows // 2, left.n_cols // 2
     ctr_row_r, ctr_col_r = right.n_rows // 2, right.n_cols // 2
-    pitch = abs(left.pitch_s) if left.n_cols > 1 else abs(left.pitch_t)
-    if pitch == 0:
-        pitch = 1.0  # single sub-aperture per axis; arbitrary unit lattice
+    # A 1x1 grid has no pitch; it gets an arbitrary unit lattice.
+    pitch = abs(left.pitch_s if left.n_cols > 1 else left.pitch_t) or 1.0
 
-    # Rows: one target row per left grid row.
-    row_vals = _representatives(tl, vl, ctr_col_l)
-    row_keep = np.isfinite(row_vals)
+    # Rows: one target row per left grid row, ascending.
+    order = np.argsort(tl[:, ctr_col_l], kind="stable")
+    rows_mm = tl[order, ctr_col_l]
 
-    # Column lattice anchored at the warped left centre; each source column
-    # snaps to lattice index k (meaningless where the column has no value).
-    anchor = _row_representative(sl[ctr_row_l], vl[ctr_row_l], ctr_col_l)
-    if not np.isfinite(anchor):
-        anchor = float(sl[vl].mean())
-    col_vals_l = _representatives(sl.T, vl.T, ctr_row_l)
-    col_vals_r = _representatives(sr.T, vr.T, ctr_row_r)
-    col_ok_l = np.isfinite(col_vals_l)
-    col_ok_r = np.isfinite(col_vals_r)
-    k_col_l = np.round((np.where(col_ok_l, col_vals_l, anchor) - anchor) / pitch).astype(int)
-    k_col_r = np.round((np.where(col_ok_r, col_vals_r, anchor) - anchor) / pitch).astype(int)
-    k_left = k_col_l[col_ok_l]
-    k_right = k_col_r[col_ok_r]
-    if k_left.size == 0 or k_right.size == 0:
-        raise NoOverlap("no mappable columns on one side", diagnostics=diagnostics)
+    # Each source column snaps to index k of the lattice anchored at the
+    # warped left centre.
+    anchor = sl[ctr_row_l, ctr_col_l]
+    k_left = np.round((sl[ctr_row_l] - anchor) / pitch).astype(int)
+    k_right = np.round((sr[ctr_row_r] - anchor) / pitch).astype(int)
     k_min = int(min(k_left.min(), k_right.min()))
     k_max = int(max(k_left.max(), k_right.max()))
     cols_mm = anchor + np.arange(k_min, k_max + 1) * pitch
 
-    rows_sorted_idx = np.argsort(row_vals[row_keep], kind="stable")
-    rows_mm = row_vals[row_keep][rows_sorted_idx]
-    # Map each surviving left row to its (sorted) target row slot.
-    left_row_target = np.full(left.n_rows, -1)
-    left_row_target[np.flatnonzero(row_keep)[rows_sorted_idx]] = np.arange(rows_mm.size)
-
     # Right rows snap to the nearest target row within half a row pitch.
     row_pitch = abs(float(np.diff(rows_mm).mean())) if rows_mm.size > 1 else pitch
-    rep_t = _representatives(tr, vr, ctr_col_r)
-    dist = np.abs(rows_mm[None, :] - rep_t[:, None])
-    right_row_target = dist.argmin(axis=1)
-    nearest = dist[np.arange(right.n_rows), right_row_target]
-    right_row_keep = np.isfinite(rep_t) & (nearest <= 0.5 * row_pitch + _EDGE_TOL)
-
-    # Each valid sub-aperture on a kept row and column marks its target
-    # cell: bit 1 for the left source, bit 2 for the right.
-    provenance = np.zeros((rows_mm.size, cols_mm.size), np.int8)
-    i, j = np.nonzero(vl & (left_row_target >= 0)[:, None] & col_ok_l)
-    provenance[left_row_target[i], k_col_l[j] - k_min] |= 1
-    i, j = np.nonzero(vr & right_row_keep[:, None] & col_ok_r)
-    provenance[right_row_target[i], k_col_r[j] - k_min] |= 2
-
-    if not np.any(np.any(provenance & 1, axis=1) & np.any(provenance & 2, axis=1)):
+    dist = np.abs(rows_mm[None, :] - tr[:, ctr_col_r, None])
+    right_row_keep = dist.min(axis=1) <= 0.5 * row_pitch + _EDGE_TOL
+    # Every target row has left columns, so a row shared by both cameras
+    # is one that a right row joins.
+    if not right_row_keep.any():
         raise NoOverlap(
             "no target row receives sub-apertures from both cameras",
             diagnostics=diagnostics,
         )
-    left_cols = np.unique(anchor + k_left * pitch)
-    right_cols = np.unique(anchor + k_right * pitch)
+
+    # Bit 1 marks the left source's columns on every target row, bit 2 the
+    # right source's columns on the rows it joins.
+    provenance = np.zeros((rows_mm.size, cols_mm.size), np.int8)
+    provenance[:, k_left - k_min] = 1
+    provenance[dist.argmin(axis=1)[right_row_keep, None], k_right - k_min] |= 2
     return AlignedGrid(
         rows_mm=rows_mm,
         cols_mm=cols_mm,
         provenance=provenance,
-        left_cols_mm=left_cols,
-        right_cols_mm=right_cols,
+        left_cols_mm=np.unique(anchor + k_left * pitch),
+        right_cols_mm=np.unique(anchor + k_right * pitch),
     )
 
 

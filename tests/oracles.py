@@ -33,6 +33,11 @@ geometry from the outside:
   ``lfrect.simulate.simulate_correspondences`` replace.
 - ``read_pnm_tokens_bytewise`` scans a Netpbm header one byte at a time,
   the form that the header pattern of ``lfrect.lfio`` replaces.
+- ``plan_aligned_grid_masked`` plans the rectified grid from a validity
+  mask per sub-aperture, with fallbacks for rows and columns whose central
+  ray does not warp; ``lfrect.resample.plan_aligned_grid`` reads each
+  camera's plan straight off its central row and column instead, since a
+  camera's central rays warp all or none.
 """
 
 import csv
@@ -44,6 +49,7 @@ import numpy as np
 from lfrect import pose as lfpose
 from lfrect.errors import ConfigError, NumericalFailure
 from lfrect.geometry import LFIntrinsics, RelativePose, so3_exp
+from lfrect.errors import NoOverlap
 from lfrect.lfio import CORRESPONDENCE_HEADER
 from lfrect.pose import (
     CorrespondenceSet,
@@ -54,6 +60,8 @@ from lfrect.pose import (
     normalize_points,
     project_to_SO3,
 )
+from lfrect.rectify import warp_rays
+from lfrect.resample import _EDGE_TOL, AlignedGrid
 from lfrect.simulate import SimConfig, _corner_arrays, _grid_offsets, _observe_batch, _refit_batch
 
 _EPS = 1e-12
@@ -311,6 +319,128 @@ def warp_ray_geometric(ray: np.ndarray, R: np.ndarray, T: np.ndarray) -> np.ndar
     q1 = p1 + lam1 * (p2 - p1)  # on z = 0
     q2 = p1 + lam2 * (p2 - p1)  # on z = 1
     return np.array([q1[0], q1[1], q2[0] - q1[0], q2[1] - q1[1]])
+
+
+# --------------------------------------------------------------------------
+# Grid planning with a validity mask per sub-aperture
+# --------------------------------------------------------------------------
+
+
+def _warped_centers_masked(lf, R, T):
+    """Warp every sub-aperture's central ray (s, t, 0, 0); returns
+    (s', t', valid) arrays of shape (n_t, n_s)."""
+    S, Tg = np.meshgrid(lf.s_mm, lf.t_mm)
+    rays = np.column_stack([S.ravel(), Tg.ravel(), np.zeros((S.size, 2))])
+    warped, valid = warp_rays(rays, R, T)
+    return warped[:, 0].reshape(S.shape), warped[:, 1].reshape(S.shape), valid.reshape(S.shape)
+
+
+def _row_representative(values: np.ndarray, valid: np.ndarray, center: int):
+    """Representative coordinate of one grid row/column: the central entry
+    when valid, otherwise the mean of the valid entries (NaN if none)."""
+    if valid[center]:
+        return float(values[center])
+    if valid.any():
+        return float(values[valid].mean())
+    return float("nan")
+
+
+def _representatives(values: np.ndarray, valid: np.ndarray, center: int) -> np.ndarray:
+    """:func:`_row_representative` of every row of (values, valid)."""
+    return np.array([_row_representative(v, ok, center) for v, ok in zip(values, valid)])
+
+
+def _valid_range(values: np.ndarray, valid: np.ndarray) -> list:
+    """[min, max] of the valid entries ignoring NaNs; NaNs if none is valid."""
+    if not valid.any():
+        return [float("nan"), float("nan")]
+    return [float(np.nanmin(values[valid])), float(np.nanmax(values[valid]))]
+
+
+def plan_aligned_grid_masked(left, right, setup) -> AlignedGrid:
+    """The rectified grid of ``lfrect.resample.plan_aligned_grid``, planned
+    from per-sub-aperture validity masks: a row or column whose central
+    entry does not warp is represented by the mean of its valid entries,
+    and rows or columns with none are left out."""
+    sl, tl, vl = _warped_centers_masked(left, setup.R_l, setup.T_l)
+    sr, tr, vr = _warped_centers_masked(right, setup.R_r, setup.T_r)
+    diagnostics = {
+        "left_t_range": _valid_range(tl, vl),
+        "right_t_range": _valid_range(tr, vr),
+        "left_mappable": int(vl.sum()),
+        "right_mappable": int(vr.sum()),
+    }
+    if not vl.any() or not vr.any():
+        raise NoOverlap(
+            "a camera has no sub-aperture mappable into the common frame",
+            diagnostics=diagnostics,
+        )
+
+    ctr_row_l, ctr_col_l = left.n_rows // 2, left.n_cols // 2
+    ctr_row_r, ctr_col_r = right.n_rows // 2, right.n_cols // 2
+    pitch = abs(left.pitch_s) if left.n_cols > 1 else abs(left.pitch_t)
+    if pitch == 0:
+        pitch = 1.0  # single sub-aperture per axis; arbitrary unit lattice
+
+    # Rows: one target row per left grid row.
+    row_vals = _representatives(tl, vl, ctr_col_l)
+    row_keep = np.isfinite(row_vals)
+
+    # Column lattice anchored at the warped left centre; each source column
+    # snaps to lattice index k (meaningless where the column has no value).
+    anchor = _row_representative(sl[ctr_row_l], vl[ctr_row_l], ctr_col_l)
+    if not np.isfinite(anchor):
+        anchor = float(sl[vl].mean())
+    col_vals_l = _representatives(sl.T, vl.T, ctr_row_l)
+    col_vals_r = _representatives(sr.T, vr.T, ctr_row_r)
+    col_ok_l = np.isfinite(col_vals_l)
+    col_ok_r = np.isfinite(col_vals_r)
+    k_col_l = np.round((np.where(col_ok_l, col_vals_l, anchor) - anchor) / pitch).astype(int)
+    k_col_r = np.round((np.where(col_ok_r, col_vals_r, anchor) - anchor) / pitch).astype(int)
+    k_left = k_col_l[col_ok_l]
+    k_right = k_col_r[col_ok_r]
+    if k_left.size == 0 or k_right.size == 0:
+        raise NoOverlap("no mappable columns on one side", diagnostics=diagnostics)
+    k_min = int(min(k_left.min(), k_right.min()))
+    k_max = int(max(k_left.max(), k_right.max()))
+    cols_mm = anchor + np.arange(k_min, k_max + 1) * pitch
+
+    rows_sorted_idx = np.argsort(row_vals[row_keep], kind="stable")
+    rows_mm = row_vals[row_keep][rows_sorted_idx]
+    # Map each surviving left row to its (sorted) target row slot.
+    left_row_target = np.full(left.n_rows, -1)
+    left_row_target[np.flatnonzero(row_keep)[rows_sorted_idx]] = np.arange(rows_mm.size)
+
+    # Right rows snap to the nearest target row within half a row pitch.
+    row_pitch = abs(float(np.diff(rows_mm).mean())) if rows_mm.size > 1 else pitch
+    rep_t = _representatives(tr, vr, ctr_col_r)
+    dist = np.abs(rows_mm[None, :] - rep_t[:, None])
+    right_row_target = dist.argmin(axis=1)
+    nearest = dist[np.arange(right.n_rows), right_row_target]
+    right_row_keep = np.isfinite(rep_t) & (nearest <= 0.5 * row_pitch + _EDGE_TOL)
+
+    # Each valid sub-aperture on a kept row and column marks its target
+    # cell: bit 1 for the left source, bit 2 for the right.
+    provenance = np.zeros((rows_mm.size, cols_mm.size), np.int8)
+    i, j = np.nonzero(vl & (left_row_target >= 0)[:, None] & col_ok_l)
+    provenance[left_row_target[i], k_col_l[j] - k_min] |= 1
+    i, j = np.nonzero(vr & right_row_keep[:, None] & col_ok_r)
+    provenance[right_row_target[i], k_col_r[j] - k_min] |= 2
+
+    if not np.any(np.any(provenance & 1, axis=1) & np.any(provenance & 2, axis=1)):
+        raise NoOverlap(
+            "no target row receives sub-apertures from both cameras",
+            diagnostics=diagnostics,
+        )
+    left_cols = np.unique(anchor + k_left * pitch)
+    right_cols = np.unique(anchor + k_right * pitch)
+    return AlignedGrid(
+        rows_mm=rows_mm,
+        cols_mm=cols_mm,
+        provenance=provenance,
+        left_cols_mm=left_cols,
+        right_cols_mm=right_cols,
+    )
 
 
 # --------------------------------------------------------------------------

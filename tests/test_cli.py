@@ -13,11 +13,12 @@ import pytest
 
 from conftest import RENDER_POSE
 from lfrect import cli, errors
-from lfrect.bench import BENCH_HEADER
+from lfrect.bench import BENCH_HEADER, bench_csv_lines, pose_grid_spec, run_bench
 from lfrect.cli import main
 from lfrect.errors import ConfigError, DegenerateGeometry, GenerationFailure, LfRectError, NoOverlap
 from lfrect.geometry import RelativePose, angular_error_rotation, angular_error_translation
 from lfrect.lfio import (
+    CORRESPONDENCE_HEADER,
     load_json,
     load_pose,
     load_sampled_lf,
@@ -142,6 +143,18 @@ def test_input_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(path) in err
+
+
+@pytest.mark.parametrize("body", ["", "\n \n"])
+def test_correspondence_csv_without_data_rows_exits_2(tmp_path, capsys, body):
+    sim_dir = _run_simulate(tmp_path, capsys)
+    path = sim_dir / "correspondences.csv"
+    path.write_text(",".join(CORRESPONDENCE_HEADER) + "\n" + body)
+    rc, pose_path = _run_estimate(tmp_path, sim_dir)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:")
+    assert not pose_path.exists()
 
 
 def test_generation_failure_exits_3(tmp_path, capsys):
@@ -494,6 +507,16 @@ def test_epi_to_missing_directory_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
 
 
+def test_epi_out_that_is_its_own_mask_twin_exits_2(tmp_path, capsys):
+    lf_dir = tmp_path / "lf"
+    save_sampled_lf(lf_dir, random_lf(seed=5))
+    out = tmp_path / "e.pbm"
+    rc = main(["epi", "--sais", str(lf_dir), "--row", "0", "--line", "0", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: --out {out} would be overwritten by its .pbm twin\n"
+    assert not out.exists()
+
+
 def _rectify_argv(tmp_path, out, T=(4.0, 0.0, 0.0)):
     """A rectify run of two random light fields under a pure translation,
     with the inputs written on first use."""
@@ -595,6 +618,27 @@ def test_bench_output_is_reproducible(tmp_path, capsys):
 
     c = run("c.csv", "--jobs", "2")
     assert c.read_bytes() == a.read_bytes()
+
+
+def test_bench_out_that_is_its_own_dat_twin_exits_2(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before --out was checked")
+
+    monkeypatch.setattr(cli.bench_mod, "run_bench", no_sweep)
+    out = tmp_path / "sweep.dat"
+    rc = main(["bench", "--scenario", "noise-sweep", "--trials", "2", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: --out {out} would be overwritten by its .dat twin\n"
+    assert not out.exists()
+
+
+def test_bench_pose_grid_scenario(tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    rc = main(["bench", "--scenario", "pose-grid", "--trials", "2", "--out", str(out)])
+    assert rc == 0
+    labels = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+    assert labels == [f"pose-grid {label}" for label in ("r15_t50", "r15_t100", "r30_t50", "r30_t100")]
+    assert out.read_text() == "\n".join(bench_csv_lines(run_bench(pose_grid_spec(trials=2)))) + "\n"
 
 
 def test_bench_custom_spec(tmp_path, capsys):

@@ -9,6 +9,8 @@ a rotation, it sends the baseline to the +x axis, and ray bundles from both
 cameras triangulate scene points consistently in the common frame.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -268,3 +270,19 @@ def test_setup_validation():
             R_rect=R, R_l=R, T_l=np.zeros(3), R_r=R,
             T_r=np.array([50.0, 0, 0]), baseline_mm=-1.0,
         )
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["R_rect", "R_l", "R_r", "T_l", "T_r"])
+def test_setup_rejects_non_finite_entries(name, value):
+    # A non-finite entry would make warped sub-aperture centres NaN or
+    # infinite without marking them invalid.
+    fields = dict(
+        R_rect=np.eye(3), R_l=np.eye(3), T_l=np.zeros(3), R_r=np.eye(3),
+        T_r=np.array([50.0, 0.0, 0.0]), baseline_mm=50.0,
+    )
+    fields[name] = fields[name].copy()
+    fields[name].flat[1 if name.startswith("R") else 0] = value
+    with pytest.raises(ValueError, match="finite") as exc:
+        RectifiedSetup(**fields)
+    assert name in str(exc.value)

@@ -14,12 +14,12 @@ import math
 import numpy as np
 import pytest
 import sampler_oracle
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lfrect import resample
 from lfrect.errors import IndexOutOfRange, NoOverlap
-from lfrect.geometry import LFIntrinsics, RelativePose, euler_xyz_intrinsic
+from lfrect.geometry import LFIntrinsics, RelativePose, euler_xyz_intrinsic, so3_exp
 from lfrect.rectify import RectifiedSetup, build_rectified_setup
 from lfrect.resample import (
     _EDGE_TOL,
@@ -37,7 +37,7 @@ from lfrect.simulate import (
     render_synthetic_lf,
     soft_checkerboard_texture,
 )
-from oracles import blob_centroid, fit_line_tls, refine_checkerboard_corner
+from oracles import blob_centroid, fit_line_tls, plan_aligned_grid_masked, refine_checkerboard_corner
 
 # Dyadic lattice so index arithmetic in the sampler is exact.
 S3 = np.array([-2.0, 0.0, 2.0])
@@ -536,6 +536,78 @@ def test_plan_no_overlap_when_rows_disjoint():
     d = exc.value.diagnostics
     assert d["left_t_range"] == [-2.0, 2.0]
     assert d["right_t_range"] == [98.0, 102.0]
+
+
+def _planning_lf(n_t, n_s, s0=0.0, t0=0.0, pitch_s=2.0, pitch_t=2.0):
+    """A light field of one blank pixel per sub-aperture; the planner reads
+    only its grid."""
+    shape = (n_t, n_s, 1, 1)
+    return SampledLF(
+        images=np.zeros(shape), mask=np.ones(shape, bool),
+        s_mm=s0 + pitch_s * np.arange(n_s), t_mm=t0 + pitch_t * np.arange(n_t), mapping=MAP,
+    )
+
+
+# A quarter turn about x: the optical axis ends up parallel to the
+# rectified planes, so R[2, 2] is exactly 0 and no central ray warps.
+_QUARTER_TURN_X = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+
+
+@st.composite
+def planning_cases(draw):
+    """Two light fields of 1-7 x 1-7 sub-apertures at pitches of either
+    sign, and a rectified setup: built from a random pose, the identity, or
+    by hand with the left, the right or both cameras turned a quarter turn
+    about x."""
+    pitch = st.builds(lambda m, sign: m * sign, st.floats(0.5, 4.0), st.sampled_from([1.0, -1.0]))
+    offset = st.floats(-5.0, 5.0)
+    left, right = (
+        _planning_lf(
+            draw(st.integers(1, 7)), draw(st.integers(1, 7)),
+            draw(offset), draw(offset), draw(pitch), draw(pitch),
+        )
+        for _ in range(2)
+    )
+    kind = draw(st.sampled_from(["pose"] * 3 + ["identity"] * 2 + ["left_turned", "right_turned", "both_turned"]))
+    if kind == "pose":
+        w = [draw(st.floats(-0.3, 0.3)) for _ in range(3)]
+        T = [draw(pitch) * 15.0, draw(offset), draw(offset)]
+        setup = build_rectified_setup(RelativePose(so3_exp(w), T))
+        # Nearly flat optical axes would spread the columns over a huge lattice.
+        assume(min(abs(setup.R_l[2, 2]), abs(setup.R_r[2, 2])) > 0.05)
+        return left, right, setup
+    turn = euler_xyz_intrinsic(0.0, 0.0, draw(st.floats(-180.0, 180.0))) @ _QUARTER_TURN_X
+    R_l = turn if kind in ("left_turned", "both_turned") else np.eye(3)
+    R_r = turn if kind in ("right_turned", "both_turned") else np.eye(3)
+    baseline = draw(st.floats(0.5, 40.0))
+    setup = RectifiedSetup(
+        R_rect=R_l, R_l=R_l, T_l=np.zeros(3), R_r=R_r,
+        T_r=np.array([baseline, 0.0, 0.0]), baseline_mm=baseline,
+    )
+    return left, right, setup
+
+
+def _plan_outcome(plan, left, right, setup):
+    """The bytes of every planned grid field, or the NoOverlap message and
+    the repr of its diagnostics (so NaN ranges compare equal)."""
+    try:
+        grid = plan(left, right, setup)
+    except NoOverlap as e:
+        return str(e), repr(e.diagnostics)
+    fields = ("rows_mm", "cols_mm", "provenance", "left_cols_mm", "right_cols_mm")
+    return [(f, getattr(grid, f).dtype.str, getattr(grid, f).shape, getattr(grid, f).tobytes()) for f in fields]
+
+
+@given(planning_cases())
+@example((_planning_lf(1, 1), _planning_lf(1, 1, t0=0.3), identity_setup(4.0)))
+@example((_planning_lf(1, 5, pitch_s=-1.5), _planning_lf(3, 1, t0=-2.0), identity_setup(3.0)))
+@example((_planning_lf(4, 1, pitch_t=-2.0), _planning_lf(1, 4, t0=-4.0), identity_setup(5.0)))
+@settings(max_examples=300, deadline=None)
+def test_plan_matches_the_masked_planner(case):
+    # Every central ray of one camera warps or none does, so reading each
+    # plan off the central row and column gives the masked planner's grid,
+    # or its NoOverlap message and diagnostics, byte for byte.
+    assert _plan_outcome(plan_aligned_grid, *case) == _plan_outcome(plan_aligned_grid_masked, *case)
 
 
 def test_aligned_grid_json_round_trip():
