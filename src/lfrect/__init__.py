@@ -69,7 +69,6 @@ from .resample import (
     sample_rays,
 )
 from .simulate import (
-    BoardPose,
     BoardSpec,
     SimConfig,
     TrialReport,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import RelativePose, euler_xyz_intrinsic
-from .simulate import TrialReport, make_sim_config, run_trials, trial_pool
+from .simulate import SimConfig, TrialReport, make_sim_config, run_trials, trial_pool
 
 __all__ = [
     "BenchRow",
@@ -66,13 +66,12 @@ class BenchRow:
     pose: RelativePose
     sigma_px: float
 
-    def __post_init__(self):
-        if not 0 <= self.sigma_px < np.inf:
-            raise ValueError(f"noise sigma must be finite and non-negative, got {self.sigma_px}")
-
 
 @dataclass(frozen=True)
 class BenchSpec:
+    """A sweep: its rows, run ``trials`` times each.  Every row must make a
+    valid :class:`SimConfig`, so a bad spec fails before any trial runs."""
+
     name: str
     rows: tuple
     trials: int = 100
@@ -82,10 +81,15 @@ class BenchSpec:
         object.__setattr__(self, "rows", tuple(self.rows))
         if not self.rows:
             raise ValueError("benchmark needs at least one row")
-        if self.trials < 1:
-            raise ValueError("at least one trial per row")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        for idx in range(len(self.rows)):
+            self.config(idx)
+
+    def config(self, idx: int) -> SimConfig:
+        """The experiment of row ``idx``, seeded at spec seed + 1000 * idx."""
+        row = self.rows[idx]
+        return make_sim_config(
+            pose=row.pose, sigma_px=row.sigma_px, trials=self.trials, seed=self.seed + 1000 * idx
+        )
 
 
 @dataclass(frozen=True)
@@ -136,19 +140,11 @@ def parse_bench_spec(data: dict, source: str = "<spec>") -> BenchSpec:
 
 
 def run_bench(spec: BenchSpec, jobs: int = 1) -> BenchResult:
-    """Run every row of ``spec``; with ``jobs`` > 1 all rows share one pool
-    of worker processes."""
-    reports = []
+    """Run every row of ``spec``; with ``jobs`` > 1 all rows share one
+    :func:`trial_pool`."""
     with trial_pool(jobs) as pool:
-        for idx, row in enumerate(spec.rows):
-            cfg = make_sim_config(
-                pose=row.pose,
-                sigma_px=row.sigma_px,
-                trials=spec.trials,
-                seed=spec.seed + 1000 * idx,
-            )
-            reports.append(run_trials(cfg, jobs=jobs, pool=pool))
-    return BenchResult(spec=spec, reports=tuple(reports))
+        reports = tuple(run_trials(spec.config(idx), pool) for idx in range(len(spec.rows)))
+    return BenchResult(spec=spec, reports=reports)
 
 
 def _row_cells(row: BenchRow, rep: TrialReport) -> list[str]:

@@ -45,6 +45,7 @@ __all__ = [
     "RelativePose",
     "angular_error_rotation",
     "angular_error_translation",
+    "as_rotation",
     "euler_xyz_intrinsic",
     "skew",
     "so3_exp",
@@ -134,26 +135,33 @@ class LFIntrinsics:
             raise ValueError(f"intrinsics JSON missing key {e.args[0]!r}") from e
 
 
-class RelativePose:
-    """A rigid transform X_2 = R X_1 + T between two camera frames.
+def as_rotation(M, name: str = "R") -> np.ndarray:
+    """``M`` as a float array, checked to be a rotation: 3x3, finite,
+    orthonormal to 1e-9 and det +1.  A ValueError names ``name``."""
+    R = np.asarray(M, dtype=float)
+    if R.shape != (3, 3) or not np.isfinite(R).all():
+        raise ValueError(f"{name} must be a finite 3x3 matrix")
+    if np.abs(R @ R.T - np.eye(3)).max() > 1e-9:
+        raise ValueError(f"{name} is not orthonormal to 1e-9")
+    if np.linalg.det(R) < 0:
+        raise ValueError(f"{name} must have det +1")
+    return R
 
-    R must be orthonormal with det +1 (checked to 1e-9 on construction);
-    T is millimetres.
+
+class RelativePose:
+    """A rigid transform X_2 = R X_1 + T between two camera frames, such as
+    the camera pair or a calibration board placed in the camera-1 frame.
+
+    R must be a rotation (see :func:`as_rotation`); T is millimetres.
     """
 
     __slots__ = ("R", "T")
 
     def __init__(self, R, T):
-        R = np.asarray(R, dtype=float)
+        R = as_rotation(R)
         T = np.asarray(T, dtype=float).reshape(3)
-        if R.shape != (3, 3):
-            raise ValueError("R must be 3x3")
-        if not (np.all(np.isfinite(R)) and np.all(np.isfinite(T))):
-            raise ValueError("pose entries must be finite")
-        if np.abs(R @ R.T - np.eye(3)).max() > 1e-9:
-            raise ValueError("R is not orthonormal to 1e-9")
-        if np.linalg.det(R) < 0:
-            raise ValueError("R must have det +1")
+        if not np.isfinite(T).all():
+            raise ValueError("T must be finite")
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "T", T)
         R.flags.writeable = False

@@ -44,12 +44,7 @@ from .geometry import LFIntrinsics, RelativePose, euler_xyz_intrinsic
 from .pose import CorrespondenceSet
 from .rectify import RectifiedSetup
 from .resample import AlignedGrid, SampledLF, SpatialMapping
-from .simulate import (
-    BoardPose,
-    BoardSpec,
-    SimConfig,
-    default_intrinsics_pair,
-)
+from .simulate import BoardSpec, SimConfig, default_intrinsics_pair
 
 __all__ = [
     "load_json",
@@ -514,9 +509,9 @@ def _present(d: dict, fields: dict) -> dict:
     return {name: cast(d[name]) for name, cast in fields.items() if name in d}
 
 
-def _board_pose(d: dict) -> BoardPose:
+def _board_pose(d: dict) -> RelativePose:
     ang = [float(x) for x in d["euler_deg"]]
-    return BoardPose(euler_xyz_intrinsic(*ang), np.array(d["center_mm"], float))
+    return RelativePose(euler_xyz_intrinsic(*ang), np.array(d["center_mm"], float))
 
 
 # Config key -> (SimConfig field, parser of the key's JSON value).

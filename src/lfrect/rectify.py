@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollinearConstruction, ZeroBaseline
-from .geometry import RelativePose
+from .geometry import RelativePose, as_rotation
 
 __all__ = [
     "RectifiedSetup",
@@ -62,14 +62,7 @@ class RectifiedSetup:
 
     def __post_init__(self):
         for name in ("R_rect", "R_l", "R_r"):
-            M = np.asarray(getattr(self, name), float)
-            if M.shape != (3, 3) or not np.isfinite(M).all():
-                raise ValueError(f"{name} must be a finite 3x3 matrix")
-            if np.abs(M @ M.T - np.eye(3)).max() > 1e-9:
-                raise ValueError(f"{name} must be orthonormal")
-            if np.linalg.det(M) < 0:
-                raise ValueError(f"{name} must have det +1")
-            object.__setattr__(self, name, M)
+            object.__setattr__(self, name, as_rotation(getattr(self, name), name))
         T_l = np.asarray(self.T_l, float).reshape(3)
         T_r = np.asarray(self.T_r, float).reshape(3)
         if not (np.isfinite(T_l).all() and np.isfinite(T_r).all()):

@@ -64,6 +64,13 @@ __all__ = [
 # query counts as outside; covers warp round-off without real extrapolation.
 _EDGE_TOL = 1e-9
 
+# Widest column lattice plan_aligned_grid accepts, as a multiple of the
+# width the baseline and both grids span when no camera is tilted.  A camera
+# whose optical axis tilts by theta from the rectified one spreads its
+# columns by 1 / cos(theta); past a 4x spread (about 75 degrees) the lattice
+# is mostly columns that no camera serves.
+_MAX_SPREAD = 4.0
+
 
 @dataclass(frozen=True)
 class SpatialMapping:
@@ -393,8 +400,10 @@ def plan_aligned_grid(
     target row within half a row pitch or is dropped.  The provenance map
     records which source feeds each target sub-aperture.  Raises NoOverlap
     when a camera's central rays do not warp (its rotation turns the
-    optical axis parallel to the rectified planes), or when no target row
-    would receive sub-apertures from both sources.
+    optical axis parallel to the rectified planes), when the lattice would
+    be wider than ``_MAX_SPREAD`` times the baseline plus each grid's reach
+    from its camera centre (an axis nearly parallel to those planes), or
+    when no target row would receive sub-apertures from both sources.
     """
     lc = _warped_centers(left, setup.R_l, setup.T_l)
     rc = _warped_centers(right, setup.R_r, setup.T_r)
@@ -427,6 +436,15 @@ def plan_aligned_grid(
     k_right = np.round((sr[ctr_row_r] - anchor) / pitch).astype(int)
     k_min = int(min(k_left.min(), k_right.min()))
     k_max = int(max(k_left.max(), k_right.max()))
+    n_cols = k_max - k_min + 1
+    reach = sum(np.hypot(np.abs(lf.s_mm).max(), np.abs(lf.t_mm).max()) for lf in (left, right))
+    max_cols = int(_MAX_SPREAD * (setup.baseline_mm + reach) / pitch) + 2
+    if n_cols > max_cols:
+        raise NoOverlap(
+            f"the rectified lattice would span {n_cols} columns, more than {max_cols}: "
+            "a camera's optical axis is nearly parallel to the rectified planes",
+            diagnostics={**diagnostics, "lattice_cols": n_cols, "max_lattice_cols": max_cols},
+        )
     cols_mm = anchor + np.arange(k_min, k_max + 1) * pitch
 
     # Right rows snap to the nearest target row within half a row pitch.

@@ -47,7 +47,6 @@ from .resample import SampledLF, SpatialMapping
 
 __all__ = [
     "BoardSpec",
-    "BoardPose",
     "SimConfig",
     "TrialReport",
     "default_intrinsics_pair",
@@ -73,8 +72,8 @@ class BoardSpec:
     spacing_mm: float = 22.5
 
     def __post_init__(self):
-        if self.rows < 2 or self.cols < 2 or self.spacing_mm <= 0:
-            raise ValueError("board needs >= 2x2 corners and positive spacing")
+        if self.rows < 2 or self.cols < 2 or not 0 < self.spacing_mm < np.inf:
+            raise ValueError("board needs >= 2x2 corners and a positive, finite spacing")
 
     def local_corners(self) -> np.ndarray:
         """Corner coordinates in the board plane, centred: (rows*cols, 3)."""
@@ -82,22 +81,6 @@ class BoardSpec:
         x = (jj - (self.cols - 1) / 2.0) * self.spacing_mm
         y = (ii - (self.rows - 1) / 2.0) * self.spacing_mm
         return np.column_stack([x.ravel(), y.ravel(), np.zeros(x.size)])
-
-
-@dataclass(frozen=True)
-class BoardPose:
-    """Rigid placement of a board in the camera-1 frame."""
-
-    rotation: np.ndarray
-    center_mm: np.ndarray
-
-    def __post_init__(self):
-        R = np.asarray(self.rotation, float)
-        c = np.asarray(self.center_mm, float).reshape(3)
-        if R.shape != (3, 3) or np.abs(R @ R.T - np.eye(3)).max() > 1e-9:
-            raise ValueError("board rotation must be orthonormal")
-        object.__setattr__(self, "rotation", R)
-        object.__setattr__(self, "center_mm", c)
 
 
 def default_intrinsics_pair() -> tuple[LFIntrinsics, LFIntrinsics]:
@@ -108,8 +91,8 @@ def default_intrinsics_pair() -> tuple[LFIntrinsics, LFIntrinsics]:
     return k1, k2
 
 
-def default_board_poses() -> list[BoardPose]:
-    """Three tilted board placements visible to both cameras for every
+def default_board_poses() -> list[RelativePose]:
+    """Four tilted board placements visible to both cameras for every
     benchmark pose preset.
 
     The placements live in the region both cameras see under every
@@ -124,10 +107,10 @@ def default_board_poses() -> list[BoardPose]:
     cloud is far from coplanar.
     """
     return [
-        BoardPose(euler_xyz_intrinsic(-30.0, 15.0, 10.0), np.array([-310.0, -50.0, 1060.0])),
-        BoardPose(euler_xyz_intrinsic(-10.0, 35.0, 0.0), np.array([-290.0, 45.0, 850.0])),
-        BoardPose(euler_xyz_intrinsic(-12.0, 30.0, 5.0), np.array([-535.0, 90.0, 1490.0])),
-        BoardPose(euler_xyz_intrinsic(25.0, -20.0, 0.0), np.array([-400.0, -150.0, 1300.0])),
+        RelativePose(euler_xyz_intrinsic(-30.0, 15.0, 10.0), np.array([-310.0, -50.0, 1060.0])),
+        RelativePose(euler_xyz_intrinsic(-10.0, 35.0, 0.0), np.array([-290.0, 45.0, 850.0])),
+        RelativePose(euler_xyz_intrinsic(-12.0, 30.0, 5.0), np.array([-535.0, 90.0, 1490.0])),
+        RelativePose(euler_xyz_intrinsic(25.0, -20.0, 0.0), np.array([-400.0, -150.0, 1300.0])),
     ]
 
 
@@ -139,7 +122,7 @@ class SimConfig:
     k2: LFIntrinsics
     pose: RelativePose  # camera-1 -> camera-2
     board: BoardSpec = BoardSpec()
-    board_poses: tuple = ()
+    board_poses: tuple = ()  # RelativePose placements: board frame -> camera-1
     sai_rows: int = 13
     sai_cols: int = 13
     sigma_px: float = 0.0
@@ -177,9 +160,7 @@ def make_sim_config(
 
 def _corner_arrays(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     local = cfg.board.local_corners()
-    pts1 = np.concatenate(
-        [local @ bp.rotation.T + bp.center_mm for bp in cfg.board_poses]
-    )
+    pts1 = np.concatenate([local @ bp.R.T + bp.T for bp in cfg.board_poses])
     pts2 = cfg.pose.apply(pts1)
     if np.any(pts1[:, 2] <= 0) or np.any(pts2[:, 2] <= 0):
         raise BehindCamera("a board corner fell behind one of the cameras")
@@ -280,7 +261,8 @@ class TrialReport:
     """Per-trial benchmark errors plus summary statistics.
 
     err_R_deg / err_T_deg are NaN for failed trials; ``failures`` lists
-    (trial index, reason).  Summary statistics cover successful trials.
+    (trial index, reason).  Summary statistics cover successful trials:
+    they are NaN when no trial succeeded, and a single success has std 0.
     """
 
     sigma_px: float
@@ -298,26 +280,28 @@ class TrialReport:
     def n_failures(self) -> int:
         return len(self.failures)
 
-    def _ok(self) -> np.ndarray:
-        return np.isfinite(self.err_R_deg) & np.isfinite(self.err_T_deg)
+    def _summary(self, err: np.ndarray) -> tuple[float, float]:
+        """(mean, std) of ``err`` over the successful trials."""
+        ok = err[np.isfinite(self.err_R_deg) & np.isfinite(self.err_T_deg)]
+        if ok.size == 0:
+            return float("nan"), float("nan")
+        return float(ok.mean()), float(ok.std(ddof=1)) if ok.size > 1 else 0.0
 
     @property
     def mean_err_R(self) -> float:
-        return float(self.err_R_deg[self._ok()].mean())
+        return self._summary(self.err_R_deg)[0]
 
     @property
     def mean_err_T(self) -> float:
-        return float(self.err_T_deg[self._ok()].mean())
+        return self._summary(self.err_T_deg)[0]
 
     @property
     def std_err_R(self) -> float:
-        ok = self._ok()
-        return float(self.err_R_deg[ok].std(ddof=1)) if ok.sum() > 1 else 0.0
+        return self._summary(self.err_R_deg)[1]
 
     @property
     def std_err_T(self) -> float:
-        ok = self._ok()
-        return float(self.err_T_deg[ok].std(ddof=1)) if ok.sum() > 1 else 0.0
+        return self._summary(self.err_T_deg)[1]
 
 
 def _run_one_trial(cfg: SimConfig, trial: int):
@@ -341,7 +325,7 @@ def _run_one_trial(cfg: SimConfig, trial: int):
 def trial_pool(jobs: int):
     """A pool of ``min(jobs, os.cpu_count())`` worker processes for
     :func:`run_trials` calls to share, or None when that is one worker (no
-    process is started)."""
+    process is started).  This is the only place that sizes the workers."""
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         yield None
@@ -350,24 +334,20 @@ def trial_pool(jobs: int):
         yield pool
 
 
-def run_trials(cfg: SimConfig, jobs: int = 1, pool=None) -> TrialReport:
-    """Run the configured number of simulate->estimate trials.
+def run_trials(cfg: SimConfig, pool=None) -> TrialReport:
+    """Run the configured number of simulate->estimate trials, in this
+    process or, given one, on a :func:`trial_pool`.
 
     Each trial draws its noise from ``default_rng(seed + trial_index)``, so
-    the report is identical however many worker processes are used.  At
-    most ``os.cpu_count()`` workers are used, however large ``jobs`` is.
-    ``pool`` is a :func:`trial_pool` of ``jobs`` workers to run on; without
-    one, a pool is started for this call alone.
+    the report is identical however many worker processes are used.
     """
     indices = range(cfg.trials)
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1:
+    if pool is None:
         outcomes = [_run_one_trial(cfg, t) for t in indices]
-    elif pool is None:
-        with trial_pool(jobs) as pool:
-            return run_trials(cfg, jobs, pool)
     else:
-        chunk = max(1, cfg.trials // (4 * jobs))
+        # About 16 chunks: few enough to amortise dispatch, enough to
+        # balance the workers.
+        chunk = max(1, cfg.trials // 16)
         outcomes = list(
             pool.map(_run_one_trial, [cfg] * cfg.trials, indices, chunksize=chunk)
         )

@@ -16,7 +16,12 @@ from lfrect import cli, errors
 from lfrect.bench import BENCH_HEADER, bench_csv_lines, pose_grid_spec, run_bench
 from lfrect.cli import main
 from lfrect.errors import ConfigError, DegenerateGeometry, GenerationFailure, LfRectError, NoOverlap
-from lfrect.geometry import RelativePose, angular_error_rotation, angular_error_translation
+from lfrect.geometry import (
+    RelativePose,
+    angular_error_rotation,
+    angular_error_translation,
+    euler_xyz_intrinsic,
+)
 from lfrect.lfio import (
     CORRESPONDENCE_HEADER,
     load_json,
@@ -28,6 +33,7 @@ from lfrect.lfio import (
     save_pose,
     save_sampled_lf,
 )
+from lfrect.rectify import RectifiedSetup
 
 from test_resample import random_lf
 
@@ -401,6 +407,75 @@ def test_out_of_range_sim_config_value_exits_2(tmp_path, capsys, overrides, mess
     assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
 
 
+# JSON reads NaN and Infinity as floats, so a config can carry either.
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("board", {"spacing_mm": float("nan")}),
+        ("board", {"spacing_mm": float("inf")}),
+        ("board_poses", [{"euler_deg": [float("nan"), 0.0, 0.0], "center_mm": [0.0, 0.0, 1000.0]}]),
+        ("board_poses", [{"euler_deg": [0.0, 15.0, 0.0], "center_mm": [0.0, float("nan"), 1000.0]}]),
+    ],
+    ids=["nan-spacing", "infinite-spacing", "nan-angle", "nan-center"],
+)
+def test_non_finite_board_value_exits_2(tmp_path, capsys, key, value):
+    cfg = _sim_config(tmp_path, **{key: value})
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: {key}: ")
+    assert not (tmp_path / "s").exists()
+
+
+# Each matrix breaks one part of the rotation rule that lfrect.geometry
+# writes once: finite, orthonormal, det +1, 3x3.
+BAD_ROTATIONS = {
+    "nan-entry": np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    "reflection": np.diag([1.0, 1.0, -1.0]),
+    "scaled": 2.0 * np.eye(3),
+    "2x3": np.eye(3)[:2],
+}
+
+
+@pytest.mark.parametrize("entry", ["pose", "R_rect", "R_l", "R_r", "board_poses"])
+@pytest.mark.parametrize("bad", sorted(BAD_ROTATIONS))
+def test_every_rotation_obeys_one_rule(tmp_path, capsys, monkeypatch, entry, bad):
+    M = BAD_ROTATIONS[bad]
+    if entry == "pose":
+        with pytest.raises(ValueError, match="^R "):
+            RelativePose(M, np.zeros(3))
+    elif entry.startswith("R_"):
+        fields = dict(
+            R_rect=np.eye(3), R_l=np.eye(3), T_l=np.zeros(3), R_r=np.eye(3),
+            T_r=np.array([50.0, 0.0, 0.0]), baseline_mm=50.0,
+        )
+        with pytest.raises(ValueError, match=f"^{entry} "):
+            RectifiedSetup(**dict(fields, **{entry: M}))
+    else:
+        # The camera pose is given as a matrix, so the only Euler angles the
+        # config parser turns into a rotation are the board placement's.
+        monkeypatch.setattr(cli.lfio, "euler_xyz_intrinsic", lambda *angles: M)
+        pose = RelativePose(euler_xyz_intrinsic(*POSE_DOC["euler_deg"]), POSE_DOC["T_mm"])
+        cfg = _sim_config(
+            tmp_path, pose=pose.to_json_dict(),
+            board_poses=[{"euler_deg": [0.0, 15.0, 0.0], "center_mm": [0.0, 0.0, 1000.0]}],
+        )
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: board_poses: R ")
+
+
+def test_bench_row_without_a_successful_trial_reads_nan(tmp_path, capsys):
+    """Turned 180 degrees about y, camera 2 sees every board corner behind
+    it: the row's statistics are NaN, without a warning (warnings fail the
+    tests)."""
+    spec_path = _bench_spec(tmp_path, {"euler_deg": [0.0, 180.0, 0.0]}, trials=3)
+    out = tmp_path / "b.csv"
+    assert main(["bench", "--spec", str(spec_path), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == "a,nan,nan,nan,nan,3,3"
+    assert out.with_suffix(".dat").read_text().splitlines()[1] == "a nan nan nan nan 3 3"
+    assert "a: err_R nan deg, err_T nan deg (3 failures)" in capsys.readouterr().out
+
+
 def test_negative_seed_in_bench_spec_exits_2(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     save_json(spec_path, {"seed": -1, "rows": [dict(POSE_DOC, label="a", sigma_px=0.2)]})
@@ -594,6 +669,29 @@ def test_rectify_without_overlap_exits_5(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "no overlap" in err
     assert "left_t_range" in err
+
+
+def test_rectify_nearly_flat_axis_exits_5_before_rendering(tmp_path, capsys, monkeypatch):
+    """At 89.9999 degrees the left camera's optical axis is nearly parallel
+    to the rectified planes, which spreads its three columns over a lattice
+    of 1,145,917; the planner refuses it before anything is rendered."""
+
+    def no_render(*args):
+        raise AssertionError("rendered")
+
+    monkeypatch.setattr(cli, "render_aligned_sais", no_render)
+    for name, seed in (("left", 6), ("right", 7)):
+        save_sampled_lf(tmp_path / name, random_lf(seed=seed))
+    pose = RelativePose(euler_xyz_intrinsic(0.0, 89.9999, 0.0), np.array([50.0, 0.0, 0.0]))
+    save_pose(tmp_path / "pose.json", pose)
+    rc = main(
+        ["rectify", "--pose", str(tmp_path / "pose.json"),
+         "--left", str(tmp_path / "left"), "--right", str(tmp_path / "right"),
+         "--out", str(tmp_path / "rect")]
+    )
+    assert rc == 5
+    assert "\n  lattice_cols: 1145917\n" in capsys.readouterr().err
+    assert not (tmp_path / "rect").exists()
 
 
 def test_bench_output_is_reproducible(tmp_path, capsys):

@@ -748,8 +748,8 @@ def test_parse_sim_config_equals_make_sim_config(sweep_pose):
         elif f.name == "board_poses":
             assert len(a) == len(b)
             for pa, pb in zip(a, b):
-                assert np.array_equal(pa.rotation, pb.rotation)
-                assert np.array_equal(pa.center_mm, pb.center_mm)
+                assert np.array_equal(pa.R, pb.R)
+                assert np.array_equal(pa.T, pb.T)
         else:
             assert a == b, f.name
 

@@ -50,7 +50,6 @@ from lfrect.pose import (
     solve_translation,
 )
 from lfrect.simulate import (
-    BoardPose,
     make_sim_config,
     simulate_correspondences,
 )
@@ -191,7 +190,7 @@ def test_solve_linear_coplanar_is_rank_deficient(k_pair, sweep_pose):
     cfg = make_sim_config(
         sweep_pose,
         board_poses=(
-            BoardPose(euler_xyz_intrinsic(-20.0, 15.0, 0.0), np.array([-320.0, 0.0, 1100.0])),
+            RelativePose(euler_xyz_intrinsic(-20.0, 15.0, 0.0), np.array([-320.0, 0.0, 1100.0])),
         ),
     )
     corr = simulate_correspondences(cfg, np.random.default_rng(0))
@@ -264,7 +263,7 @@ class TestDegeneracy:
         cfg = make_sim_config(
             sweep_pose,
             board_poses=(
-                BoardPose(euler_xyz_intrinsic(-20.0, 15.0, 0.0), np.array([-320.0, 0.0, 1100.0])),
+                RelativePose(euler_xyz_intrinsic(-20.0, 15.0, 0.0), np.array([-320.0, 0.0, 1100.0])),
             ),
         )
         corr = simulate_correspondences(cfg, np.random.default_rng(0))
@@ -281,8 +280,8 @@ class TestDegeneracy:
         cfg = make_sim_config(
             sweep_pose,
             board_poses=(
-                BoardPose(euler_xyz_intrinsic(-10.0, 15.0, 0.0), np.array([-320.0, 0.0, 1100.0])),
-                BoardPose(euler_xyz_intrinsic(10.0, 15.0, 0.0), np.array([-300.0, 10.0, 1250.0])),
+                RelativePose(euler_xyz_intrinsic(-10.0, 15.0, 0.0), np.array([-320.0, 0.0, 1100.0])),
+                RelativePose(euler_xyz_intrinsic(10.0, 15.0, 0.0), np.array([-300.0, 10.0, 1250.0])),
             ),
         )
         corr = simulate_correspondences(cfg, np.random.default_rng(0))

@@ -25,7 +25,6 @@ from lfrect.geometry import (
     euler_xyz_intrinsic,
 )
 from lfrect.simulate import (
-    BoardPose,
     BoardSpec,
     RenderGrid,
     SimConfig,
@@ -41,6 +40,7 @@ from lfrect.simulate import (
     simulate_correspondences,
     sinusoid_texture,
     soft_checkerboard_texture,
+    trial_pool,
 )
 from oracles import (
     add_observation_noise,
@@ -159,7 +159,7 @@ def test_board_corner_counts_and_spacing():
     with pytest.raises(ValueError):
         BoardSpec(rows=1, cols=4)
     with pytest.raises(ValueError):
-        BoardPose(rotation=np.eye(3) * 2.0, center_mm=np.zeros(3))
+        RelativePose(np.eye(3) * 2.0, np.zeros(3))
 
 
 def test_all_presets_keep_corners_visible(all_presets):
@@ -297,9 +297,10 @@ def test_noise_free_correspondences_equal_projection(corr_exact, sweep_pose, k_p
 
 def test_run_trials_is_deterministic_and_job_invariant(sweep_pose):
     cfg = make_sim_config(sweep_pose, sigma_px=0.3, trials=6, seed=11)
-    serial = run_trials(cfg, jobs=1)
-    again = run_trials(cfg, jobs=1)
-    parallel = run_trials(cfg, jobs=2)
+    serial = run_trials(cfg)
+    again = run_trials(cfg)
+    with trial_pool(2) as pool:
+        parallel = run_trials(cfg, pool)
     for report in (again, parallel):
         assert np.array_equal(serial.err_R_deg, report.err_R_deg)
         assert np.array_equal(serial.err_T_deg, report.err_T_deg)
@@ -336,12 +337,13 @@ class RecordingPool:
 @pytest.mark.parametrize("cpus", [1, 2, 3, None])
 def test_run_trials_starts_at_most_cpu_count_workers(sweep_pose, monkeypatch, cpus):
     cfg = make_sim_config(sweep_pose, sigma_px=0.3, trials=6, seed=11)
-    serial = run_trials(cfg, jobs=1)
+    serial = run_trials(cfg)
     monkeypatch.setattr(RecordingPool, "started", [])
     monkeypatch.setattr(lfrect.simulate.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(lfrect.simulate.os, "cpu_count", lambda: cpus)
     for jobs in (2, 3, 64, 10**9):
-        report = run_trials(cfg, jobs=jobs)
+        with trial_pool(jobs) as pool:
+            report = run_trials(cfg, pool)
         assert np.array_equal(serial.err_R_deg, report.err_R_deg)
         assert np.array_equal(serial.err_T_deg, report.err_T_deg)
         assert np.array_equal(serial.converged, report.converged)
