@@ -64,11 +64,15 @@ __all__ = [
 # query counts as outside; covers warp round-off without real extrapolation.
 _EDGE_TOL = 1e-9
 
-# Widest column lattice plan_aligned_grid accepts, as a multiple of the
-# width the baseline and both grids span when no camera is tilted.  A camera
-# whose optical axis tilts by theta from the rectified one spreads its
-# columns by 1 / cos(theta); past a 4x spread (about 75 degrees) the lattice
-# is mostly columns that no camera serves.
+# plan_aligned_grid accepts at most
+#   int(_MAX_SPREAD * (baseline + left reach + right reach) / pitch) + 2
+# lattice columns, a grid's reach being the hypot of its largest |s| and |t|.
+# This guards against runaway allocation; it is not a geometric limit.  A
+# camera whose optical axis tilts by theta from the rectified one spreads its
+# columns by 1 / cos(theta), which near 90 degrees asks for millions of
+# columns that no camera serves.  Two 3x3 grids at 2 mm pitch get 113 columns
+# at the pose euler_xyz_intrinsic(0, theta, 0), T = [50, 0, 0] mm, which
+# plans for theta up to 88.98 degrees.
 _MAX_SPREAD = 4.0
 
 
@@ -401,8 +405,8 @@ def plan_aligned_grid(
     records which source feeds each target sub-aperture.  Raises NoOverlap
     when a camera's central rays do not warp (its rotation turns the
     optical axis parallel to the rectified planes), when the lattice would
-    be wider than ``_MAX_SPREAD`` times the baseline plus each grid's reach
-    from its camera centre (an axis nearly parallel to those planes), or
+    have more columns than the ``_MAX_SPREAD`` cap (an axis nearly parallel
+    to those planes), or
     when no target row would receive sub-apertures from both sources.
     """
     lc = _warped_centers(left, setup.R_l, setup.T_l)

@@ -323,15 +323,23 @@ def _run_one_trial(cfg: SimConfig, trial: int):
 
 @contextmanager
 def trial_pool(jobs: int):
-    """A pool of ``min(jobs, os.cpu_count())`` worker processes for
+    """A ``map`` over ``min(jobs, os.cpu_count())`` worker processes for
     :func:`run_trials` calls to share, or None when that is one worker (no
-    process is started).  This is the only place that sizes the workers."""
+    process is started).  This is the only place that sizes the workers and
+    their chunks."""
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         yield None
         return
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield pool
+
+        def pool_map(fn, *iterables):
+            # About four chunks per worker: few enough to amortise dispatch,
+            # enough to balance the workers.
+            chunk = max(1, len(iterables[0]) // (4 * jobs))
+            return pool.map(fn, *iterables, chunksize=chunk)
+
+        yield pool_map
 
 
 def run_trials(cfg: SimConfig, pool=None) -> TrialReport:
@@ -345,12 +353,7 @@ def run_trials(cfg: SimConfig, pool=None) -> TrialReport:
     if pool is None:
         outcomes = [_run_one_trial(cfg, t) for t in indices]
     else:
-        # About 16 chunks: few enough to amortise dispatch, enough to
-        # balance the workers.
-        chunk = max(1, cfg.trials // 16)
-        outcomes = list(
-            pool.map(_run_one_trial, [cfg] * cfg.trials, indices, chunksize=chunk)
-        )
+        outcomes = list(pool(_run_one_trial, [cfg] * cfg.trials, indices))
     err_R = np.array([o[1] for o in outcomes])
     err_T = np.array([o[2] for o in outcomes])
     converged = np.array([o[3] for o in outcomes], bool)

@@ -319,6 +319,7 @@ class RecordingPool:
 
     started = []
     mapped = []
+    chunks = []
 
     def __init__(self, max_workers):
         self.started.append(max_workers)
@@ -331,6 +332,7 @@ class RecordingPool:
 
     def map(self, fn, *iterables, chunksize=1):
         self.mapped.append(len(iterables[0]))
+        self.chunks.append(chunksize)
         return map(fn, *iterables)
 
 
@@ -353,6 +355,20 @@ def test_run_trials_starts_at_most_cpu_count_workers(sweep_pose, monkeypatch, cp
     cap = cpus or 1
     want = [min(jobs, cap) for jobs in (2, 3, 64, 10**9) if min(jobs, cap) > 1]
     assert RecordingPool.started == want
+
+
+@pytest.mark.parametrize(
+    "cpus, jobs, n, chunk",
+    [(2, 2, 100, 12), (8, 8, 100, 3), (64, 64, 100, 1), (4, 64, 100, 6), (16, 16, 3, 1)],
+)
+def test_trial_pool_chunks_follow_the_worker_count(monkeypatch, cpus, jobs, n, chunk):
+    # About four chunks per worker, however many trials a row has.
+    monkeypatch.setattr(RecordingPool, "chunks", [])
+    monkeypatch.setattr(lfrect.simulate.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(lfrect.simulate.os, "cpu_count", lambda: cpus)
+    with trial_pool(jobs) as pool:
+        assert list(pool(abs, range(-n, 0))) == list(range(n, 0, -1))
+    assert RecordingPool.chunks == [chunk]
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 64])
