@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
 from .geometry import RelativePose, euler_xyz_intrinsic
 from .simulate import SimConfig, TrialReport, make_sim_config, run_trials, trial_pool
 
@@ -31,7 +30,6 @@ __all__ = [
     "pose_grid_presets",
     "noise_sweep_spec",
     "pose_grid_spec",
-    "parse_bench_spec",
     "run_bench",
     "BENCH_HEADER",
     "bench_csv_lines",
@@ -107,36 +105,6 @@ def noise_sweep_spec(trials: int = 100, seed: int = 0) -> BenchSpec:
 def pose_grid_spec(trials: int = 100, seed: int = 0) -> BenchSpec:
     rows = [BenchRow(name, pose, 0.3) for name, pose in pose_grid_presets()]
     return BenchSpec(name="pose-grid", rows=rows, trials=trials, seed=seed)
-
-
-def _spec_value(data: dict, key: str, cast):
-    """``cast(data[key])``; a bad value raises ValueError naming the key."""
-    try:
-        return cast(data[key])
-    except (ValueError, TypeError, OverflowError) as e:
-        raise ValueError(f"{key}: {e}") from e
-
-
-def parse_bench_spec(data: dict, source: str = "<spec>") -> BenchSpec:
-    """Custom sweep from JSON: {"name": ..., "trials": N, "seed": S,
-    "rows": [{"label", "euler_deg", "T_mm", "sigma_px"}, ...]}."""
-    from .lfio import parse_pose_dict  # deferred so the modules stay independent
-
-    try:
-        rows = []
-        for row in data["rows"]:
-            rows.append(
-                BenchRow(
-                    label=str(row["label"]),
-                    pose=parse_pose_dict(row),
-                    sigma_px=_spec_value(row, "sigma_px", float),
-                )
-            )
-        counts = {key: _spec_value(data, key, int) for key in ("trials", "seed") if key in data}
-        return BenchSpec(name=str(data.get("name", "custom")), rows=rows, **counts)
-    except (KeyError, ValueError, TypeError, OverflowError) as e:
-        msg = e.args[0] if e.args else e
-        raise ConfigError(f"{source}: {msg}") from e
 
 
 def run_bench(spec: BenchSpec, jobs: int = 1) -> BenchResult:

@@ -141,8 +141,7 @@ def _cmd_bench(args) -> int:
     _check_twin(out, ".dat")
     overrides = {k: getattr(args, k) for k in ("trials", "seed") if getattr(args, k) is not None}
     if args.spec is not None:
-        spec = bench_mod.parse_bench_spec(lfio.load_json(args.spec), source=str(args.spec))
-        spec = dataclasses.replace(spec, **overrides)
+        spec = dataclasses.replace(lfio.load_bench_spec(args.spec), **overrides)
     elif args.scenario == "noise-sweep":
         spec = bench_mod.noise_sweep_spec(**overrides)
     else:

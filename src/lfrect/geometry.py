@@ -152,20 +152,20 @@ class RelativePose:
     """A rigid transform X_2 = R X_1 + T between two camera frames, such as
     the camera pair or a calibration board placed in the camera-1 frame.
 
-    R must be a rotation (see :func:`as_rotation`); T is millimetres.
+    R must be a rotation (see :func:`as_rotation`); T is millimetres.  The
+    pose holds read-only copies of both, so the caller's arrays stay its own.
     """
 
     __slots__ = ("R", "T")
 
     def __init__(self, R, T):
-        R = as_rotation(R)
-        T = np.asarray(T, dtype=float).reshape(3)
+        R = as_rotation(np.array(R, dtype=float))
+        T = np.array(T, dtype=float).reshape(3)
         if not np.isfinite(T).all():
             raise ValueError("T must be finite")
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "T", T)
-        R.flags.writeable = False
-        T.flags.writeable = False
+        R.flags.writeable = T.flags.writeable = False
 
     def __setattr__(self, name, value):
         raise AttributeError("RelativePose is immutable")

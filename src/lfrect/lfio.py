@@ -34,11 +34,11 @@ import os
 import re
 import stat
 from contextlib import contextmanager
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
+from .bench import BenchRow, BenchSpec
 from .errors import ConfigError
 from .geometry import LFIntrinsics, RelativePose, euler_xyz_intrinsic
 from .pose import CorrespondenceSet
@@ -67,7 +67,24 @@ __all__ = [
     "parse_pose_dict",
     "parse_sim_config",
     "load_sim_config",
+    "parse_bench_spec",
+    "load_bench_spec",
 ]
+
+
+@contextmanager
+def _naming(source, key=None):
+    """Turn a failure to read, decode or use ``source`` (a file, or the
+    value of its ``key``) into a ConfigError that names the file and the
+    key; a KeyError reads "missing key 'x'"."""
+    try:
+        yield
+    except (OSError, KeyError, ValueError, TypeError, OverflowError) as e:
+        msg = getattr(e, "strerror", None) or e
+        if isinstance(e, KeyError):
+            msg = f"missing key {e.args[0]!r}"
+        where = source if key is None else f"{source}: {key}"
+        raise ConfigError(f"{where}: {msg}") from e
 
 
 def _read_text(path: Path) -> str:
@@ -152,19 +169,17 @@ def read_correspondence_csv(path, k1: LFIntrinsics, k2: LFIntrinsics) -> Corresp
     Rows whose fields are all blank are skipped.  A file without quotes
     whose data rows are all six numbers is converted by one ``np.loadtxt``
     pass; any other file (quoted fields, whitespace or blank-field rows,
-    bad rows, no data rows) is tokenized by ``csv.reader``, converted in
-    one pass and, if that fails, scanned row by row (numbered from 2, the
-    line after the header) to name the bad line.  Both conversions round
+    bad rows, no data rows) is tokenized by ``csv.reader`` and converted
+    row by row, a bad row raising ConfigError that names its line
+    (numbered from 2, the line after the header).  Both conversions round
     each field as ``float`` does."""
     path = Path(path)
     text = _read_text(path)
     pairs = _plain_csv_pairs(text)
     if pairs is None:
         pairs = _csv_pairs(path, text)
-    try:
+    with _naming(path):
         return CorrespondenceSet(first=pairs[:, :3], second=pairs[:, 3:], k1=k1, k2=k2)
-    except ValueError as e:
-        raise ConfigError(f"{path}: {e}") from e
 
 
 def _plain_csv_pairs(text: str) -> np.ndarray | None:
@@ -184,28 +199,18 @@ def _plain_csv_pairs(text: str) -> np.ndarray | None:
 
 def _csv_pairs(path: Path, text: str) -> np.ndarray:
     """The (n, 6) pairs of any correspondence CSV, by ``csv.reader``."""
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or [c.strip() for c in rows[0]] != CORRESPONDENCE_HEADER:
-        raise ConfigError(
-            f"{path}: first line must be '{','.join(CORRESPONDENCE_HEADER)}'"
-        )
-    data = [row for row in rows[1:] if "".join(row).strip()]
-    try:
-        if not {6}.issuperset(map(len, data)):
-            raise ValueError("expected 6 columns")
-        pairs = np.fromiter(map(float, chain.from_iterable(data)), float, 6 * len(data))
-    except ValueError:
-        for lineno, row in enumerate(rows[1:], start=2):
-            if not "".join(row).strip():
-                continue
+    rows = csv.reader(io.StringIO(text))
+    if [c.strip() for c in next(rows, [])] != CORRESPONDENCE_HEADER:
+        raise ConfigError(f"{path}: first line must be '{','.join(CORRESPONDENCE_HEADER)}'")
+    pairs = []
+    for lineno, row in enumerate(rows, start=2):
+        if not "".join(row).strip():
+            continue
+        with _naming(f"{path}:{lineno}"):
             if len(row) != 6:
-                raise ConfigError(f"{path}:{lineno}: expected 6 columns, got {len(row)}")
-            try:
-                list(map(float, row))
-            except ValueError as e:
-                raise ConfigError(f"{path}:{lineno}: {e}") from e
-        raise
-    return pairs.reshape(-1, 6)
+                raise ValueError(f"expected 6 columns, got {len(row)}")
+            pairs.append(list(map(float, row)))
+    return np.array(pairs, float).reshape(-1, 6)
 
 
 # --------------------------------------------------------------------------
@@ -422,16 +427,6 @@ def save_sampled_lf(dirpath, lf: SampledLF, grid: AlignedGrid | None = None):
     save_json(meta_path, meta)
 
 
-@contextmanager
-def _naming(path):
-    """Turn a failure to read, decode or use ``path`` into a ConfigError
-    that names the file."""
-    try:
-        yield
-    except (OSError, KeyError, ValueError, TypeError, OverflowError) as e:
-        raise ConfigError(f"{path}: {getattr(e, 'strerror', None) or e}") from e
-
-
 def load_sampled_lf(dirpath) -> tuple[SampledLF, AlignedGrid | None]:
     """Read a light-field directory; a file that cannot be read, decoded or
     fitted to grid.json raises ConfigError naming it.  A missing ``.pbm``
@@ -472,8 +467,17 @@ def load_sampled_lf(dirpath) -> tuple[SampledLF, AlignedGrid | None]:
 
 
 # --------------------------------------------------------------------------
-# Simulation configs
+# Simulation configs and sweep specs
 # --------------------------------------------------------------------------
+
+
+def _integer(value) -> int:
+    """``int(value)``, refusing a bool or a value that the conversion
+    changes (13.7, "13"); an integral float such as 100.0 passes."""
+    n = int(value)
+    if isinstance(value, bool) or n != value:
+        raise ValueError(f"expected an integer, got {value}")
+    return n
 
 
 def _json_object(value) -> dict:
@@ -499,8 +503,11 @@ def parse_pose_dict(d: dict) -> RelativePose:
     return RelativePose.from_json_dict(d)
 
 
-_BOARD_FIELDS = {"rows": int, "cols": int, "spacing_mm": float}
-_SIM_FIELDS = {"sai_rows": int, "sai_cols": int, "sigma_px": float, "trials": int, "seed": int}
+_BOARD_FIELDS = {"rows": _integer, "cols": _integer, "spacing_mm": float}
+_SIM_FIELDS = {
+    "sai_rows": _integer, "sai_cols": _integer, "sigma_px": float,
+    "trials": _integer, "seed": _integer,
+}
 
 
 def _present(d: dict, fields: dict) -> dict:
@@ -534,17 +541,11 @@ def parse_sim_config(data: dict, source: str = "<config>") -> SimConfig:
     k1, k2 = default_intrinsics_pair()
     fields = {"k1": k1, "k2": k2}
     for key, (field, parse) in _SIM_KEYS.items():
-        if key not in data:
-            continue
-        try:
-            fields[field] = parse(data[key])
-        except (KeyError, ValueError, TypeError, OverflowError) as e:
-            msg = f"missing key {e.args[0]!r}" if isinstance(e, KeyError) else e
-            raise ConfigError(f"{source}: {key}: {msg}") from e
-    try:
+        if key in data:
+            with _naming(source, key):
+                fields[field] = parse(data[key])
+    with _naming(source):
         return SimConfig(**fields)
-    except ValueError as e:
-        raise ConfigError(f"{source}: {e}") from e
 
 
 def load_sim_config(path) -> SimConfig:
@@ -557,3 +558,32 @@ def load_sim_config(path) -> SimConfig:
     benchmark defaults.
     """
     return parse_sim_config(load_json(path), source=str(path))
+
+
+def _bench_row(row, source: str) -> BenchRow:
+    """One row of a sweep spec; a bad ``sigma_px`` is named by its own key."""
+    sigma_px = _json_object(row)["sigma_px"]
+    with _naming(source, "sigma_px"):
+        sigma_px = float(sigma_px)
+    return BenchRow(label=str(row["label"]), pose=parse_pose_dict(row), sigma_px=sigma_px)
+
+
+def parse_bench_spec(data: dict, source: str = "<spec>") -> BenchSpec:
+    """A custom sweep from a plain dict (see load_bench_spec); a bad value
+    raises ConfigError naming its key."""
+    with _naming(source, "rows"):
+        rows = [_bench_row(row, source) for row in data["rows"]]
+    counts = {}
+    for key in ("trials", "seed"):
+        if key in data:
+            with _naming(source, key):
+                counts[key] = _integer(data[key])
+    with _naming(source):
+        return BenchSpec(name=str(data.get("name", "custom")), rows=rows, **counts)
+
+
+def load_bench_spec(path) -> BenchSpec:
+    """Read a custom sweep JSON: {"name": ..., "trials": N, "seed": S,
+    "rows": [{"label", "euler_deg", "T_mm", "sigma_px"}, ...]}, where a
+    row may give its pose in any form that :func:`parse_pose_dict` reads."""
+    return parse_bench_spec(load_json(path), source=str(path))

@@ -22,7 +22,10 @@ before any solving happens.
 Steps 4 and 5 and the degeneracy check take the camera model from
 ``lfrect.geometry``: camera-1 LF-points become a direction and an inverse
 depth through ``LFIntrinsics.backproject``, and the predicted camera-2
-LF-point is ``LFIntrinsics.project`` of the transformed point.
+LF-point is ``LFIntrinsics.project`` of the transformed point.  A
+``CorrespondenceSet`` backprojects its camera-1 points on first use of
+``backprojection`` and keeps the read-only result, so every stage of one
+estimate reads the same (p, e).
 
 Vectors of matrix entries ("vec") are row-major throughout this module,
 except in ``solve_translation`` where the rotation enters column-stacked;
@@ -32,6 +35,7 @@ each function documents which order it uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -91,7 +95,8 @@ class CorrespondenceSet:
     """Matched LF-points of one scene seen by two cameras.
 
     first / second: (n, 3) arrays of (u_c, v_c, lambda) rows for camera 1
-    and camera 2; row i of both arrays is the same scene point.
+    and camera 2; row i of both arrays is the same scene point.  Both are
+    read-only copies of what the caller passed.
     """
 
     first: np.ndarray
@@ -100,8 +105,8 @@ class CorrespondenceSet:
     k2: LFIntrinsics
 
     def __post_init__(self):
-        a = np.ascontiguousarray(np.asarray(self.first, float))
-        b = np.ascontiguousarray(np.asarray(self.second, float))
+        a = np.array(self.first, float, order="C")
+        b = np.array(self.second, float, order="C")
         if a.ndim != 2 or a.shape[1] != 3 or b.shape != a.shape:
             raise ValueError("correspondences must be matching (n, 3) arrays")
         if a.shape[0] < 4:
@@ -116,11 +121,18 @@ class CorrespondenceSet:
             raise ValueError("duplicate correspondence pairs")
         object.__setattr__(self, "first", a)
         object.__setattr__(self, "second", b)
-        a.flags.writeable = False
-        b.flags.writeable = False
+        a.flags.writeable = b.flags.writeable = False
 
     def __len__(self):
         return self.first.shape[0]
+
+    @cached_property
+    def backprojection(self) -> tuple[np.ndarray, np.ndarray]:
+        """(p, e) of the camera-1 points (``LFIntrinsics.backproject``),
+        computed once and read-only."""
+        p, e = self.k1.backproject(self.first)
+        p.flags.writeable = e.flags.writeable = False
+        return p, e
 
 
 @dataclass(frozen=True)
@@ -130,14 +142,13 @@ class ProjectiveSolution:
     W_prime: the 4x4 map between normalized homogeneous LF-points, with
     row-major vec of unit norm.  W: the same map with normalization undone
     (defined up to scale).  c is the (4,4) entry of the de-normalized,
-    intrinsics-conjugated candidate transform and mu = 1/c the overall
+    intrinsics-conjugated candidate transform; 1/c is the overall
     projective scale.  singular_values: spectrum of the reduced design
     matrix (13 values, descending).
     """
 
     W_prime: np.ndarray
     W: np.ndarray
-    mu: float
     c: float
     singular_values: np.ndarray
 
@@ -293,9 +304,7 @@ def solve_linear(corr: CorrespondenceSet) -> ProjectiveSolution:
     c = float(G[3, 3])
     if abs(c) <= 1e-15:
         raise RankDeficient("projective scale vanished; geometry is degenerate")
-    return ProjectiveSolution(
-        W_prime=W_prime, W=W, mu=1.0 / c, c=c, singular_values=s.copy()
-    )
+    return ProjectiveSolution(W_prime=W_prime, W=W, c=c, singular_values=s.copy())
 
 
 def project_to_SO3(M) -> np.ndarray:
@@ -319,7 +328,7 @@ def _translation_system(corr: CorrespondenceSet):
     (R, T).  A_R multiplies the column-stacked vec(R), A_T multiplies T:
     A_R vec(R) + A_T T = 0 at the true pose.
     """
-    p, e = corr.k1.backproject(corr.first)
+    p, e = corr.backprojection
     k2 = corr.k2
     up = corr.second[:, 0]
     vp = corr.second[:, 1]
@@ -371,7 +380,7 @@ def detect_degeneracy(corr: CorrespondenceSet) -> DegeneracyReport:
     DegenerateDisparity / NonPositiveDepth only when fewer than four
     points can be placed.
     """
-    p, e = corr.k1.backproject(corr.first)
+    p, e = corr.backprojection
     # e K2 = -(lambda + K1): zero to working precision is infinite depth.
     at_infinity = np.abs(e * corr.k1.K2) <= 1e-12
     usable = ~at_infinity & (e > 0)
@@ -401,21 +410,23 @@ def detect_degeneracy(corr: CorrespondenceSet) -> DegeneracyReport:
     )
 
 
-def _residuals(corr: CorrespondenceSet, p, e, R, T):
+def _residuals(corr: CorrespondenceSet, R, T):
     """Reprojection residuals (n, 3): predicted minus observed camera-2
     LF-point.  Inf cost signalled by returning None when a transformed
     point reaches zero depth scale."""
+    p, e = corr.backprojection
     g = p @ R.T + e[:, None] * T
     if np.any(g[:, 2] <= 1e-12):
         return None
     return corr.k2.project(g, e) - corr.second
 
 
-def _jacobian(corr: CorrespondenceSet, p, e, R, T):
+def _jacobian(corr: CorrespondenceSet, R, T):
     """Jacobian (3n, 6) of the residuals in (omega, T), where the rotation
     moves as R exp(skew(omega)) (right perturbation, relinearized at R).
     Per-point 3x3 blocks are stored point-last, (3, 3, n), so each product
     runs over n contiguous values; products of blocks sum over b = 0, 1, 2."""
+    p, e = corr.backprojection
     k2 = corr.k2
     n = len(corr)
     g = p @ R.T + e[:, None] * T
@@ -437,20 +448,16 @@ def _jacobian(corr: CorrespondenceSet, p, e, R, T):
     return J.transpose(2, 0, 1).reshape(3 * n, 6)
 
 
-def _cost(corr: CorrespondenceSet, p, e, R, T):
+def _cost(corr: CorrespondenceSet, R, T):
     """The residuals r and their summed square; the cost is inf when r is
     None (a point at zero depth scale) or not finite."""
-    r = _residuals(corr, p, e, R, T)
+    r = _residuals(corr, R, T)
     if r is None or not np.all(np.isfinite(r)):
         return r, np.inf
     return r, float(r.reshape(-1) @ r.reshape(-1))
 
 
-def refine_pose(
-    corr: CorrespondenceSet,
-    initial: RelativePose,
-    cost_trace: list | None = None,
-) -> tuple[RelativePose, float, int]:
+def refine_pose(corr: CorrespondenceSet, initial: RelativePose) -> tuple[RelativePose, list, int]:
     """Levenberg-Marquardt refinement of (R, T) on SO(3) x R^3.
 
     Minimizes the summed squared reprojection residual of all
@@ -465,26 +472,25 @@ def refine_pose(
     - a damping stall: damping passes 1e12 with no step accepted;
     - the budget: 100 attempted steps.
 
-    Returns (pose, final_cost, iterations); ``iterations`` counts attempted
-    LM steps, so ``iterations < _MAX_ITERATIONS`` means the refinement
-    stopped before its budget ran out.  When ``cost_trace`` is a list, the
-    initial cost and the cost after every accepted step are appended to it
-    (a strictly decreasing sequence).  Raises NumericalFailure if the
-    residual is non-finite at the initial pose.
+    Returns (pose, costs, iterations).  ``costs`` is the cost at
+    ``initial`` followed by the cost after each accepted step, a strictly
+    decreasing sequence whose last entry is the cost at ``pose``.
+    ``iterations`` counts attempted LM steps, so ``iterations <
+    _MAX_ITERATIONS`` means the refinement stopped before its budget ran
+    out.  Raises NumericalFailure if the residual is non-finite at the
+    initial pose.
     """
-    p, e = corr.k1.backproject(corr.first)
     R, T = initial.R.copy(), initial.T.copy()
-    r, cost = _cost(corr, p, e, R, T)
+    r, cost = _cost(corr, R, T)
     if cost == np.inf:
         raise NumericalFailure("non-finite residual at the initial pose")
-    if cost_trace is not None:
-        cost_trace.append(cost)
+    costs = [cost]
     damping = 1e-3
     iterations = 0
     JtJ = None  # relinearize at the current (R, T)
     while iterations < _MAX_ITERATIONS and cost > _COST_FLOOR:
         if JtJ is None:
-            J = _jacobian(corr, p, e, R, T)
+            J = _jacobian(corr, R, T)
             g = J.T @ r.reshape(-1)
             if np.abs(g).max() < 1e-10:
                 break
@@ -497,12 +503,11 @@ def refine_pose(
             raise NumericalFailure("normal equations are singular")
         R_new = R @ so3_exp(delta[:3])
         T_new = T + delta[3:]
-        r_new, new_cost = _cost(corr, p, e, R_new, T_new)
+        r_new, new_cost = _cost(corr, R_new, T_new)
         if new_cost < cost:
             decrease = (cost - new_cost) / max(cost, 1e-300)
             R, T, r, cost = R_new, T_new, r_new, new_cost
-            if cost_trace is not None:
-                cost_trace.append(cost)
+            costs.append(cost)
             damping = max(damping * 0.1, 1e-15)
             if decrease < 1e-12:
                 break
@@ -513,7 +518,7 @@ def refine_pose(
                 break
     # Re-orthonormalize drift accumulated over many manifold steps.
     R = project_to_SO3(R)
-    return RelativePose(R, T), cost, iterations
+    return RelativePose(R, T), costs, iterations
 
 
 def estimate_pose(corr: CorrespondenceSet, refine: bool = True) -> EstimationResult:
@@ -536,18 +541,18 @@ def estimate_pose(corr: CorrespondenceSet, refine: bool = True) -> EstimationRes
     G = corr.k2.matrix_H_inverse() @ (sol.W @ corr.k1.matrix_H()) / sol.c
     R0 = project_to_SO3(G[:3, :3])
     pose = RelativePose(R0, solve_translation(corr, R0))
-    _, initial_cost = _cost(corr, *corr.k1.backproject(corr.first), pose.R, pose.T)
-    final_cost, iterations = initial_cost, 0
     if refine:
-        pose, final_cost, iterations = refine_pose(corr, pose)
+        pose, costs, iterations = refine_pose(corr, pose)
+    else:
+        costs, iterations = [_cost(corr, pose.R, pose.T)[1]], 0
     # A refinement that ran out of its iteration budget is conservatively
     # reported as not converged.
     return EstimationResult(
         pose=pose,
         linear=sol,
         degeneracy=report,
-        initial_cost=initial_cost,
-        final_cost=final_cost,
+        initial_cost=costs[0],
+        final_cost=costs[-1],
         iterations=iterations,
         converged=iterations < _MAX_ITERATIONS,
         refined=bool(refine),

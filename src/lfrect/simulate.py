@@ -324,12 +324,12 @@ def _run_one_trial(cfg: SimConfig, trial: int):
 @contextmanager
 def trial_pool(jobs: int):
     """A ``map`` over ``min(jobs, os.cpu_count())`` worker processes for
-    :func:`run_trials` calls to share, or None when that is one worker (no
-    process is started).  This is the only place that sizes the workers and
-    their chunks."""
+    :func:`run_trials` calls to share, or the builtin ``map`` when that is
+    one worker (no process is started).  This is the only place that sizes
+    the workers and their chunks."""
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
-        yield None
+        yield map
         return
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
 
@@ -342,18 +342,14 @@ def trial_pool(jobs: int):
         yield pool_map
 
 
-def run_trials(cfg: SimConfig, pool=None) -> TrialReport:
-    """Run the configured number of simulate->estimate trials, in this
-    process or, given one, on a :func:`trial_pool`.
+def run_trials(cfg: SimConfig, pool=map) -> TrialReport:
+    """Run the configured number of simulate->estimate trials through
+    ``pool``: in this process by default, or on a :func:`trial_pool`.
 
     Each trial draws its noise from ``default_rng(seed + trial_index)``, so
     the report is identical however many worker processes are used.
     """
-    indices = range(cfg.trials)
-    if pool is None:
-        outcomes = [_run_one_trial(cfg, t) for t in indices]
-    else:
-        outcomes = list(pool(_run_one_trial, [cfg] * cfg.trials, indices))
+    outcomes = list(pool(_run_one_trial, [cfg] * cfg.trials, range(cfg.trials)))
     err_R = np.array([o[1] for o in outcomes])
     err_T = np.array([o[2] for o in outcomes])
     converged = np.array([o[3] for o in outcomes], bool)

@@ -235,10 +235,9 @@ def refine_pose_nested(corr: CorrespondenceSet, initial: RelativePose, cost_trac
     names the exit: "cost floor", "gradient", "small decrease", "damping
     stall" or "budget".  The step budget and cost floor are read from
     ``lfrect.pose`` at call time, so a test can patch them for both forms."""
-    p, e = corr.k1.backproject(corr.first)
     R = initial.R.copy()
     T = initial.T.copy()
-    r = _residuals(corr, p, e, R, T)
+    r = _residuals(corr, R, T)
     if r is None or not np.all(np.isfinite(r)):
         raise NumericalFailure("non-finite residual at the initial pose")
     cost = float(r.reshape(-1) @ r.reshape(-1))
@@ -252,7 +251,7 @@ def refine_pose_nested(corr: CorrespondenceSet, initial: RelativePose, cost_trac
         if cost <= lfpose._COST_FLOOR:
             converged, stop = True, "cost floor"
             break
-        J = _jacobian(corr, p, e, R, T)
+        J = _jacobian(corr, R, T)
         rv = r.reshape(-1)
         g = J.T @ rv
         if np.abs(g).max() < 1e-10:
@@ -269,7 +268,7 @@ def refine_pose_nested(corr: CorrespondenceSet, initial: RelativePose, cost_trac
                 raise NumericalFailure("normal equations are singular")
             R_new = R @ so3_exp(delta[:3])
             T_new = T + delta[3:]
-            r_new = _residuals(corr, p, e, R_new, T_new)
+            r_new = _residuals(corr, R_new, T_new)
             new_cost = (
                 float(r_new.reshape(-1) @ r_new.reshape(-1))
                 if r_new is not None and np.all(np.isfinite(r_new))

@@ -531,6 +531,64 @@ def test_infinite_count_exits_2(tmp_path, capsys, command, key):
     )
 
 
+@pytest.mark.parametrize(
+    "command, doc, key, value",
+    [
+        ("simulate", {"sai_rows": 13.7}, "sai_rows", "13.7"),
+        ("simulate", {"sai_cols": True}, "sai_cols", "True"),
+        ("simulate", {"seed": 1.5}, "seed", "1.5"),
+        ("simulate", {"trials": 2.9}, "trials", "2.9"),
+        ("simulate", {"board": {"rows": 7.5}}, "board", "7.5"),
+        ("simulate", {"board": {"cols": 11.25}}, "board", "11.25"),
+        ("bench", {"trials": 2.5}, "trials", "2.5"),
+        ("bench", {"seed": 0.5}, "seed", "0.5"),
+    ],
+    ids=["sai_rows", "sai_cols-bool", "seed", "trials", "board-rows", "board-cols",
+         "bench-trials", "bench-seed"],
+)
+def test_non_integral_count_exits_2(tmp_path, capsys, command, doc, key, value):
+    """A count that int() would truncate, or a bool, is refused by name
+    rather than run as some other count."""
+    if command == "simulate":
+        path = _sim_config(tmp_path, **doc)
+        argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "s")]
+    else:
+        path = _bench_spec(tmp_path, **doc)
+        argv = ["bench", "--spec", str(path), "--out", str(tmp_path / "b.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}: {key}: expected an integer, got {value}\n"
+
+
+def test_integral_float_count_is_a_count(tmp_path, capsys):
+    path = _bench_spec(tmp_path, trials=2.0, seed=3.0)
+    assert main(["bench", "--spec", str(path), "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "b.csv").read_text().splitlines()[1].split(",")[5] == "2"
+    cfg = _sim_config(tmp_path, sai_rows=13.0, trials=100.0, board={"rows": 7.0})
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
+    assert "wrote 308 correspondences" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"rows": 5}, "rows: 'int' object is not iterable"),
+        ({"rows": [{**POSE_DOC, "sigma_px": 0.2}]}, "rows: missing key 'label'"),
+        (
+            {"rows": [{**POSE_DOC, "T_mm": "abc", "label": "a", "sigma_px": 0.2}]},
+            "rows: could not convert string to float: 'abc'",
+        ),
+    ],
+    ids=["rows-not-a-list", "row-without-label", "bad-translation"],
+)
+def test_bench_spec_errors_name_their_key(tmp_path, capsys, monkeypatch, spec, message):
+    monkeypatch.setattr(cli.bench_mod, "run_trials", None)  # no trial may run
+    path = tmp_path / "spec.json"
+    save_json(path, spec)
+    assert main(["bench", "--spec", str(path), "--out", str(tmp_path / "b.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "b.csv").exists()
+
+
 @pytest.mark.parametrize("key", ["sigma_px", "euler_deg"])
 @pytest.mark.parametrize("command", ["simulate", "bench"])
 def test_integer_too_large_for_a_float_exits_2(tmp_path, capsys, command, key):

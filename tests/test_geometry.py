@@ -166,6 +166,15 @@ class TestRelativePose:
         with pytest.raises(ValueError):
             sweep_pose.R[0, 0] = 2.0
 
+    def test_freezes_copies_not_the_callers_arrays(self):
+        R, T = np.eye(3), np.zeros(3)
+        pose = RelativePose(R, T)
+        R[0, 0] = 2.0
+        T[0] = 1.0
+        assert pose.R[0, 0] == 1.0 and pose.T[0] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            pose.T[0] = 1.0
+
     def test_inverse_and_apply(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
