@@ -77,6 +77,7 @@ from .simulate import (
     make_sim_config,
     run_trials,
     simulate_correspondences,
+    simulate_trial,
 )
 
 __version__ = "0.1.0"

@@ -33,7 +33,7 @@ from .errors import ConfigError, DegenerateGeometry, GenerationFailure, NoOverla
 from .pose import estimate_pose
 from .rectify import build_rectified_setup
 from .resample import extract_epi, plan_aligned_grid, render_aligned_sais
-from .simulate import simulate_correspondences
+from .simulate import simulate_trial
 
 log = logging.getLogger("lfrect")
 
@@ -61,8 +61,7 @@ def _cmd_simulate(args) -> int:
     cfg = lfio.load_sim_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    rng = np.random.default_rng(cfg.seed + args.trial)
-    corr = simulate_correspondences(cfg, rng)
+    corr = simulate_trial(cfg, args.trial)
     out = Path(args.out)
     with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
@@ -80,19 +79,8 @@ def _cmd_estimate(args) -> int:
     k2 = lfio.load_intrinsics(args.intrinsics2)
     corr = lfio.read_correspondence_csv(args.points, k1, k2)
     result = estimate_pose(corr, refine=not args.no_refine)
-    doc = result.pose.to_json_dict()
-    doc.update(
-        {
-            "initial_cost": result.initial_cost,
-            "final_cost": result.final_cost,
-            "iterations": result.iterations,
-            "converged": bool(result.converged),
-            "refined": bool(result.refined),
-            "singular_values": [float(s) for s in result.linear.singular_values],
-        }
-    )
     with _writing(args.out):
-        lfio.save_json(args.out, doc)
+        lfio.save_estimate(args.out, result)
     print(
         f"estimated pose from {len(corr)} correspondences: "
         f"cost {result.initial_cost:.6g} -> {result.final_cost:.6g} "

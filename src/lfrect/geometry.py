@@ -34,7 +34,7 @@ are slopes (mm per unit z).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,16 +124,6 @@ class LFIntrinsics:
         b = (v - self.cy) / self.fy
         return np.column_stack([a, b, np.ones_like(a)]), -(lam + self.K1) / self.K2
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "LFIntrinsics":
-        try:
-            return cls(**{k: float(d[k]) for k in ("fx", "fy", "cx", "cy", "K1", "K2")})
-        except KeyError as e:
-            raise ValueError(f"intrinsics JSON missing key {e.args[0]!r}") from e
-
 
 def as_rotation(M, name: str = "R") -> np.ndarray:
     """``M`` as a float array, checked to be a rotation: 3x3, finite,
@@ -193,21 +183,6 @@ class RelativePose:
         """Transform one (3,) point or an (n, 3) array of points."""
         p = np.asarray(points, dtype=float)
         return p @ self.R.T + self.T
-
-    def to_json_dict(self) -> dict:
-        return {
-            "layout": "row-major",
-            "R": [float(x) for x in self.R.reshape(-1)],
-            "T": [float(x) for x in self.T],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "RelativePose":
-        if d.get("layout") != "row-major":
-            raise ValueError("pose JSON must declare layout 'row-major'")
-        R = np.array(d["R"], dtype=float).reshape(3, 3)
-        T = np.array(d["T"], dtype=float)
-        return cls(R, T)  # constructor re-checks orthonormality/finiteness
 
 
 def _arccos_snapped_deg(x: float) -> float:

@@ -1,6 +1,7 @@
 """File formats.
 
-Everything here is deliberately plain: JSON for camera models, poses and
+This is the only module that knows a file's layout.  Everything here is
+deliberately plain: JSON for camera models, poses, pose estimates and
 rectification setups; CSV for correspondences; binary Netpbm (16-bit P5
 PGM, P4 PBM) for sub-aperture images and their validity masks.  All writers
 format floats with ``repr`` (shortest round-trip form) and use LF line
@@ -28,7 +29,9 @@ place changes its twins too.  ``cp -r`` copies contents, not links.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
+import itertools
 import json
 import os
 import re
@@ -41,7 +44,7 @@ import numpy as np
 from .bench import BenchRow, BenchSpec
 from .errors import ConfigError
 from .geometry import LFIntrinsics, RelativePose, euler_xyz_intrinsic
-from .pose import CorrespondenceSet
+from .pose import CorrespondenceSet, EstimationResult
 from .rectify import RectifiedSetup
 from .resample import AlignedGrid, SampledLF, SpatialMapping
 from .simulate import BoardSpec, SimConfig, default_intrinsics_pair
@@ -53,6 +56,7 @@ __all__ = [
     "save_intrinsics",
     "load_pose",
     "save_pose",
+    "save_estimate",
     "load_setup",
     "save_setup",
     "CORRESPONDENCE_HEADER",
@@ -79,7 +83,7 @@ def _naming(source, key=None):
     key; a KeyError reads "missing key 'x'"."""
     try:
         yield
-    except (OSError, KeyError, ValueError, TypeError, OverflowError) as e:
+    except (OSError, KeyError, ValueError, TypeError, OverflowError, csv.Error) as e:
         msg = getattr(e, "strerror", None) or e
         if isinstance(e, KeyError):
             msg = f"missing key {e.args[0]!r}"
@@ -116,27 +120,78 @@ def save_json(path, data: dict):
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
+def _floats(obj, names) -> dict:
+    """Each named array of ``obj`` as a flat list of floats, row-major."""
+    return {name: [float(x) for x in np.ravel(getattr(obj, name))] for name in names}
+
+
+def _row_major_doc(obj, names) -> dict:
+    """The named arrays of ``obj`` as a document that declares its layout."""
+    return {"layout": "row-major", **_floats(obj, names)}
+
+
+def _row_major(d: dict, kind: str, matrices, vectors) -> dict:
+    """The named arrays of a :func:`_row_major_doc` document of ``kind``,
+    each of ``matrices`` reshaped to 3x3."""
+    if d.get("layout") != "row-major":
+        raise ValueError(f"{kind} JSON must declare layout 'row-major'")
+    arrays = {name: np.array(d[name], float) for name in matrices + vectors}
+    return {**arrays, **{name: arrays[name].reshape(3, 3) for name in matrices}}
+
+
+def _scalars(cls, d: dict):
+    """A dataclass of float fields (LFIntrinsics, SpatialMapping) from the
+    document that :func:`dataclasses.asdict` writes for it."""
+    return cls(**{f.name: float(d[f.name]) for f in dataclasses.fields(cls)})
+
+
+def _pose(d: dict) -> RelativePose:
+    return RelativePose(**_row_major(d, "pose", ("R",), ("T",)))
+
+
+_SETUP_MATRICES, _SETUP_VECTORS = ("R_rect", "R_l", "R_r"), ("T_l", "T_r")
+_GRID_ARRAYS = ("rows_mm", "cols_mm", "left_cols_mm", "right_cols_mm")
+
+
 def load_intrinsics(path) -> LFIntrinsics:
     with _naming(path):
-        return LFIntrinsics.from_json_dict(load_json(path))
+        return _scalars(LFIntrinsics, load_json(path))
 
 
 def save_intrinsics(path, k: LFIntrinsics):
-    save_json(path, k.to_json_dict())
+    save_json(path, dataclasses.asdict(k))
 
 
 def load_pose(path) -> RelativePose:
+    """Read a pose file, or the estimate file that ``lfrect estimate``
+    writes, whose extra keys are ignored."""
     with _naming(path):
-        return RelativePose.from_json_dict(load_json(path))
+        return _pose(load_json(path))
 
 
 def save_pose(path, pose: RelativePose):
-    save_json(path, pose.to_json_dict())
+    save_json(path, _row_major_doc(pose, ("R", "T")))
+
+
+def save_estimate(path, result: EstimationResult):
+    """Write a pose estimate: its pose document plus the solver's
+    diagnostics."""
+    save_json(path, {
+        **_row_major_doc(result.pose, ("R", "T")),
+        "initial_cost": result.initial_cost,
+        "final_cost": result.final_cost,
+        "iterations": result.iterations,
+        "converged": bool(result.converged),
+        "refined": bool(result.refined),
+        **_floats(result.linear, ("singular_values",)),
+    })
 
 
 def load_setup(path) -> RectifiedSetup:
     with _naming(path):
-        return RectifiedSetup.from_json_dict(load_json(path))
+        d = load_json(path)
+        arrays = _row_major(d, "setup", _SETUP_MATRICES, _SETUP_VECTORS)
+        return RectifiedSetup(**arrays, baseline_mm=float(d["baseline_mm"]))
 
 
 def save_setup(path, setup: RectifiedSetup):
@@ -146,7 +201,8 @@ def save_setup(path, setup: RectifiedSetup):
     that directory keeps its old setup); a symlink or device is written
     through."""
     _unlink_regular(Path(path))
-    save_json(path, setup.to_json_dict())
+    doc = _row_major_doc(setup, _SETUP_MATRICES + _SETUP_VECTORS)
+    save_json(path, {**doc, "baseline_mm": float(setup.baseline_mm)})
 
 
 # --------------------------------------------------------------------------
@@ -198,15 +254,22 @@ def _plain_csv_pairs(text: str) -> np.ndarray | None:
 
 
 def _csv_pairs(path: Path, text: str) -> np.ndarray:
-    """The (n, 6) pairs of any correspondence CSV, by ``csv.reader``."""
+    """The (n, 6) pairs of any correspondence CSV, by ``csv.reader``; a
+    record that ``csv`` cannot tokenize (say, a field over its size limit)
+    is named by its line, as a bad row is."""
     rows = csv.reader(io.StringIO(text))
-    if [c.strip() for c in next(rows, [])] != CORRESPONDENCE_HEADER:
+    with _naming(f"{path}:1"):
+        header = next(rows, [])
+    if [c.strip() for c in header] != CORRESPONDENCE_HEADER:
         raise ConfigError(f"{path}: first line must be '{','.join(CORRESPONDENCE_HEADER)}'")
     pairs = []
-    for lineno, row in enumerate(rows, start=2):
-        if not "".join(row).strip():
-            continue
+    for lineno in itertools.count(2):
         with _naming(f"{path}:{lineno}"):
+            row = next(rows, None)
+            if row is None:
+                break
+            if not "".join(row).strip():
+                continue
             if len(row) != 6:
                 raise ValueError(f"expected 6 columns, got {len(row)}")
             pairs.append(list(map(float, row)))
@@ -276,12 +339,20 @@ def _read_bytes(path) -> bytes:
         return f.read()
 
 
+def _check_size(w: int, h: int, out: np.ndarray | None):
+    """Refuse a w x h image for an ``out`` of another shape, which numpy
+    would otherwise fill by broadcasting one row or column."""
+    if out is not None and out.shape != (h, w):
+        raise ValueError(f"{w}x{h} pixels, expected {out.shape[1]}x{out.shape[0]}")
+
+
 def _decode_pgm16(raw: bytes, out: np.ndarray | None = None) -> np.ndarray:
     """A binary PGM as a float image scaled to [0, 1], into ``out`` if
-    given."""
+    given, which must have the image's shape."""
     (w, h, maxval), offset = _pnm_fields(_PGM_HEADER, raw, "PGM")
     if not (0 < maxval < 65536):
         raise ValueError(f"bad maxval {maxval}")
+    _check_size(w, h, out)
     dtype = ">u2" if maxval > 255 else np.uint8
     data = np.frombuffer(raw, dtype=dtype, count=w * h, offset=offset)
     return np.divide(data.reshape(h, w), maxval, out=out)
@@ -300,8 +371,9 @@ def write_pbm(path, valid_mask: np.ndarray):
 
 def _decode_pbm(raw: bytes, out: np.ndarray | None = None) -> np.ndarray:
     """A binary PBM as a validity mask (True = valid), into ``out`` if
-    given."""
+    given, which must have the mask's shape."""
     (w, h), offset = _pnm_fields(_PBM_HEADER, raw, "PBM")
+    _check_size(w, h, out)
     row_bytes = (w + 7) // 8
     data = np.frombuffer(raw, dtype=np.uint8, count=h * row_bytes, offset=offset)
     bits = np.unpackbits(data.reshape(h, row_bytes), axis=1)[:, :w]
@@ -417,11 +489,11 @@ def save_sampled_lf(dirpath, lf: SampledLF, grid: AlignedGrid | None = None):
     meta = {
         "rows_mm": [float(x) for x in lf.t_mm],
         "cols_mm": [float(x) for x in lf.s_mm],
-        "mapping": lf.mapping.to_json_dict(),
+        "mapping": dataclasses.asdict(lf.mapping),
         "mask": "pbm-black-is-invalid",
     }
     if grid is not None:
-        meta["aligned"] = grid.to_json_dict()
+        meta["aligned"] = {**_floats(grid, _GRID_ARRAYS), "provenance": grid.provenance.tolist()}
     meta_path = os.path.join(d, "grid.json")
     _unlink_regular(meta_path, listing)
     save_json(meta_path, meta)
@@ -429,16 +501,20 @@ def save_sampled_lf(dirpath, lf: SampledLF, grid: AlignedGrid | None = None):
 
 def load_sampled_lf(dirpath) -> tuple[SampledLF, AlignedGrid | None]:
     """Read a light-field directory; a file that cannot be read, decoded or
-    fitted to grid.json raises ConfigError naming it.  A missing ``.pbm``
-    sidecar means every pixel of its image is valid."""
+    fitted to grid.json, or whose size is not the first image's, raises
+    ConfigError naming it.  A missing ``.pbm`` sidecar means every pixel of
+    its image is valid."""
     d = os.fspath(dirpath)
     meta_path = os.path.join(d, "grid.json")
     meta = load_json(meta_path)
     with _naming(meta_path):
         t_mm = np.array(meta["rows_mm"], float)
         s_mm = np.array(meta["cols_mm"], float)
-        mapping = SpatialMapping.from_json_dict(meta["mapping"])
-        grid = AlignedGrid.from_json_dict(meta["aligned"]) if "aligned" in meta else None
+        mapping = _scalars(SpatialMapping, meta["mapping"])
+        grid = None
+        if "aligned" in meta:
+            arrays = {name: np.array(meta["aligned"][name], float) for name in _GRID_ARRAYS}
+            grid = AlignedGrid(**arrays, provenance=np.array(meta["aligned"]["provenance"], np.int8))
     nr, nc = t_mm.size, s_mm.size
     images = None
     mask = None
@@ -448,10 +524,10 @@ def load_sampled_lf(dirpath) -> tuple[SampledLF, AlignedGrid | None]:
             pgm, pbm = stem + ".pgm", stem + ".pbm"
             with _naming(pgm):
                 raw = _read_bytes(pgm)
-                if images is None:
-                    shape = _decode_pgm16(raw).shape
-                    images = np.empty((nr, nc) + shape)
-                    mask = np.ones((nr, nc) + shape, bool)
+                if images is None:  # the first header sizes the whole light field
+                    (w, h, _), _ = _pnm_fields(_PGM_HEADER, raw, "PGM")
+                    images = np.empty((nr, nc, h, w))
+                    mask = np.ones((nr, nc, h, w), bool)
                 _decode_pgm16(raw, out=images[i, j])
             with _naming(pbm):
                 try:
@@ -500,7 +576,7 @@ def parse_pose_dict(d: dict) -> RelativePose:
             raise ValueError("euler_deg needs exactly three angles")
         T = np.array(d.get("T_mm", d.get("T", [0.0, 0.0, 0.0])), float)
         return RelativePose(euler_xyz_intrinsic(*ang), T)
-    return RelativePose.from_json_dict(d)
+    return _pose(d)
 
 
 _BOARD_FIELDS = {"rows": _integer, "cols": _integer, "spacing_mm": float}
@@ -523,8 +599,8 @@ def _board_pose(d: dict) -> RelativePose:
 
 # Config key -> (SimConfig field, parser of the key's JSON value).
 _SIM_KEYS = {
-    "intrinsics1": ("k1", LFIntrinsics.from_json_dict),
-    "intrinsics2": ("k2", LFIntrinsics.from_json_dict),
+    "intrinsics1": ("k1", lambda v: _scalars(LFIntrinsics, v)),
+    "intrinsics2": ("k2", lambda v: _scalars(LFIntrinsics, v)),
     "pose": ("pose", parse_pose_dict),
     "board": ("board", lambda v: BoardSpec(**_present(_json_object(v), _BOARD_FIELDS))),
     "board_poses": ("board_poses", lambda v: tuple(map(_board_pose, v))),

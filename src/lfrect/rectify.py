@@ -77,30 +77,6 @@ class RectifiedSetup:
         object.__setattr__(self, "T_l", T_l)
         object.__setattr__(self, "T_r", T_r)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "layout": "row-major",
-            "R_rect": [float(x) for x in self.R_rect.reshape(-1)],
-            "R_l": [float(x) for x in self.R_l.reshape(-1)],
-            "T_l": [float(x) for x in self.T_l],
-            "R_r": [float(x) for x in self.R_r.reshape(-1)],
-            "T_r": [float(x) for x in self.T_r],
-            "baseline_mm": float(self.baseline_mm),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "RectifiedSetup":
-        if d.get("layout") != "row-major":
-            raise ValueError("setup JSON must declare layout 'row-major'")
-        return cls(
-            R_rect=np.array(d["R_rect"], float).reshape(3, 3),
-            R_l=np.array(d["R_l"], float).reshape(3, 3),
-            T_l=np.array(d["T_l"], float),
-            R_r=np.array(d["R_r"], float).reshape(3, 3),
-            T_r=np.array(d["T_r"], float),
-            baseline_mm=float(d["baseline_mm"]),
-        )
-
 
 def warp_slopes(u, v, R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Slope half of the closed-form warp: (u', v', valid) for slopes

@@ -95,13 +95,6 @@ class SpatialMapping:
     def slopes(self, rows_px, cols_px):
         return self.v0 + self.dv * np.asarray(rows_px, float), self.u0 + self.du * np.asarray(cols_px, float)
 
-    def to_json_dict(self) -> dict:
-        return {"u0": self.u0, "du": self.du, "v0": self.v0, "dv": self.dv}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SpatialMapping":
-        return cls(float(d["u0"]), float(d["du"]), float(d["v0"]), float(d["dv"]))
-
 
 def _check_regular(coords: np.ndarray, name: str):
     if coords.ndim != 1 or coords.size == 0:
@@ -226,25 +219,6 @@ class AlignedGrid:
                 raise ValueError(f"{name} must be finite")
         for arr, name in ((rows, "rows_mm"), (cols, "cols_mm"), (prov, "provenance")):
             object.__setattr__(self, name, arr)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rows_mm": [float(x) for x in self.rows_mm],
-            "cols_mm": [float(x) for x in self.cols_mm],
-            "provenance": self.provenance.tolist(),
-            "left_cols_mm": [float(x) for x in self.left_cols_mm],
-            "right_cols_mm": [float(x) for x in self.right_cols_mm],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "AlignedGrid":
-        return cls(
-            rows_mm=np.array(d["rows_mm"], float),
-            cols_mm=np.array(d["cols_mm"], float),
-            provenance=np.array(d["provenance"], np.int8),
-            left_cols_mm=np.array(d["left_cols_mm"], float),
-            right_cols_mm=np.array(d["right_cols_mm"], float),
-        )
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,7 @@ __all__ = [
     "default_board_poses",
     "make_sim_config",
     "simulate_correspondences",
+    "simulate_trial",
     "trial_pool",
     "run_trials",
     "TexturedPlane",
@@ -304,10 +305,15 @@ class TrialReport:
         return self._summary(self.err_T_deg)[1]
 
 
+def simulate_trial(cfg: SimConfig, trial: int) -> CorrespondenceSet:
+    """The draw of trial ``trial`` of ``cfg``: noise from
+    ``default_rng(cfg.seed + trial)``, the package's one seed rule."""
+    return simulate_correspondences(cfg, np.random.default_rng(cfg.seed + trial))
+
+
 def _run_one_trial(cfg: SimConfig, trial: int):
-    rng = np.random.default_rng(cfg.seed + trial)
     try:
-        corr = simulate_correspondences(cfg, rng)
+        corr = simulate_trial(cfg, trial)
         result = estimate_pose(corr)
         return (
             trial,

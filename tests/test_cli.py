@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import RENDER_POSE
-from lfrect import cli, errors
+from lfrect import cli, errors, simulate
 from lfrect.bench import BENCH_HEADER, bench_csv_lines, pose_grid_spec, run_bench
 from lfrect.cli import main
 from lfrect.errors import ConfigError, DegenerateGeometry, GenerationFailure, LfRectError, NoOverlap
@@ -27,6 +27,8 @@ from lfrect.lfio import (
     load_json,
     load_pose,
     load_sampled_lf,
+    load_sim_config,
+    read_correspondence_csv,
     read_pbm,
     read_pgm16,
     save_json,
@@ -346,6 +348,7 @@ LF_CORRUPTIONS = {
         "sai_r1_c1.pgm",
         lambda d: (d / "sai_r1_c1.pgm").write_bytes((d / "sai_r1_c1.pgm").read_bytes()[:-2]),
     ),
+    "one-row": ("sai_r1_c1.pgm", lambda d: (d / "sai_r1_c1.pgm").write_bytes(b"P5\n10 1\n65535\n" + bytes(20))),
     "aligned-without-cols": ("grid.json", _drop_aligned_cols),
     "nan-col": ("grid.json", _set_grid_value("cols_mm", 1)),
     "inf-row": ("grid.json", _set_grid_value("rows_mm", 0, value=float("inf"))),
@@ -456,7 +459,7 @@ def test_every_rotation_obeys_one_rule(tmp_path, capsys, monkeypatch, entry, bad
         monkeypatch.setattr(cli.lfio, "euler_xyz_intrinsic", lambda *angles: M)
         pose = RelativePose(euler_xyz_intrinsic(*POSE_DOC["euler_deg"]), POSE_DOC["T_mm"])
         cfg = _sim_config(
-            tmp_path, pose=pose.to_json_dict(),
+            tmp_path, pose={"layout": "row-major", "R": pose.R.ravel().tolist(), "T": pose.T.tolist()},
             board_poses=[{"euler_deg": [0.0, 15.0, 0.0], "center_mm": [0.0, 0.0, 1000.0]}],
         )
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s")])
@@ -621,6 +624,23 @@ def test_unknown_provenance_in_grid_json_exits_2(tmp_path, capsys, value):
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: {rect / 'grid.json'}: ")
     assert not (tmp_path / "e.pgm").exists()
+
+
+def test_simulate_writes_the_draw_run_trials_uses(tmp_path, capsys, monkeypatch):
+    """``simulate --seed S --trial t`` and trial t of a run with seed S
+    draw from one generator."""
+    cfg_path = _sim_config(tmp_path, trials=3)
+    out = tmp_path / "s"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out), "--seed", "11", "--trial", "2"]) == 0
+    draws = []
+    real = simulate.simulate_correspondences
+    monkeypatch.setattr(simulate, "simulate_correspondences", lambda cfg, rng: draws.append(real(cfg, rng)) or draws[-1])
+    cfg = dataclasses.replace(load_sim_config(cfg_path), seed=11)
+    simulate.run_trials(cfg)
+    written = read_correspondence_csv(out / "correspondences.csv", cfg.k1, cfg.k2)
+    assert len(draws) == 3
+    assert np.array_equal(written.first, draws[2].first)
+    assert np.array_equal(written.second, draws[2].second)
 
 
 def test_estimate_to_missing_directory_exits_2(tmp_path, capsys):

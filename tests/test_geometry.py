@@ -136,15 +136,6 @@ class TestIntrinsics:
         with pytest.raises(ValueError):
             LFIntrinsics(fx=1.0, fy=1.0, cx=np.nan, cy=0, K1=0, K2=1)
 
-    def test_json_round_trip(self, k_pair):
-        k = k_pair[0]
-        k2 = LFIntrinsics.from_json_dict(k.to_json_dict())
-        assert k2 == k
-
-    def test_json_missing_key(self):
-        with pytest.raises(ValueError, match="missing key"):
-            LFIntrinsics.from_json_dict({"fx": 1.0})
-
 
 # ---------------------------------------------------------------------------
 # RelativePose
@@ -190,19 +181,6 @@ class TestRelativePose:
         p = np.array([10.0, -20.0, 500.0])
         h = sweep_pose.matrix() @ np.append(p, 1.0)
         assert np.allclose(sweep_pose.apply(p), h[:3], atol=1e-12)
-
-    def test_json_round_trip(self, sweep_pose):
-        d = sweep_pose.to_json_dict()
-        assert d["layout"] == "row-major"
-        pose2 = RelativePose.from_json_dict(d)
-        assert np.array_equal(pose2.R, sweep_pose.R)
-        assert np.array_equal(pose2.T, sweep_pose.T)
-
-    def test_json_requires_layout(self, sweep_pose):
-        d = sweep_pose.to_json_dict()
-        del d["layout"]
-        with pytest.raises(ValueError, match="row-major"):
-            RelativePose.from_json_dict(d)
 
     def test_pickle_round_trip(self, sweep_pose):
         import pickle

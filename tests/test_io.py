@@ -6,9 +6,11 @@ polarity, CSV float formatting) so a change that silently breaks
 interchange or run-to-run reproducibility fails here.
 """
 
+import csv
 import dataclasses
 import errno
 import itertools
+import json
 import os
 import stat
 from pathlib import Path
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfrect import lfio
+from lfrect import cli, lfio
 from lfrect.errors import ConfigError
 from lfrect.geometry import LFIntrinsics, RelativePose, euler_xyz_intrinsic
 from lfrect.lfio import (
@@ -43,13 +45,14 @@ from lfrect.lfio import (
     write_pbm,
     write_pgm16,
 )
-from lfrect.rectify import build_rectified_setup
-from lfrect.pose import CorrespondenceSet
+from lfrect.rectify import RectifiedSetup, build_rectified_setup
+from lfrect.pose import CorrespondenceSet, EstimationResult, ProjectiveSolution
+from lfrect.resample import AlignedGrid, SampledLF, SpatialMapping
 from lfrect.simulate import SimConfig, default_intrinsics_pair, make_sim_config
 
 from oracles import has_duplicate_pairs, read_correspondence_csv_by_line, read_pnm_tokens_bytewise
 
-from test_resample import MAP, S3, make_lf, random_lf
+from test_resample import MAP, S3, H, W, make_lf, random_lf
 from lfrect.resample import plan_aligned_grid
 from test_resample import identity_setup
 
@@ -80,24 +83,135 @@ def test_json_requires_object_top_level(tmp_path):
 
 
 def test_intrinsics_pose_setup_round_trips(tmp_path, sweep_pose):
+    """Each JSON codec reads back exactly what it writes: intrinsics,
+    pose, setup, and grid.json's mapping and aligned grid."""
     k1, _ = default_intrinsics_pair()
     save_intrinsics(tmp_path / "k.json", k1)
     assert load_intrinsics(tmp_path / "k.json") == k1
 
     save_pose(tmp_path / "p.json", sweep_pose)
+    assert load_json(tmp_path / "p.json")["layout"] == "row-major"
     back = load_pose(tmp_path / "p.json")
     assert np.array_equal(back.R, sweep_pose.R)
     assert np.array_equal(back.T, sweep_pose.T)
 
     setup = build_rectified_setup(sweep_pose.inverse())
     save_setup(tmp_path / "s.json", setup)
+    assert load_json(tmp_path / "s.json")["layout"] == "row-major"
     back = load_setup(tmp_path / "s.json")
-    assert np.array_equal(back.R_rect, setup.R_rect)
-    assert np.array_equal(back.T_r, setup.T_r)
+    for name in ("R_rect", "R_l", "T_l", "R_r", "T_r"):
+        assert np.array_equal(getattr(back, name), getattr(setup, name))
+    assert back.baseline_mm == setup.baseline_mm
+
+    grid = plan_aligned_grid(random_lf(1), random_lf(2), identity_setup(4.0))
+    save_sampled_lf(tmp_path / "lf", random_lf(4), grid)
+    back, back_grid = load_sampled_lf(tmp_path / "lf")
+    assert back.mapping == MAP
+    for name in ("rows_mm", "cols_mm", "provenance", "left_cols_mm", "right_cols_mm"):
+        assert np.array_equal(getattr(back_grid, name), getattr(grid, name))
 
     save_json(tmp_path / "k2.json", {"fx": 1.0})
-    with pytest.raises(ConfigError, match="k2.json"):
+    with pytest.raises(ConfigError, match="k2.json: missing key 'fy'"):
         load_intrinsics(tmp_path / "k2.json")
+    for kind, load in (("pose", load_pose), ("setup", load_setup)):
+        doc = load_json(tmp_path / f"{kind[0]}.json")
+        del doc["layout"]
+        save_json(tmp_path / "bad.json", doc)
+        with pytest.raises(ConfigError, match=f"{kind} JSON must declare layout 'row-major'"):
+            load(tmp_path / "bad.json")
+
+
+# Byte goldens for every JSON document lfio writes.  Each document is given
+# as compact JSON; the file holds it with sorted keys, two-space indents and
+# a final newline, which the intrinsics golden spells out byte for byte.
+QUARTER_TURN = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+GOLDEN_K = LFIntrinsics(fx=400.0, fy=410.5, cx=320.0, cy=240.25, K1=0.1, K2=12.0)
+GOLDEN_POSE = RelativePose(QUARTER_TURN, [80.0, 5.5, -0.25])
+GOLDEN_SETUP = RectifiedSetup(
+    R_rect=np.eye(3), R_l=np.eye(3), T_l=np.zeros(3), R_r=QUARTER_TURN,
+    T_r=[62.5, 0.0, 0.0], baseline_mm=62.5,
+)
+GOLDEN_LF = SampledLF(
+    images=np.zeros((1, 2, 1, 1)), mask=np.ones((1, 2, 1, 1), bool), s_mm=[-1.0, 1.0],
+    t_mm=[0.0], mapping=SpatialMapping(u0=-0.5, du=0.25, v0=-0.375, dv=0.125),
+)
+GOLDEN_GRID = AlignedGrid(
+    rows_mm=[0.0], cols_mm=[-1.0, 1.0], provenance=[[1, 3]],
+    left_cols_mm=[-1.0, 1.0], right_cols_mm=[1.0],
+)
+GOLDEN_RESULT = EstimationResult(
+    pose=GOLDEN_POSE,
+    linear=ProjectiveSolution(
+        W_prime=np.eye(4), W=np.eye(4), c=1.0, singular_values=np.array([3.5, 2.0, 1e-9])
+    ),
+    degeneracy=None, initial_cost=np.float64(0.125), final_cost=np.float64(0.0625),
+    iterations=3, converged=True, refined=True,
+)
+POSE_GOLDEN = (
+    '"R": [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0], "T": [80.0, 5.5, -0.25], '
+    '"layout": "row-major"'
+)
+MAPPING_GOLDEN = (
+    '"cols_mm": [-1.0, 1.0], "mapping": {"du": 0.25, "dv": 0.125, "u0": -0.5, "v0": -0.375}, '
+    '"mask": "pbm-black-is-invalid", "rows_mm": [0.0]'
+)
+IDENTITY_GOLDEN = "[1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]"
+# Document -> (file it is written to, writer of that file, compact JSON).
+JSON_GOLDENS = {
+    "intrinsics": (
+        "k.json", lambda p: save_intrinsics(p, GOLDEN_K),
+        '{"K1": 0.1, "K2": 12.0, "cx": 320.0, "cy": 240.25, "fx": 400.0, "fy": 410.5}',
+    ),
+    "pose": ("p.json", lambda p: save_pose(p, GOLDEN_POSE), "{" + POSE_GOLDEN + "}"),
+    "setup": (
+        "s.json", lambda p: save_setup(p, GOLDEN_SETUP),
+        f'{{"R_l": {IDENTITY_GOLDEN}, "R_r": [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0], '
+        f'"R_rect": {IDENTITY_GOLDEN}, "T_l": [0.0, 0.0, 0.0], "T_r": [62.5, 0.0, 0.0], '
+        '"baseline_mm": 62.5, "layout": "row-major"}',
+    ),
+    "grid": ("lf/grid.json", lambda p: save_sampled_lf(p.parent, GOLDEN_LF), "{" + MAPPING_GOLDEN + "}"),
+    "grid-aligned": (
+        "lf/grid.json", lambda p: save_sampled_lf(p.parent, GOLDEN_LF, GOLDEN_GRID),
+        '{"aligned": {"cols_mm": [-1.0, 1.0], "left_cols_mm": [-1.0, 1.0], '
+        '"provenance": [[1, 3]], "right_cols_mm": [1.0], "rows_mm": [0.0]}, ' + MAPPING_GOLDEN + "}",
+    ),
+}
+
+
+def _golden_bytes(compact: str) -> bytes:
+    return (json.dumps(json.loads(compact), indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_json_golden_layout():
+    assert _golden_bytes(JSON_GOLDENS["intrinsics"][2]) == (
+        b'{\n  "K1": 0.1,\n  "K2": 12.0,\n  "cx": 320.0,\n  "cy": 240.25,\n'
+        b'  "fx": 400.0,\n  "fy": 410.5\n}\n'
+    )
+
+
+@pytest.mark.parametrize("name", sorted(JSON_GOLDENS))
+def test_json_document_golden_bytes(tmp_path, name):
+    file, save, compact = JSON_GOLDENS[name]
+    save(tmp_path / file)
+    assert (tmp_path / file).read_bytes() == _golden_bytes(compact)
+
+
+def test_estimate_document_golden_bytes(tmp_path, monkeypatch, corr_noisy):
+    """The estimate file is the pose document plus the solver's
+    diagnostics, written by ``lfrect estimate``."""
+    k1, k2 = default_intrinsics_pair()
+    save_intrinsics(tmp_path / "k1.json", k1)
+    save_intrinsics(tmp_path / "k2.json", k2)
+    write_correspondence_csv(tmp_path / "c.csv", corr_noisy)
+    monkeypatch.setattr(cli, "estimate_pose", lambda corr, refine=True: GOLDEN_RESULT)
+    out = tmp_path / "est.json"
+    argv = ["estimate", "--points", str(tmp_path / "c.csv"), "--out", str(out),
+            "--intrinsics1", str(tmp_path / "k1.json"), "--intrinsics2", str(tmp_path / "k2.json")]
+    assert cli.main(argv) == 0
+    assert out.read_bytes() == _golden_bytes(
+        "{" + POSE_GOLDEN + ', "converged": true, "final_cost": 0.0625, "initial_cost": 0.125, '
+        '"iterations": 3, "refined": true, "singular_values": [3.5, 2.0, 1e-09]}'
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +248,15 @@ def test_correspondence_csv_rejects_malformed(tmp_path):
 
     p.write_text(f"{head}\n1,2,3,4,5,x\n")
     with pytest.raises(ConfigError, match=":2:"):
+        read_correspondence_csv(p, k1, k2)
+
+    # csv.reader refuses a field over its size limit while tokenizing.
+    huge = '"' + "1" * (csv.field_size_limit() + 1) + '"'
+    p.write_text(f"{head}\n1,2,3,4,5,6\n{huge},2,3,4,5,6\n")
+    with pytest.raises(ConfigError, match=":3: field larger than field limit"):
+        read_correspondence_csv(p, k1, k2)
+    p.write_text(f"{huge}\n")
+    with pytest.raises(ConfigError, match=":1: field larger than field limit"):
         read_correspondence_csv(p, k1, k2)
 
     # three points: structurally fine, semantically too few
@@ -659,6 +782,24 @@ def test_single_file_writers_write_in_place(tmp_path, monkeypatch, name):
     assert not os.path.isfile(os.devnull)
 
 
+@pytest.mark.parametrize(
+    "name, shape",
+    [("sai_r1_c1.pgm", (1, W)), ("sai_r1_c1.pbm", (1, W)), ("sai_r2_c0.pgm", (H, 1))],
+    ids=["image-1-row", "mask-1-row", "image-1-column"],
+)
+def test_sampled_lf_refuses_a_mis_sized_sub_aperture(tmp_path, name, shape):
+    """Decoding into the stacked arrays would broadcast a one-row or
+    one-column file over its whole sub-aperture; any size other than the
+    first image's is an error naming the file."""
+    save_sampled_lf(tmp_path, random_lf(seed=3))
+    (tmp_path / name).unlink()  # it may be a hard link of its twins
+    write = write_pgm16 if name.endswith(".pgm") else write_pbm
+    write(tmp_path / name, np.ones(shape))
+    h, w = shape
+    with pytest.raises(ConfigError, match=f"{name}: {w}x{h} pixels, expected {W}x{H}$"):
+        load_sampled_lf(tmp_path)
+
+
 def test_sampled_lf_without_grid_or_masks(tmp_path):
     lf = random_lf(seed=5)
     lf = make_lf(lf.images, mask=lf.images > 0.2)
@@ -683,7 +824,7 @@ def test_sampled_lf_load_errors(tmp_path):
         load_sampled_lf(tmp_path / "nowhere")
     d = tmp_path / "broken"
     d.mkdir()
-    save_json(d / "grid.json", {"rows_mm": [], "cols_mm": [], "mapping": MAP.to_json_dict()})
+    save_json(d / "grid.json", {"rows_mm": [], "cols_mm": [], "mapping": dataclasses.asdict(MAP)})
     with pytest.raises(ConfigError, match="no sub-aperture images"):
         load_sampled_lf(d)
     save_json(d / "grid.json", {"rows_mm": [0.0], "cols_mm": [0.0]})
@@ -696,12 +837,17 @@ def test_sampled_lf_load_errors(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def matrix_doc(pose: RelativePose) -> dict:
+    """A pose in the row-major matrix form of a pose file."""
+    return {"layout": "row-major", "R": pose.R.ravel().tolist(), "T": pose.T.tolist()}
+
+
 def test_parse_pose_euler_and_matrix_forms():
     pose_a = parse_pose_dict({"euler_deg": [5.0, 20.0, 5.0], "T_mm": [80.0, 5.0, 5.0]})
     assert np.abs(pose_a.R - euler_xyz_intrinsic(5.0, 20.0, 5.0)).max() <= 1e-15
     assert np.array_equal(pose_a.T, [80.0, 5.0, 5.0])
 
-    pose_b = parse_pose_dict(pose_a.to_json_dict())
+    pose_b = parse_pose_dict(matrix_doc(pose_a))
     assert np.array_equal(pose_b.R, pose_a.R)
 
     default_t = parse_pose_dict({"euler_deg": [0.0, 0.0, 0.0]})
@@ -739,7 +885,7 @@ def test_parse_sim_config_defaults_and_overrides():
 
 
 def test_parse_sim_config_equals_make_sim_config(sweep_pose):
-    parsed = parse_sim_config({"pose": sweep_pose.to_json_dict()})
+    parsed = parse_sim_config({"pose": matrix_doc(sweep_pose)})
     made = make_sim_config(sweep_pose)
     for f in dataclasses.fields(SimConfig):
         a, b = getattr(parsed, f.name), getattr(made, f.name)

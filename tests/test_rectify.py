@@ -243,16 +243,6 @@ def test_row_alignment_of_warped_sub_apertures():
 # ---------------------------------------------------------------------------
 
 
-def test_setup_json_round_trip(sweep_pose):
-    setup = build_rectified_setup(sweep_pose.inverse())
-    d = setup.to_json_dict()
-    assert d["layout"] == "row-major"
-    s2 = RectifiedSetup.from_json_dict(d)
-    for name in ("R_rect", "R_l", "T_l", "R_r", "T_r"):
-        assert np.array_equal(getattr(s2, name), getattr(setup, name))
-    assert s2.baseline_mm == setup.baseline_mm
-
-
 def test_setup_validation():
     R = np.eye(3)
     with pytest.raises(ValueError, match="T_l"):
