@@ -1,6 +1,6 @@
 """File formats.
 
-This is the only module that knows a file's layout.  Everything here is
+No other module of the package knows a file's layout.  Everything here is
 deliberately plain: JSON for camera models, poses, pose estimates and
 rectification setups; CSV for correspondences; binary Netpbm (16-bit P5
 PGM, P4 PBM) for sub-aperture images and their validity masks.  All writers

@@ -2,8 +2,8 @@
 light-field directory store.
 
 Byte-level goldens pin the external formats (PGM sample order, PBM bit
-polarity, CSV float formatting) so a change that silently breaks
-interchange or run-to-run reproducibility fails here.
+polarity, CSV float formatting, every JSON document) so a change that
+silently breaks interchange or run-to-run reproducibility fails here.
 """
 
 import csv
