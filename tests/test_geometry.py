@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from lfrect.errors import ZeroVector
+from lfrect.errors import ConfigError, ZeroVector
 from lfrect.geometry import (
     LFIntrinsics,
     RelativePose,
@@ -23,6 +23,7 @@ from lfrect.geometry import (
     skew,
     so3_exp,
 )
+from lfrect.lfio import load_intrinsics, load_json, load_pose, save_intrinsics, save_json, save_pose
 
 
 def random_rotation(rng):
@@ -136,6 +137,16 @@ class TestIntrinsics:
         with pytest.raises(ValueError):
             LFIntrinsics(fx=1.0, fy=1.0, cx=np.nan, cy=0, K1=0, K2=1)
 
+    def test_json_round_trip(self, tmp_path, k_pair):
+        k = k_pair[0]
+        save_intrinsics(tmp_path / "k.json", k)
+        assert load_intrinsics(tmp_path / "k.json") == k
+
+    def test_json_missing_key(self, tmp_path):
+        save_json(tmp_path / "k.json", {"fx": 1.0})
+        with pytest.raises(ConfigError, match="k.json: missing key 'fy'"):
+            load_intrinsics(tmp_path / "k.json")
+
 
 # ---------------------------------------------------------------------------
 # RelativePose
@@ -181,6 +192,21 @@ class TestRelativePose:
         p = np.array([10.0, -20.0, 500.0])
         h = sweep_pose.matrix() @ np.append(p, 1.0)
         assert np.allclose(sweep_pose.apply(p), h[:3], atol=1e-12)
+
+    def test_json_round_trip(self, tmp_path, sweep_pose):
+        save_pose(tmp_path / "p.json", sweep_pose)
+        assert load_json(tmp_path / "p.json")["layout"] == "row-major"
+        pose2 = load_pose(tmp_path / "p.json")
+        assert np.array_equal(pose2.R, sweep_pose.R)
+        assert np.array_equal(pose2.T, sweep_pose.T)
+
+    def test_json_requires_layout(self, tmp_path, sweep_pose):
+        save_pose(tmp_path / "p.json", sweep_pose)
+        d = load_json(tmp_path / "p.json")
+        del d["layout"]
+        save_json(tmp_path / "p.json", d)
+        with pytest.raises(ConfigError, match="pose JSON must declare layout 'row-major'"):
+            load_pose(tmp_path / "p.json")
 
     def test_pickle_round_trip(self, sweep_pose):
         import pickle

@@ -83,42 +83,30 @@ def test_json_requires_object_top_level(tmp_path):
 
 
 def test_intrinsics_pose_setup_round_trips(tmp_path, sweep_pose):
-    """Each JSON codec reads back exactly what it writes: intrinsics,
-    pose, setup, and grid.json's mapping and aligned grid."""
+    """Intrinsics, pose and setup files read back what was written; a
+    setup file without its layout is refused.  The per-type round trips
+    live beside each type in test_geometry, test_rectify and
+    test_resample."""
     k1, _ = default_intrinsics_pair()
     save_intrinsics(tmp_path / "k.json", k1)
     assert load_intrinsics(tmp_path / "k.json") == k1
 
     save_pose(tmp_path / "p.json", sweep_pose)
-    assert load_json(tmp_path / "p.json")["layout"] == "row-major"
     back = load_pose(tmp_path / "p.json")
     assert np.array_equal(back.R, sweep_pose.R)
     assert np.array_equal(back.T, sweep_pose.T)
 
     setup = build_rectified_setup(sweep_pose.inverse())
     save_setup(tmp_path / "s.json", setup)
-    assert load_json(tmp_path / "s.json")["layout"] == "row-major"
     back = load_setup(tmp_path / "s.json")
-    for name in ("R_rect", "R_l", "T_l", "R_r", "T_r"):
-        assert np.array_equal(getattr(back, name), getattr(setup, name))
-    assert back.baseline_mm == setup.baseline_mm
+    assert np.array_equal(back.R_rect, setup.R_rect)
+    assert np.array_equal(back.T_r, setup.T_r)
 
-    grid = plan_aligned_grid(random_lf(1), random_lf(2), identity_setup(4.0))
-    save_sampled_lf(tmp_path / "lf", random_lf(4), grid)
-    back, back_grid = load_sampled_lf(tmp_path / "lf")
-    assert back.mapping == MAP
-    for name in ("rows_mm", "cols_mm", "provenance", "left_cols_mm", "right_cols_mm"):
-        assert np.array_equal(getattr(back_grid, name), getattr(grid, name))
-
-    save_json(tmp_path / "k2.json", {"fx": 1.0})
-    with pytest.raises(ConfigError, match="k2.json: missing key 'fy'"):
-        load_intrinsics(tmp_path / "k2.json")
-    for kind, load in (("pose", load_pose), ("setup", load_setup)):
-        doc = load_json(tmp_path / f"{kind[0]}.json")
-        del doc["layout"]
-        save_json(tmp_path / "bad.json", doc)
-        with pytest.raises(ConfigError, match=f"{kind} JSON must declare layout 'row-major'"):
-            load(tmp_path / "bad.json")
+    doc = load_json(tmp_path / "s.json")
+    del doc["layout"]
+    save_json(tmp_path / "bad.json", doc)
+    with pytest.raises(ConfigError, match="bad.json: setup JSON must declare layout 'row-major'"):
+        load_setup(tmp_path / "bad.json")
 
 
 # Byte goldens for every JSON document lfio writes.  Each document is given

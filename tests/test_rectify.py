@@ -16,6 +16,7 @@ import pytest
 
 from lfrect.errors import CollinearConstruction, ZeroBaseline
 from lfrect.geometry import RelativePose, euler_xyz_intrinsic, so3_exp
+from lfrect.lfio import load_json, load_setup, save_setup
 from lfrect.rectify import (
     RectifiedSetup,
     build_rectified_setup,
@@ -241,6 +242,16 @@ def test_row_alignment_of_warped_sub_apertures():
 # ---------------------------------------------------------------------------
 # RectifiedSetup type
 # ---------------------------------------------------------------------------
+
+
+def test_setup_json_round_trip(tmp_path, sweep_pose):
+    setup = build_rectified_setup(sweep_pose.inverse())
+    save_setup(tmp_path / "s.json", setup)
+    assert load_json(tmp_path / "s.json")["layout"] == "row-major"
+    s2 = load_setup(tmp_path / "s.json")
+    for name in ("R_rect", "R_l", "T_l", "R_r", "T_r"):
+        assert np.array_equal(getattr(s2, name), getattr(setup, name))
+    assert s2.baseline_mm == setup.baseline_mm
 
 
 def test_setup_validation():

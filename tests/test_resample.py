@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from lfrect import resample
 from lfrect.errors import IndexOutOfRange, NoOverlap
 from lfrect.geometry import LFIntrinsics, RelativePose, euler_xyz_intrinsic, so3_exp
+from lfrect.lfio import load_sampled_lf, save_sampled_lf
 from lfrect.rectify import RectifiedSetup, build_rectified_setup
 from lfrect.resample import (
     _EDGE_TOL,
@@ -608,6 +609,15 @@ def test_plan_matches_the_masked_planner(case):
     # plan off the central row and column gives the masked planner's grid,
     # or its NoOverlap message and diagnostics, byte for byte.
     assert _plan_outcome(plan_aligned_grid, *case) == _plan_outcome(plan_aligned_grid_masked, *case)
+
+
+def test_aligned_grid_json_round_trip(tmp_path):
+    grid = plan_aligned_grid(random_lf(1), random_lf(2), identity_setup(4.0))
+    save_sampled_lf(tmp_path, random_lf(4), grid)
+    lf, back = load_sampled_lf(tmp_path)
+    assert lf.mapping == MAP
+    for name in ("rows_mm", "cols_mm", "provenance", "left_cols_mm", "right_cols_mm"):
+        assert np.array_equal(getattr(back, name), getattr(grid, name))
 
 
 @pytest.mark.parametrize("value", [4, 7, -1, 258])
