@@ -32,7 +32,11 @@ from . import lfio
 from .errors import ConfigError, DegenerateGeometry, GenerationFailure, NoOverlap
 from .pose import estimate_pose
 from .rectify import build_rectified_setup
-from .resample import extract_epi, plan_aligned_grid, render_aligned_sais
+from .resample import extract_epi, iter_aligned_sais, plan_aligned_grid
+# Not called here: rectify streams iter_aligned_sais into
+# lfio.save_sai_stream instead.  perfbench/bench_trace.py still wraps this
+# name (and lfio.save_sampled_lf), so it stays importable from this module.
+from .resample import render_aligned_sais  # noqa: F401
 from .simulate import simulate_trial
 
 log = logging.getLogger("lfrect")
@@ -98,11 +102,15 @@ def _cmd_rectify(args) -> int:
     setup = build_rectified_setup(pose)
     left, _ = lfio.load_sampled_lf(args.left)
     right, _ = lfio.load_sampled_lf(args.right)
+    # Every refusal (NoOverlap, a grid lattice that is not regular) comes
+    # from planning, before the first file is written.  The output is then
+    # rendered and stored one sub-aperture at a time, never held whole.
     grid = plan_aligned_grid(left, right, setup)
-    out_lf = render_aligned_sais(left, right, setup, grid)
+    sais = iter_aligned_sais(left, right, setup, grid)
+    size = (left.height, left.width)
     out = Path(args.out)
     with _writing(out):
-        lfio.save_sampled_lf(out, out_lf, grid)
+        lfio.save_sai_stream(out, sais, grid.rows_mm, grid.cols_mm, left.mapping, size, grid)
         lfio.save_setup(out / "setup.json", setup)
     n_both = int(np.sum(grid.provenance == 3))
     print(

@@ -21,7 +21,8 @@ A rendered or resampled light field is stored as a directory::
 
 Files with equal contents in one directory may be hard links of each other
 (all unrendered sub-apertures, for example, share one image and one mask).
-``save_sampled_lf`` always replaces a file and never edits one in place, so
+``save_sai_stream`` (and ``save_sampled_lf``, which feeds it a dense light
+field) always replaces a file and never edits one in place, so
 rewriting a directory is safe; a tool that edits one of these files in
 place changes its twins too.  ``cp -r`` copies contents, not links.
 """
@@ -66,6 +67,7 @@ __all__ = [
     "read_pgm16",
     "write_pbm",
     "read_pbm",
+    "save_sai_stream",
     "save_sampled_lf",
     "load_sampled_lf",
     "parse_pose_dict",
@@ -282,10 +284,13 @@ def _csv_pairs(path: Path, text: str) -> np.ndarray:
 
 
 def _pgm16_bytes(image: np.ndarray) -> bytes:
-    """16-bit binary PGM (big-endian sample order) of a [0, 1] image."""
+    """16-bit binary PGM (big-endian sample order) of a [0, 1] image;
+    values outside [0, 1] are clipped, and a non-finite pixel is refused."""
     img = np.asarray(image, float)
     if img.ndim != 2:
         raise ValueError("image must be 2D")
+    if not np.isfinite(img).all():
+        raise ValueError("image pixels must be finite")
     data = np.round(np.clip(img, 0.0, 1.0) * 65535.0).astype(">u2")
     h, w = img.shape
     return f"P5\n{w} {h}\n65535\n".encode("ascii") + data.tobytes()
@@ -453,50 +458,77 @@ def _save_shared(
     made[key] = path
 
 
-def save_sampled_lf(dirpath, lf: SampledLF, grid: AlignedGrid | None = None):
-    """Write a light field as one PGM + PBM per sub-aperture plus grid.json.
+def save_sai_stream(
+    dirpath, sais, t_mm, s_mm, mapping: SpatialMapping, size, grid: AlignedGrid | None = None
+):
+    """Write a light field that arrives one sub-aperture at a time, as one
+    PGM + PBM per sub-aperture plus grid.json.
 
-    Files with equal contents are written once and hard-linked, since
-    creating a file costs far more than linking one.  The directory is
-    listed once, and each sub-aperture is encoded on its own, except that
-    the blank one (all-zero image, all-invalid mask, as every unrendered
-    sub-aperture is) is encoded and hashed once per save; all blank
+    ``sais`` yields ``(row, col, image, mask)`` in row-major order, each
+    image and mask of ``size`` (H, W), on the grid of ``t_mm`` rows by
+    ``s_mm`` columns; a cell that is never yielded is blank (all-zero
+    image, all-invalid mask).  Only the sub-aperture in hand is encoded,
+    so the writer never holds the whole light field.  Files with equal
+    contents are written once and hard-linked, since creating a file
+    costs far more than linking one.  The directory is listed once, and
+    the blank sub-aperture is encoded and hashed once per save; all blank
     sub-apertures share one image and one mask.  ``grid`` attaches
     aligned-grid provenance (which side each rectified sub-aperture came
-    from) when saving rectified output.
+    from) when saving rectified output.  An old grid.json is removed first
+    and the new one written last, so a directory without it was not
+    finished.
     """
     import hashlib  # deferred: it loads OpenSSL, which only this writer needs
 
-    def content(data: bytes) -> tuple[bytes, bytes]:
-        return data, hashlib.sha256(data).digest()
+    def encode(image, mask) -> list[tuple[bytes, bytes]]:
+        """The PGM and PBM of one sub-aperture, each with its digest."""
+        files = _pgm16_bytes(image), _pbm_bytes(mask)
+        return [(data, hashlib.sha256(data).digest()) for data in files]
 
     d = os.fspath(dirpath)
     os.makedirs(d, exist_ok=True)
     listing = _listing(d)
+    meta_path = os.path.join(d, "grid.json")
+    _unlink_regular(meta_path, listing)  # an old one would mark a half-written rewrite finished
     made = {}
-    blank = None
-    for i in range(lf.n_rows):
-        for j in range(lf.n_cols):
-            image, mask = lf.images[i, j], lf.mask[i, j]
-            if mask.any() or image.any():
-                files = content(_pgm16_bytes(image)), content(_pbm_bytes(mask))
-            else:
-                if blank is None:
-                    blank = content(_pgm16_bytes(image)), content(_pbm_bytes(mask))
-                files = blank
-            for ext, (data, key) in zip(("pgm", "pbm"), files):
-                _save_shared(os.path.join(d, f"sai_r{i}_c{j}.{ext}"), data, key, made, listing)
+    size = tuple(size)
+    n_cols = len(s_mm)
+    n_cells = len(t_mm) * n_cols
+    blank = encode(np.zeros(size), np.zeros(size, bool))
+
+    def save(cell, files):
+        i, j = divmod(cell, n_cols)
+        for ext, (data, key) in zip(("pgm", "pbm"), files):
+            _save_shared(os.path.join(d, f"sai_r{i}_c{j}.{ext}"), data, key, made, listing)
+
+    cell = 0  # the next cell in row-major order
+    for i, j, image, mask in sais:
+        k = i * n_cols + j
+        if not (0 <= j < n_cols and cell <= k < n_cells):
+            raise ValueError(f"sub-aperture ({i}, {j}) is out of row-major order or off the grid")
+        if np.shape(image) != size or np.shape(mask) != size:
+            raise ValueError(f"sub-aperture ({i}, {j}) is not {size[1]}x{size[0]} pixels")
+        for c in range(cell, k):
+            save(c, blank)
+        save(k, encode(image, mask) if mask.any() or image.any() else blank)
+        cell = k + 1
+    for c in range(cell, n_cells):
+        save(c, blank)
     meta = {
-        "rows_mm": [float(x) for x in lf.t_mm],
-        "cols_mm": [float(x) for x in lf.s_mm],
-        "mapping": dataclasses.asdict(lf.mapping),
+        "rows_mm": [float(x) for x in t_mm],
+        "cols_mm": [float(x) for x in s_mm],
+        "mapping": dataclasses.asdict(mapping),
         "mask": "pbm-black-is-invalid",
     }
     if grid is not None:
         meta["aligned"] = {**_floats(grid, _GRID_ARRAYS), "provenance": grid.provenance.tolist()}
-    meta_path = os.path.join(d, "grid.json")
-    _unlink_regular(meta_path, listing)
     save_json(meta_path, meta)
+
+
+def save_sampled_lf(dirpath, lf: SampledLF, grid: AlignedGrid | None = None):
+    """Write a dense light field through :func:`save_sai_stream`."""
+    sais = ((i, j, lf.images[i, j], lf.mask[i, j]) for i, j in np.ndindex(lf.n_rows, lf.n_cols))
+    save_sai_stream(dirpath, sais, lf.t_mm, lf.s_mm, lf.mapping, (lf.height, lf.width), grid)
 
 
 def load_sampled_lf(dirpath) -> tuple[SampledLF, AlignedGrid | None]:

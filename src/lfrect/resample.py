@@ -9,11 +9,13 @@ Luminance is float in [0, 1]; the boolean mask marks valid pixels.
 should live: target rows are the left light field's warped rows, target
 columns snap both cameras' warped columns to the left angular pitch, so that
 sub-apertures of both sources end up interleaved on common horizontal lines.
-``render_aligned_sais`` then back-warps every target pixel ray into its
-source camera and samples the source light field by 4D multilinear
-interpolation (2x2 sub-apertures x 2x2 pixels).  Pixels whose interpolation
-neighborhood leaves the sampled aperture, or touches any invalid source
-pixel, are masked out rather than extrapolated.
+``iter_aligned_sais`` then renders the target sub-apertures one at a time:
+it back-warps every target pixel ray into its source camera and samples the
+source light field by 4D multilinear interpolation (2x2 sub-apertures x 2x2
+pixels).  Pixels whose interpolation neighborhood leaves the sampled
+aperture, or touches any invalid source pixel, are masked out rather than
+extrapolated.  ``render_aligned_sais`` gathers the sub-apertures into one
+dense light field.
 
 Sampling is split in two halves, and each half drops the queries that
 fail its checks before any later work is done for them.  Every target
@@ -39,6 +41,7 @@ no bit of any other.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -56,6 +59,7 @@ __all__ = [
     "EpiImage",
     "plan_aligned_grid",
     "sample_rays",
+    "iter_aligned_sais",
     "render_aligned_sais",
     "extract_epi",
 ]
@@ -195,7 +199,11 @@ class AlignedGrid:
     bit 2 = by the right source, 0 = no source (kept to make the lattice
     contiguous, rendered as masked).
     left_cols_mm / right_cols_mm: the snapped column positions contributed
-    by each source.
+    by each source (1D).
+
+    rows_mm and cols_mm must be regular lattices, as the rendered light
+    field's t_mm and s_mm are.  The grid holds read-only copies of all five
+    arrays.
     """
 
     rows_mm: np.ndarray
@@ -205,19 +213,31 @@ class AlignedGrid:
     right_cols_mm: np.ndarray
 
     def __post_init__(self):
-        rows = np.asarray(self.rows_mm, float)
-        cols = np.asarray(self.cols_mm, float)
-        prov = np.asarray(self.provenance)
+        rows, cols, left_cols, right_cols = (
+            np.array(getattr(self, name), float)
+            for name in ("rows_mm", "cols_mm", "left_cols_mm", "right_cols_mm")
+        )
+        prov = np.array(self.provenance)
         if prov.shape != (rows.size, cols.size):
             raise ValueError("provenance shape must be (n_rows, n_cols)")
         if not np.isin(prov, (0, 1, 2, 3)).all():
             raise ValueError("provenance entries must be 0, 1, 2 or 3")
-        prov = prov.astype(np.int8, copy=False)
+        # The rendered light field's t_mm and s_mm: checked here, before
+        # any sub-aperture is rendered or stored.
+        _check_regular(rows, "rows_mm")
         _check_regular(cols, "cols_mm")
-        for name in ("rows_mm", "left_cols_mm", "right_cols_mm"):
-            if not np.isfinite(getattr(self, name)).all():
+        for arr, name in ((left_cols, "left_cols_mm"), (right_cols, "right_cols_mm")):
+            if arr.ndim != 1:
+                raise ValueError(f"{name} must be a 1D array")
+            if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
-        for arr, name in ((rows, "rows_mm"), (cols, "cols_mm"), (prov, "provenance")):
+        # Read-only copies: the caller's arrays stay its own, and a writer
+        # that reads the grid while it streams sees it unchanged.
+        for arr, name in (
+            (rows, "rows_mm"), (cols, "cols_mm"), (prov.astype(np.int8), "provenance"),
+            (left_cols, "left_cols_mm"), (right_cols, "right_cols_mm"),
+        ):
+            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
 
@@ -451,50 +471,71 @@ def plan_aligned_grid(
     )
 
 
+def iter_aligned_sais(
+    left: SampledLF,
+    right: SampledLF,
+    setup: RectifiedSetup,
+    grid: AlignedGrid,
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Render the target sub-apertures that a source supplies, one at a
+    time, in row-major order.
+
+    Yields ``(row, col, image, mask)`` for each cell of ``grid`` with a
+    nonzero provenance, as a fresh (H, W) luminance image and validity
+    mask.  Every target sub-aperture keeps the left camera's pixel mapping
+    and image size.  For each target pixel, the ray (s, t, u, v) in the
+    common TPP is warped back into the supplying camera (left preferred
+    where both could serve) and the source light field is sampled by 4D
+    multilinear interpolation; rays leaving the source aperture are masked
+    out.  Cells without a source are not yielded.
+    """
+    H, W = left.height, left.width
+    rows_px, cols_px = np.meshgrid(np.arange(H), np.arange(W), indexing="ij")
+    v_px, u_px = left.mapping.slopes(rows_px.ravel(), cols_px.ravel())
+
+    prov = grid.provenance
+    supplier = np.where(prov & 1, 1, prov & 2)  # the left source wins a shared cell
+    # Every target pixel keeps its slopes, so the slope half of the warp
+    # and of the sampling is done once per source, for the rays that pass
+    # it; the position half runs per target sub-aperture on those alone.
+    prepared = {}
+    for side, source, R, T in ((1, left, setup.R_l, setup.T_l), (2, right, setup.R_r, setup.T_r)):
+        if not (supplier == side).any():
+            continue
+        R_inv, T_inv = R.T, -R.T @ T
+        u_p, v_p, ok = warp_slopes(u_px, v_px, R_inv)
+        taps = _slope_taps(source, u_p, v_p, ok)
+        prepared[side] = source, taps, u_p.take(taps.keep), v_p.take(taps.keep), R_inv, T_inv
+    for i, j in np.argwhere(supplier):
+        source, taps, u_p, v_p, R_inv, T_inv = prepared[supplier[i, j]]
+        s_p, t_p = warp_positions(grid.cols_mm[j], grid.rows_mm[i], u_p, v_p, R_inv, T_inv)
+        image = np.zeros((H, W))
+        mask = np.zeros((H, W), bool)
+        _sample_into(source, taps, s_p, t_p, image.reshape(-1), mask.reshape(-1))
+        yield int(i), int(j), image, mask
+
+
 def render_aligned_sais(
     left: SampledLF,
     right: SampledLF,
     setup: RectifiedSetup,
     grid: AlignedGrid,
 ) -> SampledLF:
-    """Render the rectified pair onto the aligned grid.
-
-    Every target sub-aperture keeps the left camera's pixel mapping and
-    image size.  For each target pixel, the ray (s, t, u, v) in the common
-    TPP is warped back into the supplying camera (left preferred where both
-    could serve) and the source light field is sampled by 4D multilinear
-    interpolation; rays leaving the source aperture are masked out.
-    Sub-apertures with no source stay fully masked.
-    """
-    H, W = left.height, left.width
-    mp = left.mapping
-    rows_px, cols_px = np.meshgrid(np.arange(H), np.arange(W), indexing="ij")
-    v_px, u_px = mp.slopes(rows_px.ravel(), cols_px.ravel())
-
-    prov = grid.provenance
-    supplier = np.where(prov & 1, 1, prov & 2)  # the left source wins a shared cell
-    images = np.zeros(prov.shape + (H, W))
-    mask = np.zeros(prov.shape + (H, W), bool)
-    # Every target pixel keeps its slopes, so the slope half of the warp
-    # and of the sampling is done once per source, for the rays that pass
-    # it; the position half runs per target sub-aperture on those alone.
-    for side, source, R, T in ((1, left, setup.R_l, setup.T_l), (2, right, setup.R_r, setup.T_r)):
-        cells = np.argwhere(supplier == side)
-        if cells.size == 0:
-            continue
-        R_inv, T_inv = R.T, -R.T @ T
-        u_p, v_p, ok = warp_slopes(u_px, v_px, R_inv)
-        taps = _slope_taps(source, u_p, v_p, ok)
-        u_p, v_p = u_p.take(taps.keep), v_p.take(taps.keep)
-        for i, j in cells:
-            s_p, t_p = warp_positions(grid.cols_mm[j], grid.rows_mm[i], u_p, v_p, R_inv, T_inv)
-            _sample_into(source, taps, s_p, t_p, images[i, j].reshape(-1), mask[i, j].reshape(-1))
+    """Render the rectified pair onto the aligned grid as one dense light
+    field: the sub-apertures of :func:`iter_aligned_sais`, with every
+    sub-aperture that no source supplies fully masked."""
+    shape = grid.provenance.shape + (left.height, left.width)
+    images = np.zeros(shape)
+    mask = np.zeros(shape, bool)
+    for i, j, image, valid in iter_aligned_sais(left, right, setup, grid):
+        images[i, j] = image
+        mask[i, j] = valid
     return SampledLF(
         images=images,
         mask=mask,
         s_mm=grid.cols_mm.copy(),
         t_mm=grid.rows_mm.copy(),
-        mapping=mp,
+        mapping=left.mapping,
     )
 
 

@@ -7,6 +7,7 @@ and worker counts.
 
 import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,10 +35,13 @@ from lfrect.lfio import (
     save_json,
     save_pose,
     save_sampled_lf,
+    save_setup,
 )
-from lfrect.rectify import RectifiedSetup
+from lfrect.rectify import RectifiedSetup, build_rectified_setup
+from lfrect.resample import SampledLF, SpatialMapping, plan_aligned_grid, render_aligned_sais
 
-from test_resample import random_lf
+from test_io import tree_of
+from test_resample import S3, random_lf
 
 POSE_DOC = {"euler_deg": [5.0, 20.0, 5.0], "T_mm": [80.0, 5.0, 5.0]}
 
@@ -721,6 +725,82 @@ def test_rectify_replaces_setup_json(tmp_path, capsys):
         assert (snapshot / name).read_bytes() == data, name
 
 
+def _dense_rectify(tmp_path, out, T):
+    """What ``lfrect rectify`` wrote before it streamed: the whole output
+    rendered by render_aligned_sais, then stored by save_sampled_lf, then
+    setup.json."""
+    pose = load_pose(tmp_path / f"pose_{T[0]}.json")
+    setup = build_rectified_setup(pose)
+    left, _ = load_sampled_lf(tmp_path / "left")
+    right, _ = load_sampled_lf(tmp_path / "right")
+    grid = plan_aligned_grid(left, right, setup)
+    save_sampled_lf(out, render_aligned_sais(left, right, setup, grid), grid)
+    save_setup(out / "setup.json", setup)
+    return grid
+
+
+@pytest.mark.parametrize(
+    "poses, provenance",
+    [
+        ([(4.0, 0.0, 0.0)], {3}),
+        ([(8.0, 0.0, 0.0)], {0}),
+        ([(8.0, 0.0, 0.0), (4.0, 0.0, 0.0)], {0, 3}),
+    ],
+    ids=["shared-cells", "unsupplied-cells", "rewrite"],
+)
+def test_rectify_streams_the_bytes_of_the_dense_store(tmp_path, capsys, poses, provenance):
+    """The streamed output directory equals the dense library path file for
+    file: names, bytes and hard-link groups, on a grid with shared cells
+    (provenance 3), on one with unsupplied cells (provenance 0), and when a
+    second run rewrites the directory of the first."""
+    streamed, dense = tmp_path / "streamed", tmp_path / "dense"
+    seen = set()
+    for T in poses:
+        assert main(_rectify_argv(tmp_path, streamed, T)) == 0
+        seen |= set(_dense_rectify(tmp_path, dense, T).provenance.ravel().tolist())
+        assert tree_of(streamed) == tree_of(dense)
+    assert provenance <= seen
+
+
+def _traced_peak(argv) -> int:
+    """Peak bytes that Python allocates while ``main(argv)`` runs."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_rectify_memory_does_not_grow_with_the_output_grid(tmp_path, capsys):
+    """The output is rendered and stored one sub-aperture at a time: a
+    grid of 23 columns peaks within two sub-apertures of one of 5 columns,
+    where holding the output would add 54 sub-apertures.  Above the loaded
+    inputs (images, masks and cell-valid masks of both sources), the peak
+    is the sampler's working set: a fixed number of per-pixel arrays of one
+    sub-aperture, about 39 sub-apertures' worth at 9 bytes a pixel, fewer
+    than the 69 of the large grid.  The slope lattice is symmetric about 0,
+    so every ray lands and the working set is at its largest."""
+    h, w = 48, 64
+    mapping = SpatialMapping(u0=-0.5, du=1.0 / (w - 1), v0=-0.5, dv=1.0 / (h - 1))
+    rng = np.random.default_rng(8)
+    for name in ("left", "right"):
+        lf = SampledLF(
+            images=rng.uniform(0, 1, (3, 3, h, w)), mask=np.ones((3, 3, h, w), bool),
+            s_mm=S3, t_mm=S3, mapping=mapping,
+        )
+        save_sampled_lf(tmp_path / name, lf)
+    sai_bytes = h * w * 9  # float64 image and boolean mask
+    inputs = 2 * 9 * h * w * (8 + 1 + 1)
+    _traced_peak(_rectify_argv(tmp_path, tmp_path / "warm-up"))  # first-use imports
+    small = _traced_peak(_rectify_argv(tmp_path, tmp_path / "small", T=(4.0, 0.0, 0.0)))
+    large = _traced_peak(_rectify_argv(tmp_path, tmp_path / "large", T=(40.0, 0.0, 0.0)))
+    sizes = [load_json(tmp_path / d / "grid.json")["aligned"]["provenance"] for d in ("small", "large")]
+    assert [(len(p), len(p[0])) for p in sizes] == [(3, 5), (3, 23)]
+    assert large - small < 2 * sai_bytes
+    assert large - inputs < 48 * sai_bytes < 3 * 23 * sai_bytes
+
+
 def test_rectify_without_overlap_exits_5(tmp_path, capsys):
     left = random_lf(seed=6)
     right = random_lf(seed=7)
@@ -757,7 +837,7 @@ def test_rectify_nearly_flat_axis_exits_5_before_rendering(tmp_path, capsys, mon
     def no_render(*args):
         raise AssertionError("rendered")
 
-    monkeypatch.setattr(cli, "render_aligned_sais", no_render)
+    monkeypatch.setattr(cli, "iter_aligned_sais", no_render)
     for name, seed in (("left", 6), ("right", 7)):
         save_sampled_lf(tmp_path / name, random_lf(seed=seed))
     pose = RelativePose(euler_xyz_intrinsic(0.0, 89.9999, 0.0), np.array([50.0, 0.0, 0.0]))

@@ -39,6 +39,7 @@ from lfrect.lfio import (
     save_intrinsics,
     save_json,
     save_pose,
+    save_sai_stream,
     save_sampled_lf,
     save_setup,
     write_correspondence_csv,
@@ -416,6 +417,22 @@ def test_pgm16_round_trip_quantizes_to_half_lsb(tmp_path):
     assert np.array_equal(read_pgm16(p), [[0.0, 1.0]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_pixel_is_refused(tmp_path, bad):
+    """A NaN pixel would be stored as 0 and an infinite one clipped to 0
+    or 1, a silent wrong answer; both writers refuse it before writing."""
+    image = np.full((2, 3), 0.5)
+    image[1, 2] = bad
+    with pytest.raises(ValueError, match="image pixels must be finite"):
+        write_pgm16(tmp_path / "a.pgm", image)
+    assert not (tmp_path / "a.pgm").exists()
+    lf = random_lf(seed=11)
+    lf.images[1, 1, 2, 3] = bad
+    with pytest.raises(ValueError, match="image pixels must be finite"):
+        save_sampled_lf(tmp_path / "lf", lf)
+    assert not (tmp_path / "lf" / "grid.json").exists()
+
+
 def test_pgm_reader_handles_comments_and_8bit(tmp_path):
     p = tmp_path / "c.pgm"
     p.write_bytes(b"P5\n# a comment\n3 2\n255\n" + bytes([0, 51, 102, 153, 204, 255]))
@@ -683,6 +700,69 @@ def test_sampled_lf_encodes_the_blank_sub_aperture_once(tmp_path, monkeypatch):
     # five sub-apertures of their own plus the blank one, image and mask
     # each; (1, 1), whose image is -0.0, is blank
     assert len(encoded) == 2 * 6
+
+
+def tree_of(d):
+    """Each file of directory ``d`` by name, with its bytes, and the
+    groups of names that are hard links of one another."""
+    files = {p.name: p.read_bytes() for p in d.iterdir()}
+    inodes = {}
+    for p in d.iterdir():
+        inodes.setdefault(p.stat().st_ino, set()).add(p.name)
+    return files, sorted(sorted(names) for names in inodes.values())
+
+
+def test_sai_stream_stores_the_cells_never_yielded_as_blank(tmp_path):
+    """A stream that skips cells writes the files, bytes and hard links of
+    the dense light field that is blank at those cells."""
+    lf = twin_lf()  # row 2 is blank
+    images, mask = lf.images.copy(), lf.mask.copy()
+    images[1, 1] = 0.0
+    mask[1, 1] = False
+    dense = make_lf(images, mask=mask)
+    skipped = {(1, 1), (2, 0), (2, 1), (2, 2)}
+    sais = (
+        (i, j, dense.images[i, j], dense.mask[i, j])
+        for i, j in np.ndindex(3, 3)
+        if (i, j) not in skipped
+    )
+    save_sai_stream(tmp_path / "streamed", sais, S3, S3, MAP, (H, W))
+    save_sampled_lf(tmp_path / "dense", dense)
+    assert tree_of(tmp_path / "streamed") == tree_of(tmp_path / "dense")
+
+
+@pytest.mark.parametrize(
+    "cells", [[(0, 1), (0, 0)], [(0, 0), (0, 0)], [(0, 3)], [(3, 0)], [(-1, 2)]],
+    ids=["backwards", "twice", "col-off-grid", "row-off-grid", "negative"],
+)
+def test_sai_stream_refuses_cells_out_of_order_or_off_the_grid(tmp_path, cells):
+    image, mask = np.zeros((H, W)), np.ones((H, W), bool)
+    sais = ((i, j, image, mask) for i, j in cells)
+    with pytest.raises(ValueError, match="out of row-major order or off the grid"):
+        save_sai_stream(tmp_path / "lf", sais, S3, S3, MAP, (H, W))
+    assert not (tmp_path / "lf" / "grid.json").exists()
+
+
+def test_sai_stream_refuses_a_mis_sized_sub_aperture(tmp_path):
+    sais = [(0, 0, np.zeros((H, W - 1)), np.ones((H, W - 1), bool))]
+    with pytest.raises(ValueError, match=f"sub-aperture \\(0, 0\\) is not {W}x{H} pixels"):
+        save_sai_stream(tmp_path / "lf", sais, S3, S3, MAP, (H, W))
+    assert not (tmp_path / "lf" / "grid.json").exists()
+
+
+def test_sai_stream_that_fails_leaves_no_grid_json(tmp_path):
+    """A rewrite whose sub-apertures stop arriving leaves the directory
+    without grid.json, rather than beside the previous save's."""
+    d = tmp_path / "lf"
+    save_sampled_lf(d, random_lf(seed=12))
+
+    def failing():
+        yield 0, 0, np.zeros((H, W)), np.ones((H, W), bool)
+        raise RuntimeError("renderer failed")
+
+    with pytest.raises(RuntimeError, match="renderer failed"):
+        save_sai_stream(d, failing(), S3, S3, MAP, (H, W))
+    assert not (d / "grid.json").exists()
 
 
 def test_sampled_lf_lists_the_directory_instead_of_lstat(tmp_path, monkeypatch):

@@ -629,6 +629,31 @@ def test_aligned_grid_rejects_unknown_provenance(value):
         AlignedGrid(**fields)
 
 
+def test_aligned_grid_holds_read_only_copies():
+    """Each of the five arrays is the grid's own read-only copy, of float64
+    or (provenance) int8, whatever the caller passed, and a column list
+    that is not 1D is refused."""
+    arrays = dict(
+        rows_mm=[0.0, 1.0],
+        cols_mm=np.array([0.5, 1.5]),
+        provenance=np.array([[1, 3], [1, 2]]),
+        left_cols_mm=[0.5, 1.5],
+        right_cols_mm=np.array([1.5]),
+    )
+    grid = AlignedGrid(**arrays)
+    for name, given in arrays.items():
+        value = getattr(grid, name)
+        assert isinstance(value, np.ndarray), name
+        assert value.dtype == (np.int8 if name == "provenance" else np.float64), name
+        assert not value.flags.writeable, name
+        assert not np.shares_memory(value, given), name
+    arrays["cols_mm"][0] = 7.0
+    assert grid.cols_mm[0] == 0.5
+    for name in ("left_cols_mm", "right_cols_mm"):
+        with pytest.raises(ValueError, match=f"{name} must be a 1D array"):
+            AlignedGrid(**{**arrays, "cols_mm": [0.5, 1.5], name: [[-1.0], [1.0]]})
+
+
 def test_sampled_lf_validation():
     with pytest.raises(ValueError, match="regular"):
         make_lf(np.zeros((3, 3, H, W)), s_mm=np.array([0.0, 1.0, 3.0]))
