@@ -339,11 +339,6 @@ def _pnm_fields(header: re.Pattern, raw: bytes, kind: str) -> tuple[list[int], i
     return [int(t) for t in m.groups()], m.end()
 
 
-def _read_bytes(path) -> bytes:
-    with open(path, "rb") as f:
-        return f.read()
-
-
 def _check_size(w: int, h: int, out: np.ndarray | None):
     """Refuse a w x h image for an ``out`` of another shape, which numpy
     would otherwise fill by broadcasting one row or column."""
@@ -365,7 +360,7 @@ def _decode_pgm16(raw: bytes, out: np.ndarray | None = None) -> np.ndarray:
 
 def read_pgm16(path) -> np.ndarray:
     """Read a binary PGM into a float image scaled to [0, 1]."""
-    return _decode_pgm16(_read_bytes(path))
+    return _decode_pgm16(Path(path).read_bytes())
 
 
 def write_pbm(path, valid_mask: np.ndarray):
@@ -387,7 +382,7 @@ def _decode_pbm(raw: bytes, out: np.ndarray | None = None) -> np.ndarray:
 
 def read_pbm(path) -> np.ndarray:
     """Read a binary PBM back into a validity mask (True = valid)."""
-    return _decode_pbm(_read_bytes(path))
+    return _decode_pbm(Path(path).read_bytes())
 
 
 # --------------------------------------------------------------------------
@@ -535,7 +530,9 @@ def load_sampled_lf(dirpath) -> tuple[SampledLF, AlignedGrid | None]:
     """Read a light-field directory; a file that cannot be read, decoded or
     fitted to grid.json, or whose size is not the first image's, raises
     ConfigError naming it.  A missing ``.pbm`` sidecar means every pixel of
-    its image is valid."""
+    its image is valid.  Nothing is allocated until every image that
+    grid.json names is listed and ``sai_r0_c0.pgm`` has decoded, as its
+    shape (not its header) sizes the arrays that the rest decode into."""
     d = os.fspath(dirpath)
     meta_path = os.path.join(d, "grid.json")
     meta = load_json(meta_path)
@@ -544,29 +541,29 @@ def load_sampled_lf(dirpath) -> tuple[SampledLF, AlignedGrid | None]:
         s_mm = np.array(meta["cols_mm"], float)
         mapping = _scalars(SpatialMapping, meta["mapping"])
         grid = None
-        if "aligned" in meta:
-            arrays = {name: np.array(meta["aligned"][name], float) for name in _GRID_ARRAYS}
-            grid = AlignedGrid(**arrays, provenance=np.array(meta["aligned"]["provenance"], np.int8))
+        if "aligned" in meta:  # AlignedGrid checks and casts the entries itself
+            grid = AlignedGrid(**{n: meta["aligned"][n] for n in _GRID_ARRAYS + ("provenance",)})
     nr, nc = t_mm.size, s_mm.size
-    images = None
-    mask = None
-    for i in range(nr):
-        for j in range(nc):
-            stem = os.path.join(d, f"sai_r{i}_c{j}")
-            pgm, pbm = stem + ".pgm", stem + ".pbm"
-            with _naming(pgm):
-                raw = _read_bytes(pgm)
-                if images is None:  # the first header sizes the whole light field
-                    (w, h, _), _ = _pnm_fields(_PGM_HEADER, raw, "PGM")
-                    images = np.empty((nr, nc, h, w))
-                    mask = np.ones((nr, nc, h, w), bool)
+    with _naming(d):
+        listing = _listing(d)
+    for i, j in np.ndindex(nr, nc):
+        if f"sai_r{i}_c{j}.pgm" not in listing:
+            raise ConfigError(f"{os.path.join(d, f'sai_r{i}_c{j}.pgm')}: no such file")
+    images = mask = None
+    for i, j in np.ndindex(nr, nc):
+        stem = os.path.join(d, f"sai_r{i}_c{j}")
+        with _naming(stem + ".pgm"):
+            raw = Path(stem + ".pgm").read_bytes()
+            if images is None:  # the first image
+                first = _decode_pgm16(raw)
+                images = np.empty((nr, nc, *first.shape))
+                mask = np.ones(images.shape, bool)
+                images[i, j] = first
+            else:
                 _decode_pgm16(raw, out=images[i, j])
-            with _naming(pbm):
-                try:
-                    raw = _read_bytes(pbm)
-                except FileNotFoundError:
-                    continue
-                _decode_pbm(raw, out=mask[i, j])
+        if f"sai_r{i}_c{j}.pbm" in listing:
+            with _naming(stem + ".pbm"):
+                _decode_pbm(Path(stem + ".pbm").read_bytes(), out=mask[i, j])
     if images is None:
         raise ConfigError(f"{d}: no sub-aperture images")
     with _naming(meta_path):

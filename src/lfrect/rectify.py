@@ -61,10 +61,9 @@ class RectifiedSetup:
     baseline_mm: float
 
     def __post_init__(self):
-        for name in ("R_rect", "R_l", "R_r"):
-            object.__setattr__(self, name, as_rotation(getattr(self, name), name))
-        T_l = np.asarray(self.T_l, float).reshape(3)
-        T_r = np.asarray(self.T_r, float).reshape(3)
+        names = ("R_rect", "R_l", "R_r", "T_l", "T_r")
+        R_rect, R_l, R_r = (as_rotation(np.array(getattr(self, n), float), n) for n in names[:3])
+        T_l, T_r = (np.array(getattr(self, n), float).reshape(3) for n in names[3:])
         if not (np.isfinite(T_l).all() and np.isfinite(T_r).all()):
             raise ValueError("T_l and T_r must be finite")
         if np.abs(T_l).max() > 1e-12:
@@ -74,8 +73,11 @@ class RectifiedSetup:
         # The right camera must sit on the common x-axis.
         if np.abs(T_r[1:]).max() > 1e-9 * max(self.baseline_mm, 1.0):
             raise ValueError("T_r must be aligned with the common x-axis")
-        object.__setattr__(self, "T_l", T_l)
-        object.__setattr__(self, "T_r", T_r)
+        # Read-only copies, as RelativePose holds: the caller's arrays stay
+        # its own, and R_l is a separate array from R_rect.
+        for name, arr in zip(names, (R_rect, R_l, R_r, T_l, T_r)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
 
 def warp_slopes(u, v, R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -394,16 +394,15 @@ class TexturedPlane:
     half_b: float | None = None
 
     def __post_init__(self):
-        o = np.asarray(self.origin, float).reshape(3)
-        ea = np.asarray(self.axis_a, float).reshape(3)
-        eb = np.asarray(self.axis_b, float).reshape(3)
+        names = ("origin", "axis_a", "axis_b")
+        o, ea, eb = (np.array(getattr(self, n), float).reshape(3) for n in names)
         if abs(np.linalg.norm(ea) - 1) > 1e-9 or abs(np.linalg.norm(eb) - 1) > 1e-9:
             raise ValueError("plane axes must be unit vectors")
         if abs(ea @ eb) > 1e-9:
             raise ValueError("plane axes must be orthogonal")
-        object.__setattr__(self, "origin", o)
-        object.__setattr__(self, "axis_a", ea)
-        object.__setattr__(self, "axis_b", eb)
+        for name, arr in zip(names, (o, ea, eb)):  # read-only copies
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def normal(self) -> np.ndarray:
@@ -430,14 +429,13 @@ class RenderGrid:
             raise ValueError("supersample must be >= 1")
 
 
-def soft_checkerboard_texture(
-    square_mm: float, softness_mm: float, low: float = 0.15, high: float = 0.85
-):
-    """Band-limited checkerboard: edges are sigmoids of the given half-width
-    and every corner is an exact intensity saddle.  Use this instead of a
-    hard-edged board when corners are to be measured to sub-pixel accuracy;
-    a step edge aliases against the pixel grid no matter how finely the
-    renderer supersamples."""
+def soft_checkerboard_texture(square_mm: float, softness_mm: float):
+    """Band-limited checkerboard of grey levels 0.15 and 0.85: edges are
+    sigmoids of the given half-width and every corner is an exact intensity
+    saddle.  Use this instead of a hard-edged board when corners are to be
+    measured to sub-pixel accuracy; a step edge aliases against the pixel
+    grid no matter how finely the renderer supersamples."""
+    low, high = 0.15, 0.85
     amp = 0.5 * (high - low)
     mid = 0.5 * (high + low)
     k = np.pi / square_mm
@@ -451,8 +449,9 @@ def soft_checkerboard_texture(
     return tex
 
 
-def sinusoid_texture(seed: int, n_waves: int = 6, freq_per_mm: float = 0.05):
+def sinusoid_texture(seed: int):
     """Smooth band-limited texture: a fixed random sum of plane sinusoids."""
+    n_waves, freq_per_mm = 6, 0.05
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0, np.pi, n_waves)
     freqs = rng.uniform(0.3, 1.0, n_waves) * 2 * np.pi * freq_per_mm

@@ -7,7 +7,10 @@ and worker counts.
 
 import dataclasses
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -357,6 +360,11 @@ LF_CORRUPTIONS = {
     "nan-col": ("grid.json", _set_grid_value("cols_mm", 1)),
     "inf-row": ("grid.json", _set_grid_value("rows_mm", 0, value=float("inf"))),
     "nan-pitch": ("grid.json", _set_grid_value("mapping", "du")),
+    # An aligned grid that is valid but for one entry, which an int8 cast reads as 2.
+    "fractional-provenance": ("grid.json", _set_grid_value("aligned", value={
+        **dict.fromkeys(("rows_mm", "cols_mm", "left_cols_mm", "right_cols_mm"), S3.tolist()),
+        "provenance": [[2.5, 3, 3], [3, 3, 3], [3, 3, 3]],
+    })),
 }
 
 
@@ -987,3 +995,14 @@ def test_each_error_group_maps_to_its_exit_code(tmp_path, capsys, monkeypatch, b
     rc = main(["simulate", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o")])
     assert rc == code
     assert "synthetic failure" in capsys.readouterr().err
+
+
+def test_importing_the_cli_loads_only_the_runtime():
+    """The package runs on numpy alone: importing it and its command line
+    loads none of the test dependencies, and not ``hashlib``, which the
+    light-field writer imports on first use (it loads OpenSSL)."""
+    banned = ["scipy", "sympy", "hypothesis", "pytest", "hashlib"]
+    code = f"import sys, lfrect, lfrect.cli; print(sorted(set({banned!r}) & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr

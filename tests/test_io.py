@@ -13,6 +13,7 @@ import itertools
 import json
 import os
 import stat
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -885,6 +886,44 @@ def test_sampled_lf_without_grid_or_masks(tmp_path):
     (d / "sai_r1_c1.pbm").mkdir()
     with pytest.raises(ConfigError, match="sai_r1_c1.pbm"):
         load_sampled_lf(d)
+
+
+def _header_claims_2048(d):
+    """A 3x3 directory whose first image is a 31-byte file with a
+    2048x2048 header."""
+    save_sampled_lf(d, random_lf(seed=3))
+    (d / "sai_r0_c0.pgm").unlink()  # it may be a hard link of its twins
+    (d / "sai_r0_c0.pgm").write_bytes(b"P5\n2048 2048\n65535\n" + bytes(12))
+    return "sai_r0_c0.pgm: "
+
+
+def _grid_names_40x40(d):
+    """A grid.json of 40x40 sub-apertures beside one 96x128 image."""
+    d.mkdir()
+    write_pgm16(d / "sai_r0_c0.pgm", np.zeros((96, 128)))
+    lattice = [float(x) for x in range(40)]
+    meta = {"rows_mm": lattice, "cols_mm": lattice, "mapping": dataclasses.asdict(MAP)}
+    save_json(d / "grid.json", meta)
+    return "sai_r0_c1.pgm: no such file$"
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_header_claims_2048, _grid_names_40x40], ids=["header-2048", "grid-40x40"]
+)
+def test_sampled_lf_refuses_a_bad_directory_before_allocating(tmp_path, corrupt):
+    """Neither a header nor grid.json sizes the light field alone: the
+    stacked arrays (324 MiB and 177 MB here) are allocated only once every
+    named image is listed and the first has decoded."""
+    d = tmp_path / "lf"
+    match = corrupt(d)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=match):
+            load_sampled_lf(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_sampled_lf_load_errors(tmp_path):

@@ -273,6 +273,23 @@ def test_setup_validation():
         )
 
 
+def test_setup_holds_read_only_copies(sweep_pose):
+    """Each array is the setup's own read-only copy: R_l is a separate
+    array from R_rect, and a caller's rotation changed after the check does
+    not reach the setup."""
+    setup = build_rectified_setup(sweep_pose)
+    assert setup.R_l is not setup.R_rect
+    names = ("R_rect", "R_l", "T_l", "R_r", "T_r")
+    fields = {name: np.array(getattr(setup, name)) for name in names}
+    given = RectifiedSetup(**fields, baseline_mm=setup.baseline_mm)
+    for name, value in fields.items():
+        assert not getattr(setup, name).flags.writeable, name
+        assert not getattr(given, name).flags.writeable, name
+        assert not np.shares_memory(getattr(given, name), value), name
+    fields["R_r"][0, 0] = 7.0
+    assert given.R_r[0, 0] == setup.R_r[0, 0]
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("name", ["R_rect", "R_l", "R_r", "T_l", "T_r"])
 def test_setup_rejects_non_finite_entries(name, value):

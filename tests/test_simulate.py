@@ -492,6 +492,21 @@ def test_renderer_masks_plane_boundary():
     assert np.all(lf.images[0, 0, 16, 6:26] == pytest.approx(0.6, abs=1e-12))
 
 
+def test_textured_plane_holds_read_only_copies():
+    """The plane keeps its own read-only copies of the origin and axes, not
+    views of the caller's arrays, whatever their shape."""
+    given = {
+        "origin": np.array([[0.0, 0.0, 600.0]]),
+        "axis_a": np.array([1.0, 0.0, 0.0]),
+        "axis_b": np.array([[0.0], [1.0], [0.0]]),
+    }
+    plane = TexturedPlane(**given, texture=sinusoid_texture(1))
+    for name, value in given.items():
+        held = getattr(plane, name)
+        assert held.shape == (3,) and not held.flags.writeable, name
+        assert not np.shares_memory(held, value), name
+
+
 def test_renderer_is_consistent_with_disparity_model(blob_pair, blob_world):
     """Track the blob across the raw left light field: its pixel position
     must move linearly in the aperture coordinate with slope -fx/Z, i.e.
