@@ -47,7 +47,7 @@ from .errors import ConfigError
 from .geometry import LFIntrinsics, RelativePose, euler_xyz_intrinsic
 from .pose import CorrespondenceSet, EstimationResult
 from .rectify import RectifiedSetup
-from .resample import AlignedGrid, SampledLF, SpatialMapping
+from .resample import AlignedGrid, SampledLF, SpatialMapping, _check_regular
 from .simulate import BoardSpec, SimConfig, default_intrinsics_pair
 
 __all__ = [
@@ -530,15 +530,21 @@ def load_sampled_lf(dirpath) -> tuple[SampledLF, AlignedGrid | None]:
     """Read a light-field directory; a file that cannot be read, decoded or
     fitted to grid.json, or whose size is not the first image's, raises
     ConfigError naming it.  A missing ``.pbm`` sidecar means every pixel of
-    its image is valid.  Nothing is allocated until every image that
-    grid.json names is listed and ``sai_r0_c0.pgm`` has decoded, as its
-    shape (not its header) sizes the arrays that the rest decode into."""
+    its image is valid.  grid.json is checked first, its ``rows_mm`` and
+    ``cols_mm`` as regular, finite lattices, before any image is listed or
+    read.  Nothing is allocated until every image that grid.json names is
+    listed and ``sai_r0_c0.pgm`` has decoded, as its shape (not its
+    header) sizes the arrays that the rest decode into."""
     d = os.fspath(dirpath)
     meta_path = os.path.join(d, "grid.json")
     meta = load_json(meta_path)
     with _naming(meta_path):
         t_mm = np.array(meta["rows_mm"], float)
         s_mm = np.array(meta["cols_mm"], float)
+        if t_mm.size == 0 or s_mm.size == 0:
+            raise ConfigError(f"{d}: no sub-aperture images")
+        _check_regular(t_mm, "rows_mm")  # before any image is listed or read
+        _check_regular(s_mm, "cols_mm")
         mapping = _scalars(SpatialMapping, meta["mapping"])
         grid = None
         if "aligned" in meta:  # AlignedGrid checks and casts the entries itself
@@ -564,11 +570,7 @@ def load_sampled_lf(dirpath) -> tuple[SampledLF, AlignedGrid | None]:
         if f"sai_r{i}_c{j}.pbm" in listing:
             with _naming(stem + ".pbm"):
                 _decode_pbm(Path(stem + ".pbm").read_bytes(), out=mask[i, j])
-    if images is None:
-        raise ConfigError(f"{d}: no sub-aperture images")
-    with _naming(meta_path):
-        lf = SampledLF(images=images, mask=mask, s_mm=s_mm, t_mm=t_mm, mapping=mapping)
-    return lf, grid
+    return SampledLF(images=images, mask=mask, s_mm=s_mm, t_mm=t_mm, mapping=mapping), grid
 
 
 # --------------------------------------------------------------------------

@@ -220,7 +220,10 @@ class AlignedGrid:
         prov = np.array(self.provenance)
         if prov.shape != (rows.size, cols.size):
             raise ValueError("provenance shape must be (n_rows, n_cols)")
-        if not np.isin(prov, (0, 1, 2, 3)).all():
+        # A bool passes the isin test as 0 or 1, and numpy reads a True
+        # among integers as 1, so the entries themselves are looked at.
+        is_bool = (isinstance(x, (bool, np.bool_)) for x in np.array(self.provenance, object).flat)
+        if not np.isin(prov, (0, 1, 2, 3)).all() or any(is_bool):
             raise ValueError("provenance entries must be 0, 1, 2 or 3")
         # The rendered light field's t_mm and s_mm: checked here, before
         # any sub-aperture is rendered or stored.

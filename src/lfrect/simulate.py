@@ -468,6 +468,12 @@ def sinusoid_texture(seed: int):
     return tex
 
 
+# Supersampled rays per band of render_synthetic_lf, rounded down to whole
+# pixel rows (one row at least): every per-ray temporary of the tracer is
+# band-sized, so its working memory does not grow with the image.
+_BAND_RAYS = 4096
+
+
 def render_synthetic_lf(
     scene: list,
     k: LFIntrinsics,
@@ -485,6 +491,12 @@ def render_synthetic_lf(
     pixels whose samples all miss every plane are masked out (a pixel is
     valid only when every sample hits).
 
+    The ray directions and each plane's ray denominators are computed once
+    per light field; each sub-aperture is then traced in bands of whole
+    pixel rows of about ``_BAND_RAYS`` rays, and each band's pixels are
+    written straight into the output.  Every ray's arithmetic is the same
+    whatever the band, so the result does not depend on the band size.
+
     The intrinsics' K1/K2 play no role in ray generation; to make the
     rendered light field consistent with the LF-point model, pass K1 = 0
     and K2 = f_x * pitch.
@@ -498,45 +510,57 @@ def render_synthetic_lf(
     sub = (np.arange(ss) + 0.5) / ss - 0.5
     cols = (np.arange(W)[:, None] + sub[None, :]).ravel()  # W*ss subpixel cols
     rows = (np.arange(H)[:, None] + sub[None, :]).ravel()
-    u = (cols - k.cx) / k.fx
-    v = (rows - k.cy) / k.fy
-    # All subpixel slope combinations of one sub-aperture image.
-    U, V = np.meshgrid(u, v)  # (H*ss, W*ss)
-    dirs_cam = np.stack([U.ravel(), V.ravel(), np.ones(U.size)], axis=1)
-    dirs_world = dirs_cam @ Rc.T
+    # All subpixel slope combinations of one sub-aperture image, row-major,
+    # turned into the world frame by one product (its bits depend on it
+    # being one call).
+    dirs_cam = np.empty((rows.size, cols.size, 3))
+    dirs_cam[..., 0] = (cols - k.cx) / k.fx
+    dirs_cam[..., 1] = ((rows - k.cy) / k.fy)[:, None]
+    dirs_cam[..., 2] = 1.0
+    dirs = dirs_cam.reshape(-1, 3) @ Rc.T
+    del dirs_cam
+    denoms = [dirs @ pl.normal for pl in scene]
+    usable = [np.abs(denom) > 1e-12 for denom in denoms]
 
+    row_rays = ss * W * ss  # the rays of one pixel row
+    band = max(1, _BAND_RAYS // row_rays)
     images = np.empty((nr, nc, H, W))
     mask = np.empty((nr, nc, H, W), bool)
-    for i in range(nr):
-        for j in range(nc):
-            origin_cam = np.array([s_mm[j], t_mm[i], 0.0])
-            o = Rc @ origin_cam + Tc
-            best_tau = np.full(dirs_world.shape[0], np.inf)
-            lum = np.zeros(dirs_world.shape[0])
-            for pl in scene:
-                n = pl.normal
-                denom = dirs_world @ n
+    for i, j in np.ndindex(nr, nc):
+        origin_cam = np.array([s_mm[j], t_mm[i], 0.0])
+        o = Rc @ origin_cam + Tc
+        nums = [(pl.origin - o) @ pl.normal for pl in scene]
+        for r0 in range(0, H, band):
+            pix = slice(r0, min(r0 + band, H))
+            rays = slice(pix.start * row_rays, pix.stop * row_rays)
+            best_tau = np.full(rays.stop - rays.start, np.inf)
+            lum = np.zeros(best_tau.size)
+            for pl, num, denom, ok in zip(scene, nums, denoms, usable):
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    tau = ((pl.origin - o) @ n) / denom
-                hit = (np.abs(denom) > 1e-12) & (tau > 1e-9) & (tau < best_tau)
+                    tau = num / denom[rays]
+                hit = ok[rays] & (tau > 1e-9) & (tau < best_tau)
                 if not hit.any():
                     continue
-                pts = o + tau[hit, None] * dirs_world[hit]
-                rel = pts - pl.origin
-                a = rel @ pl.axis_a
-                b = rel @ pl.axis_b
+                # Index copies only when some ray of the band misses.
+                idx = slice(None) if hit.all() else np.flatnonzero(hit)
+                tau = tau[idx]
+                pts = tau[:, None] * dirs[rays][idx]
+                pts += o
+                pts -= pl.origin
+                a = pts @ pl.axis_a
+                b = pts @ pl.axis_b
                 inside = np.ones(a.size, bool)
                 if pl.half_a is not None:
                     inside &= np.abs(a) <= pl.half_a
                 if pl.half_b is not None:
                     inside &= np.abs(b) <= pl.half_b
-                idx = np.flatnonzero(hit)[inside]
-                lum[idx] = pl.texture(a[inside], b[inside])
-                best_tau[idx] = tau[hit][inside]
-            hit_any = np.isfinite(best_tau).reshape(H, ss, W, ss)
-            lum = lum.reshape(H, ss, W, ss)
-            images[i, j] = lum.mean(axis=(1, 3))
-            mask[i, j] = hit_any.all(axis=(1, 3))
+                if not inside.all():
+                    idx = np.flatnonzero(hit)[inside]
+                    a, b, tau = a[inside], b[inside], tau[inside]
+                lum[idx] = pl.texture(a, b)
+                best_tau[idx] = tau
+            lum.reshape(-1, ss, W, ss).mean(axis=(1, 3), out=images[i, j, pix])
+            np.isfinite(best_tau).reshape(-1, ss, W, ss).all(axis=(1, 3), out=mask[i, j, pix])
     mapping = SpatialMapping(
         u0=-k.cx / k.fx, du=1.0 / k.fx, v0=-k.cy / k.fy, dv=1.0 / k.fy
     )

@@ -38,6 +38,9 @@ geometry from the outside:
   ray does not warp; ``lfrect.resample.plan_aligned_grid`` reads each
   camera's plan straight off its central row and column instead, since a
   camera's central rays warp all or none.
+- ``render_synthetic_lf_whole`` ray-traces each sub-aperture's whole
+  supersampled ray bundle as (n, 3) arrays, the form that the bands of
+  pixel rows of ``lfrect.simulate.render_synthetic_lf`` replace.
 """
 
 import csv
@@ -61,8 +64,15 @@ from lfrect.pose import (
     project_to_SO3,
 )
 from lfrect.rectify import warp_rays
-from lfrect.resample import _EDGE_TOL, AlignedGrid
-from lfrect.simulate import SimConfig, _corner_arrays, _grid_offsets, _observe_batch, _refit_batch
+from lfrect.resample import _EDGE_TOL, AlignedGrid, SampledLF, SpatialMapping
+from lfrect.simulate import (
+    RenderGrid,
+    SimConfig,
+    _corner_arrays,
+    _grid_offsets,
+    _observe_batch,
+    _refit_batch,
+)
 
 _EPS = 1e-12
 
@@ -440,6 +450,74 @@ def plan_aligned_grid_masked(left, right, setup) -> AlignedGrid:
         left_cols_mm=left_cols,
         right_cols_mm=right_cols,
     )
+
+
+# --------------------------------------------------------------------------
+# Whole-bundle light-field renderer
+# --------------------------------------------------------------------------
+
+
+def render_synthetic_lf_whole(
+    scene: list,
+    k: LFIntrinsics,
+    world_from_camera: RelativePose,
+    grid: RenderGrid,
+) -> SampledLF:
+    """``lfrect.simulate.render_synthetic_lf`` as it traced each
+    sub-aperture's whole supersampled ray bundle at once, the form that
+    its bands of pixel rows replace; same arguments, same result."""
+    Rc, Tc = world_from_camera.R, world_from_camera.T
+    nr, nc = grid.sai_rows, grid.sai_cols
+    H, W, ss = grid.height_px, grid.width_px, grid.supersample
+    t_mm = (np.arange(nr) - (nr - 1) / 2.0) * grid.pitch_mm
+    s_mm = (np.arange(nc) - (nc - 1) / 2.0) * grid.pitch_mm
+
+    sub = (np.arange(ss) + 0.5) / ss - 0.5
+    cols = (np.arange(W)[:, None] + sub[None, :]).ravel()  # W*ss subpixel cols
+    rows = (np.arange(H)[:, None] + sub[None, :]).ravel()
+    u = (cols - k.cx) / k.fx
+    v = (rows - k.cy) / k.fy
+    # All subpixel slope combinations of one sub-aperture image.
+    U, V = np.meshgrid(u, v)  # (H*ss, W*ss)
+    dirs_cam = np.stack([U.ravel(), V.ravel(), np.ones(U.size)], axis=1)
+    dirs_world = dirs_cam @ Rc.T
+
+    images = np.empty((nr, nc, H, W))
+    mask = np.empty((nr, nc, H, W), bool)
+    for i in range(nr):
+        for j in range(nc):
+            origin_cam = np.array([s_mm[j], t_mm[i], 0.0])
+            o = Rc @ origin_cam + Tc
+            best_tau = np.full(dirs_world.shape[0], np.inf)
+            lum = np.zeros(dirs_world.shape[0])
+            for pl in scene:
+                n = pl.normal
+                denom = dirs_world @ n
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    tau = ((pl.origin - o) @ n) / denom
+                hit = (np.abs(denom) > 1e-12) & (tau > 1e-9) & (tau < best_tau)
+                if not hit.any():
+                    continue
+                pts = o + tau[hit, None] * dirs_world[hit]
+                rel = pts - pl.origin
+                a = rel @ pl.axis_a
+                b = rel @ pl.axis_b
+                inside = np.ones(a.size, bool)
+                if pl.half_a is not None:
+                    inside &= np.abs(a) <= pl.half_a
+                if pl.half_b is not None:
+                    inside &= np.abs(b) <= pl.half_b
+                idx = np.flatnonzero(hit)[inside]
+                lum[idx] = pl.texture(a[inside], b[inside])
+                best_tau[idx] = tau[hit][inside]
+            hit_any = np.isfinite(best_tau).reshape(H, ss, W, ss)
+            lum = lum.reshape(H, ss, W, ss)
+            images[i, j] = lum.mean(axis=(1, 3))
+            mask[i, j] = hit_any.all(axis=(1, 3))
+    mapping = SpatialMapping(
+        u0=-k.cx / k.fx, du=1.0 / k.fx, v0=-k.cy / k.fy, dv=1.0 / k.fy
+    )
+    return SampledLF(images=images, mask=mask, s_mm=s_mm, t_mm=t_mm, mapping=mapping)
 
 
 # --------------------------------------------------------------------------

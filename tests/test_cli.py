@@ -365,19 +365,30 @@ LF_CORRUPTIONS = {
         **dict.fromkeys(("rows_mm", "cols_mm", "left_cols_mm", "right_cols_mm"), S3.tolist()),
         "provenance": [[2.5, 3, 3], [3, 3, 3], [3, 3, 3]],
     })),
+    # One JSON true among integers, which numpy reads as the integer 1.
+    "boolean-provenance": ("grid.json", _set_grid_value("aligned", value={
+        **dict.fromkeys(("rows_mm", "cols_mm", "left_cols_mm", "right_cols_mm"), S3.tolist()),
+        "provenance": [[True, 3, 3], [3, 3, 3], [3, 3, 3]],
+    })),
 }
 
 
 @pytest.mark.parametrize("case", LF_CORRUPTIONS)
-def test_corrupt_light_field_exits_2(tmp_path, capsys, case):
+def test_corrupt_light_field_exits_2(tmp_path, capsys, monkeypatch, case):
+    """Each corruption exits 2 naming the file at fault; a bad grid.json
+    is refused before any image or mask is read."""
     name, corrupt = LF_CORRUPTIONS[case]
     d = tmp_path / "lf"
     save_sampled_lf(d, random_lf(seed=5))
     corrupt(d)
+    read, read_bytes = [], Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda p: read.append(p.suffix) or read_bytes(p))
     out = tmp_path / "e.pgm"
     rc = main(["epi", "--sais", str(d), "--row", "0", "--line", "0", "--out", str(out)])
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: {d / name}: ")
+    if name == "grid.json":
+        assert not {".pgm", ".pbm"} & set(read)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])

@@ -629,6 +629,17 @@ def test_aligned_grid_rejects_unknown_provenance(value):
         AlignedGrid(**fields)
 
 
+@pytest.mark.parametrize(
+    "provenance", [np.ones((3, 3), bool), [[True, 3, 3], [3, 3, 3], [3, 3, 3]]],
+    ids=["bool-array", "true-among-integers"],
+)
+def test_aligned_grid_rejects_boolean_provenance(provenance):
+    """A bool is no provenance code, although numpy compares it equal to
+    0 or 1 and reads a True among integers as 1."""
+    with pytest.raises(ValueError, match="provenance entries must be 0, 1, 2 or 3"):
+        AlignedGrid(rows_mm=S3, cols_mm=S3, provenance=provenance, left_cols_mm=S3, right_cols_mm=S3)
+
+
 def test_aligned_grid_holds_read_only_copies():
     """Each of the five arrays is the grid's own read-only copy, of float64
     or (provenance) int8, whatever the caller passed, and a column list

@@ -51,6 +51,7 @@ from oracles import (
     project_corner_observations,
     refine_checkerboard_corner,
     refit_lfpoint,
+    render_synthetic_lf_whole,
     simulate_one_shot,
 )
 
@@ -490,6 +491,92 @@ def test_renderer_masks_plane_boundary():
     assert not lf.mask[0, 0, 16, 5]
     assert not lf.mask[0, 0, 16, 26]
     assert np.all(lf.images[0, 0, 16, 6:26] == pytest.approx(0.6, abs=1e-12))
+
+
+IDENTITY = RelativePose(np.eye(3), np.zeros(3))
+TURNED = RelativePose(euler_xyz_intrinsic(4.0, -9.0, 2.0), np.array([30.0, -4.0, 6.0]))
+EX, EY = np.eye(3)[:2]
+STEEP = np.radians(10.0)
+
+
+def _plane(z_mm, texture, half=(None, None), axis_a=EX, axis_b=EY):
+    return TexturedPlane(
+        origin=np.array([5.0, -3.0, z_mm]), axis_a=axis_a, axis_b=axis_b,
+        texture=texture, half_a=half[0], half_b=half[1],
+    )
+
+
+# (scene, world_from_camera, supersample, every ray hits).  At 40 px wide
+# the default band is 102 rows at supersample 1 (one band), 25 at 2 and
+# 11 at 3, neither of which divides the 35 rows.
+RENDER_CASES = {
+    "identity-unbounded-ss1": ([_plane(600.0, sinusoid_texture(3))], IDENTITY, 1, True),
+    "turned-unbounded-ss3": ([_plane(600.0, sinusoid_texture(3))], TURNED, 3, True),
+    "occluding-planes-ss2": (
+        [_plane(700.0, sinusoid_texture(4)), _plane(450.0, checkerboard_texture(7.0), (30.0, 20.0))],
+        TURNED, 2, True,
+    ),
+    "bounded-planes-miss-ss3": (
+        [_plane(450.0, soft_checkerboard_texture(9.0, 1.5), (40.0, 25.0)),
+         _plane(650.0, sinusoid_texture(5), (90.0, 70.0))],
+        TURNED, 3, False,
+    ),
+    # Tilted 80 degrees: the rays on one side of the view meet the plane
+    # behind the aperture, and pixels that straddle that line are masked.
+    "steep-plane-misses-ss2": (
+        [_plane(600.0, sinusoid_texture(6), axis_a=np.array([-np.sin(STEEP), 0.0, np.cos(STEEP)]))],
+        IDENTITY, 2, False,
+    ),
+}
+
+
+def _render_case(case, render=render_synthetic_lf):
+    scene, pose, ss, _ = RENDER_CASES[case]
+    k = LFIntrinsics(fx=60.0, fy=61.0, cx=19.5, cy=17.0, K1=0.0, K2=120.0)
+    return render(scene, k, pose, RenderGrid(3, 3, 2.0, width_px=40, height_px=35, supersample=ss))
+
+
+def _same_bits(lf, ref):
+    return (
+        np.array_equal(lf.images.view(np.uint64), ref.images.view(np.uint64))
+        and np.array_equal(lf.mask, ref.mask)
+    )
+
+
+@pytest.mark.parametrize("case", RENDER_CASES)
+def test_renderer_matches_the_whole_bundle_oracle(case):
+    lf = _render_case(case)
+    assert _same_bits(lf, _render_case(case, render_synthetic_lf_whole))
+    assert lf.mask.all() == RENDER_CASES[case][3]
+    assert lf.mask.any()
+
+
+@pytest.mark.parametrize("band_rays", [1, 10**9], ids=["one-row", "whole-image"])
+@pytest.mark.parametrize("case", ["occluding-planes-ss2", "bounded-planes-miss-ss3"])
+def test_renderer_band_size_changes_no_bit(monkeypatch, case, band_rays):
+    """One pixel row per band and the whole image in one band give the
+    bits of the default bands."""
+    default = _render_case(case)
+    monkeypatch.setattr(lfrect.simulate, "_BAND_RAYS", band_rays)
+    assert _same_bits(_render_case(case), default)
+
+
+def test_renderer_memory_is_bounded_by_the_band():
+    """At the rectify benchmark's size (9x9 sub-apertures of 96x128 px,
+    supersample 2) the render holds its output, the 49,152 ray directions
+    and each plane's denominators, and one band: under 3 MiB above the
+    8.5 MiB light field, where whole-bundle tracing needs 10.7 MiB."""
+    k = LFIntrinsics(fx=128.0, fy=128.0, cx=63.5, cy=47.5, K1=0.0, K2=256.0)
+    grid = RenderGrid(9, 9, 2.0, width_px=128, height_px=96, supersample=2)
+    plane = _plane(600.0, sinusoid_texture(1), (600.0, 450.0))
+    tracemalloc.start()
+    try:
+        lf = render_synthetic_lf([plane], k, TURNED, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lf.mask.all()
+    assert peak - (lf.images.nbytes + lf.mask.nbytes) < 3 * 2**20
 
 
 def test_textured_plane_holds_read_only_copies():
