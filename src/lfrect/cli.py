@@ -10,7 +10,8 @@ Subcommands::
 
 Exit codes: 0 success, 2 bad configuration or arguments (including an
 out-of-range ``epi`` index, an ``--out`` that cannot be created or
-written, and an ``--out`` that its own twin would overwrite), 3 generation
+written, an ``--out`` that its own twin would overwrite, and an ``--out``
+that names one of the command's own inputs), 3 generation
 failure, 4 degenerate geometry, 5 no rectified overlap.  Each code is one
 group base in :mod:`lfrect.errors`, and ``main`` catches only those four
 bases.
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -61,6 +63,15 @@ def _check_twin(out: Path, suffix: str):
         raise ConfigError(f"--out {out} would be overwritten by its {suffix} twin")
 
 
+def _check_not_input(out: Path, **inputs):
+    """Refuse, before any work, an ``--out`` path that is the same file or
+    directory as an existing input, given by its flag name: writing it
+    would destroy that input."""
+    for flag, path in inputs.items():
+        if out.exists() and os.path.exists(path) and os.path.samefile(out, path):
+            raise ConfigError(f"--out would overwrite the --{flag} input {path}")
+
+
 def _cmd_simulate(args) -> int:
     cfg = lfio.load_sim_config(args.config)
     if args.seed is not None:
@@ -79,6 +90,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    _check_not_input(
+        Path(args.out), points=args.points, intrinsics1=args.intrinsics1, intrinsics2=args.intrinsics2
+    )
     k1 = lfio.load_intrinsics(args.intrinsics1)
     k2 = lfio.load_intrinsics(args.intrinsics2)
     corr = lfio.read_correspondence_csv(args.points, k1, k2)
@@ -94,6 +108,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_rectify(args) -> int:
+    out = Path(args.out)
+    _check_not_input(out, left=args.left, right=args.right)
     pose = lfio.load_pose(args.pose)
     if args.pose_direction == "1to2":
         # The estimator reports camera-1 -> camera-2; rectification wants
@@ -108,7 +124,6 @@ def _cmd_rectify(args) -> int:
     grid = plan_aligned_grid(left, right, setup)
     sais = iter_aligned_sais(left, right, setup, grid)
     size = (left.height, left.width)
-    out = Path(args.out)
     with _writing(out):
         lfio.save_sai_stream(out, sais, grid.rows_mm, grid.cols_mm, left.mapping, size, grid)
         lfio.save_setup(out / "setup.json", setup)
@@ -137,6 +152,8 @@ def _cmd_bench(args) -> int:
     _check_twin(out, ".dat")
     overrides = {k: getattr(args, k) for k in ("trials", "seed") if getattr(args, k) is not None}
     if args.spec is not None:
+        for target in (out, out.with_suffix(".dat")):
+            _check_not_input(target, spec=args.spec)
         spec = dataclasses.replace(lfio.load_bench_spec(args.spec), **overrides)
     elif args.scenario == "noise-sweep":
         spec = bench_mod.noise_sweep_spec(**overrides)

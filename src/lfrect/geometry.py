@@ -34,7 +34,7 @@ are slopes (mm per unit z).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -138,6 +138,24 @@ def as_rotation(M, name: str = "R") -> np.ndarray:
     return R
 
 
+def value_type(cls):
+    """``cls`` as a ``dataclass(frozen=True, eq=False)``: ``==`` and ``hash``
+    go by identity, and pickle and copy rebuild it through the constructor,
+    which validates again and binds fresh copies; every field is an argument."""
+    cls = dataclass(frozen=True, eq=False)(cls)
+    cls.__reduce__ = lambda self: (cls, tuple(getattr(self, f.name) for f in fields(cls)))
+    return cls
+
+
+def bind_arrays(obj, readonly: bool = True, **arrays):
+    """Bind each array, which ``obj`` owns, to frozen ``obj``; read-only unless not ``readonly``."""
+    for name, arr in arrays.items():
+        if readonly:
+            arr.flags.writeable = False
+        object.__setattr__(obj, name, arr)
+
+
+@value_type
 class RelativePose:
     """A rigid transform X_2 = R X_1 + T between two camera frames, such as
     the camera pair or a calibration board placed in the camera-1 frame.
@@ -146,24 +164,15 @@ class RelativePose:
     pose holds read-only copies of both, so the caller's arrays stay its own.
     """
 
-    __slots__ = ("R", "T")
+    R: np.ndarray
+    T: np.ndarray
 
-    def __init__(self, R, T):
-        R = as_rotation(np.array(R, dtype=float))
-        T = np.array(T, dtype=float).reshape(3)
+    def __post_init__(self):
+        R = as_rotation(np.array(self.R, dtype=float))
+        T = np.array(self.T, dtype=float).reshape(3)
         if not np.isfinite(T).all():
             raise ValueError("T must be finite")
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "T", T)
-        R.flags.writeable = T.flags.writeable = False
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RelativePose is immutable")
-
-    def __reduce__(self):
-        # Immutability breaks the default slot-based pickling; rebuild
-        # through the constructor instead.
-        return (RelativePose, (np.array(self.R), np.array(self.T)))
+        bind_arrays(self, R=R, T=T)
 
     def __repr__(self):
         return f"RelativePose(R={self.R.tolist()}, T={self.T.tolist()})"

@@ -34,7 +34,6 @@ each function documents which order it uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -50,7 +49,7 @@ from .errors import (
     RankDeficient,
     SingularInput,
 )
-from .geometry import LFIntrinsics, RelativePose, so3_exp
+from .geometry import LFIntrinsics, RelativePose, bind_arrays, so3_exp, value_type
 
 __all__ = [
     "CorrespondenceSet",
@@ -90,7 +89,7 @@ _COST_FLOOR = 1e-16
 _MAX_ITERATIONS = 100
 
 
-@dataclass(frozen=True)
+@value_type
 class CorrespondenceSet:
     """Matched LF-points of one scene seen by two cameras.
 
@@ -119,9 +118,7 @@ class CorrespondenceSet:
         rows = np.hstack([a, b]) + 0.0
         if len(set(rows.view((np.void, 48))[:, 0].tolist())) < len(rows):
             raise ValueError("duplicate correspondence pairs")
-        object.__setattr__(self, "first", a)
-        object.__setattr__(self, "second", b)
-        a.flags.writeable = b.flags.writeable = False
+        bind_arrays(self, first=a, second=b)
 
     def __len__(self):
         return self.first.shape[0]
@@ -135,7 +132,7 @@ class CorrespondenceSet:
         return p, e
 
 
-@dataclass(frozen=True)
+@value_type
 class ProjectiveSolution:
     """Raw output of the linear solve.
 
@@ -152,8 +149,11 @@ class ProjectiveSolution:
     c: float
     singular_values: np.ndarray
 
+    def __post_init__(self):
+        bind_arrays(self, **{n: np.array(getattr(self, n)) for n in ("W_prime", "W", "singular_values")})
 
-@dataclass(frozen=True)
+
+@value_type
 class DegeneracyReport:
     """Total-least-squares plane fit of the backprojected scene.
 
@@ -169,8 +169,11 @@ class DegeneracyReport:
     scene_diameter: float
     excluded: int
 
+    def __post_init__(self):
+        bind_arrays(self, normal=np.array(self.normal, float))
 
-@dataclass(frozen=True)
+
+@value_type
 class EstimationResult:
     """Pose estimate with diagnostics of both solver stages."""
 
@@ -304,7 +307,7 @@ def solve_linear(corr: CorrespondenceSet) -> ProjectiveSolution:
     c = float(G[3, 3])
     if abs(c) <= 1e-15:
         raise RankDeficient("projective scale vanished; geometry is degenerate")
-    return ProjectiveSolution(W_prime=W_prime, W=W, c=c, singular_values=s.copy())
+    return ProjectiveSolution(W_prime=W_prime, W=W, c=c, singular_values=s)
 
 
 def project_to_SO3(M) -> np.ndarray:

@@ -24,12 +24,10 @@ transform; invert it (``pose.inverse()``) before building a rectified setup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CollinearConstruction, ZeroBaseline
-from .geometry import RelativePose, as_rotation
+from .geometry import RelativePose, as_rotation, bind_arrays, value_type
 
 __all__ = [
     "RectifiedSetup",
@@ -43,7 +41,7 @@ __all__ = [
 _EPS = 1e-12
 
 
-@dataclass(frozen=True)
+@value_type
 class RectifiedSetup:
     """The rigid transforms taking each camera's TPP into the common one.
 
@@ -73,11 +71,7 @@ class RectifiedSetup:
         # The right camera must sit on the common x-axis.
         if np.abs(T_r[1:]).max() > 1e-9 * max(self.baseline_mm, 1.0):
             raise ValueError("T_r must be aligned with the common x-axis")
-        # Read-only copies, as RelativePose holds: the caller's arrays stay
-        # its own, and R_l is a separate array from R_rect.
-        for name, arr in zip(names, (R_rect, R_l, R_r, T_l, T_r)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        bind_arrays(self, R_rect=R_rect, R_l=R_l, R_r=R_r, T_l=T_l, T_r=T_r)
 
 
 def warp_slopes(u, v, R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -50,6 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IndexOutOfRange, NoOverlap
+from .geometry import bind_arrays, value_type
 from .rectify import RectifiedSetup, warp_positions, warp_rays, warp_slopes
 
 __all__ = [
@@ -113,7 +114,7 @@ def _check_regular(coords: np.ndarray, name: str):
             raise ValueError(f"{name} has coincident entries")
 
 
-@dataclass(frozen=True)
+@value_type
 class SampledLF:
     """A sampled 4D light field.
 
@@ -142,8 +143,7 @@ class SampledLF:
         _check_regular(t, "t_mm")
         if img.shape[0] != t.size or img.shape[1] != s.size:
             raise ValueError("grid coordinate counts must match image layout")
-        for arr, name in ((img, "images"), (msk, "mask"), (s, "s_mm"), (t, "t_mm")):
-            object.__setattr__(self, name, arr)
+        bind_arrays(self, readonly=False, images=img, mask=msk, s_mm=s, t_mm=t)
 
     @property
     def n_rows(self) -> int:
@@ -188,7 +188,7 @@ class SampledLF:
         return cells
 
 
-@dataclass(frozen=True)
+@value_type
 class AlignedGrid:
     """Placement of the rectified output sub-apertures.
 
@@ -234,17 +234,12 @@ class AlignedGrid:
                 raise ValueError(f"{name} must be a 1D array")
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
-        # Read-only copies: the caller's arrays stay its own, and a writer
-        # that reads the grid while it streams sees it unchanged.
-        for arr, name in (
-            (rows, "rows_mm"), (cols, "cols_mm"), (prov.astype(np.int8), "provenance"),
-            (left_cols, "left_cols_mm"), (right_cols, "right_cols_mm"),
-        ):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        # A writer that reads the grid while it streams sees it unchanged.
+        arrays = dict(rows_mm=rows, cols_mm=cols, left_cols_mm=left_cols, right_cols_mm=right_cols)
+        bind_arrays(self, provenance=prov.astype(np.int8), **arrays)
 
 
-@dataclass(frozen=True)
+@value_type
 class EpiImage:
     """An epipolar-plane image: one scan line stacked over the sub-aperture
     columns of one grid row, ordered by s."""
@@ -252,6 +247,9 @@ class EpiImage:
     image: np.ndarray
     mask: np.ndarray
     s_mm: np.ndarray
+
+    def __post_init__(self):
+        bind_arrays(self, **{n: np.array(getattr(self, n)) for n in ("image", "mask", "s_mm")})
 
 
 def _axis_positions(values: np.ndarray, coords: np.ndarray):
@@ -552,7 +550,7 @@ def extract_epi(lf: SampledLF, row: int, line: int) -> EpiImage:
         raise IndexOutOfRange(f"scan line {line} outside 0..{lf.height - 1}")
     order = np.argsort(lf.s_mm, kind="stable")
     return EpiImage(
-        image=lf.images[row, order, line, :].copy(),
-        mask=lf.mask[row, order, line, :].copy(),
-        s_mm=lf.s_mm[order].copy(),
+        image=lf.images[row, order, line, :],
+        mask=lf.mask[row, order, line, :],
+        s_mm=lf.s_mm[order],
     )

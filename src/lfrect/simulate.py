@@ -40,7 +40,9 @@ from .geometry import (
     RelativePose,
     angular_error_rotation,
     angular_error_translation,
+    bind_arrays,
     euler_xyz_intrinsic,
+    value_type,
 )
 from .pose import CorrespondenceSet, estimate_pose
 from .resample import SampledLF, SpatialMapping
@@ -131,10 +133,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.board_poses:
-            object.__setattr__(self, "board_poses", tuple(default_board_poses()))
-        else:
-            object.__setattr__(self, "board_poses", tuple(self.board_poses))
+        object.__setattr__(self, "board_poses", tuple(self.board_poses or default_board_poses()))
         if min(self.sai_rows, self.sai_cols) < 1 or self.sai_rows * self.sai_cols < 2:
             raise ValueError("need at least two sub-apertures to measure disparity")
         if not 0 <= self.sigma_px < np.inf:
@@ -376,7 +375,7 @@ def run_trials(cfg: SimConfig, pool=map) -> TrialReport:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_type
 class TexturedPlane:
     """A textured rectangle in world coordinates.
 
@@ -394,15 +393,12 @@ class TexturedPlane:
     half_b: float | None = None
 
     def __post_init__(self):
-        names = ("origin", "axis_a", "axis_b")
-        o, ea, eb = (np.array(getattr(self, n), float).reshape(3) for n in names)
+        o, ea, eb = (np.array(getattr(self, n), float).reshape(3) for n in ("origin", "axis_a", "axis_b"))
         if abs(np.linalg.norm(ea) - 1) > 1e-9 or abs(np.linalg.norm(eb) - 1) > 1e-9:
             raise ValueError("plane axes must be unit vectors")
         if abs(ea @ eb) > 1e-9:
             raise ValueError("plane axes must be orthogonal")
-        for name, arr in zip(names, (o, ea, eb)):  # read-only copies
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        bind_arrays(self, origin=o, axis_a=ea, axis_b=eb)
 
     @property
     def normal(self) -> np.ndarray:

@@ -693,6 +693,40 @@ def test_epi_out_that_is_its_own_mask_twin_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["points", "intrinsics1", "intrinsics2"])
+def test_estimate_out_that_is_an_input_exits_2(tmp_path, capsys, flag):
+    sim_dir = _run_simulate(tmp_path, capsys)
+    name = {"points": "correspondences.csv"}.get(flag, f"{flag}.json")
+    before = (sim_dir / name).read_bytes()
+    rc, _ = _run_estimate(tmp_path, sim_dir, out=sim_dir / name)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: --out would overwrite the --{flag} input {sim_dir / name}\n"
+    assert (sim_dir / name).read_bytes() == before
+
+
+@pytest.mark.parametrize("flag", ["left", "right"])
+def test_rectify_out_that_is_an_input_exits_2(tmp_path, capsys, flag):
+    argv = _rectify_argv(tmp_path, tmp_path / flag)
+    before = tree_of(tmp_path / flag)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: --out would overwrite the --{flag} input {tmp_path / flag}\n"
+    assert tree_of(tmp_path / flag) == before
+
+
+@pytest.mark.parametrize("out_name", ["spec.json", "spec.csv"], ids=["out", "dat-twin"])
+def test_bench_out_that_is_its_spec_exits_2(tmp_path, capsys, monkeypatch, out_name):
+    """Neither --out nor its .dat twin may be the spec file."""
+    spec = _bench_spec(tmp_path)
+    if out_name == "spec.csv":
+        spec = spec.rename(tmp_path / "spec.dat")
+    before = spec.read_bytes()
+    monkeypatch.setattr("lfrect.bench.run_bench", lambda *a, **k: pytest.fail("the sweep ran"))
+    rc = main(["bench", "--spec", str(spec), "--trials", "1", "--out", str(tmp_path / out_name)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: --out would overwrite the --spec input {spec}\n"
+    assert spec.read_bytes() == before
+
+
 def _rectify_argv(tmp_path, out, T=(4.0, 0.0, 0.0)):
     """A rectify run of two random light fields under a pure translation,
     with the inputs written on first use."""

@@ -1,10 +1,15 @@
 """Core geometry: projection model, intrinsic matrix algebra, pose type,
-angular error metrics, rotation helpers.
+the value-type contract of every type that holds arrays, angular error
+metrics, rotation helpers.
 
 The projection example is cross-checked against an exact rational
 evaluation (sympy), and the rotation metrics against scipy's axis-angle
 decomposition, so the numpy implementations never grade themselves.
 """
+
+import copy
+import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -24,6 +29,16 @@ from lfrect.geometry import (
     so3_exp,
 )
 from lfrect.lfio import load_intrinsics, load_json, load_pose, save_intrinsics, save_json, save_pose
+from lfrect.pose import DegeneracyReport, ProjectiveSolution, estimate_pose
+from lfrect.rectify import build_rectified_setup
+from lfrect.resample import AlignedGrid, EpiImage, SampledLF, SpatialMapping
+from lfrect.simulate import (
+    TexturedPlane,
+    default_board_poses,
+    make_sim_config,
+    simulate_correspondences,
+    soft_checkerboard_texture,
+)
 
 
 def random_rotation(rng):
@@ -214,6 +229,66 @@ class TestRelativePose:
         pose2 = pickle.loads(pickle.dumps(sweep_pose))
         assert np.array_equal(pose2.R, sweep_pose.R)
         assert np.array_equal(pose2.T, sweep_pose.T)
+
+
+def _correspondences():
+    pose = RelativePose(euler_xyz_intrinsic(5.0, 20.0, 5.0), [80.0, 5.0, 5.0])
+    corr = simulate_correspondences(make_sim_config(pose, sigma_px=0.3), np.random.default_rng(0))
+    corr.backprojection  # a cached property, which a copy must not carry
+    return corr
+
+
+# Each value type that holds arrays, built with every array it can hold.
+VALUE_TYPES = {
+    "RelativePose": lambda: default_board_poses()[0],
+    "CorrespondenceSet": _correspondences,
+    "ProjectiveSolution": lambda: ProjectiveSolution(np.eye(4), 2 * np.eye(4), 0.5, np.arange(13.0)),
+    "DegeneracyReport": lambda: DegeneracyReport(False, [0.0, 0.6, 0.8], 1.0, 0.5, 9.0, 0),
+    "EstimationResult": lambda: estimate_pose(_correspondences()),
+    "RectifiedSetup": lambda: build_rectified_setup(RelativePose(np.eye(3), [4.0, 0.5, 0.0])),
+    "SampledLF": lambda: SampledLF(
+        np.full((1, 2, 2, 3), 0.5), np.ones((1, 2, 2, 3), bool), [-1.0, 1.0], [0.0],
+        SpatialMapping(u0=-0.5, du=0.25, v0=-0.375, dv=0.125),
+    ),
+    "AlignedGrid": lambda: AlignedGrid([0.0], [-1.0, 1.0], [[1, 3]], [-1.0, 1.0], [1.0]),
+    "EpiImage": lambda: EpiImage(np.full((2, 3), 0.5), np.ones((2, 3), bool), [-1.0, 1.0]),
+    "TexturedPlane": lambda: TexturedPlane(
+        [0.0, 0.0, 500.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], soft_checkerboard_texture(30.0, 2.0)
+    ),
+}
+
+
+def _arrays(x, prefix=""):
+    """Every array that value ``x`` holds, by field path, nested values
+    included."""
+    found = {}
+    for f in dataclasses.fields(x):
+        v = getattr(x, f.name)
+        if isinstance(v, np.ndarray):
+            found[prefix + f.name] = v
+        elif dataclasses.is_dataclass(v):
+            found.update(_arrays(v, f"{prefix}{f.name}."))
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_TYPES))
+def test_value_type_contract(name):
+    """Identity equality and hashing, and a pickle round trip through the
+    constructor: equal arrays, read-only (SampledLF binds its arrays as
+    given), and no cached property carried over."""
+    x = VALUE_TYPES[name]()
+    assert hash(x) == hash(x)
+    assert x == x
+    assert (x == copy.deepcopy(x)) is False
+    if name == "TexturedPlane":  # its texture is a closure, which pickle refuses
+        return
+    y = pickle.loads(pickle.dumps(x))
+    assert type(y) is type(x) and set(vars(y)) == {f.name for f in dataclasses.fields(y)}
+    before, after = _arrays(x), _arrays(y)
+    assert before and before.keys() == after.keys()
+    for key, arr in after.items():
+        assert np.array_equal(arr, before[key]) and arr is not before[key]
+        assert arr.flags.writeable == (name == "SampledLF"), key
 
 
 # ---------------------------------------------------------------------------
