@@ -10,8 +10,9 @@ Subcommands::
 
 Exit codes: 0 success, 2 bad configuration or arguments (including an
 out-of-range ``epi`` index, an ``--out`` that cannot be created or
-written, an ``--out`` that its own twin would overwrite, and an ``--out``
-that names one of the command's own inputs), 3 generation
+written, an ``--out`` that its own twin would overwrite, an ``--out``
+that names one of the command's own inputs, and an ``epi`` ``--out`` or
+twin that is a file of its ``--sais`` light field), 3 generation
 failure, 4 degenerate geometry, 5 no rectified overlap.  Each code is one
 group base in :mod:`lfrect.errors`, and ``main`` catches only those four
 bases.
@@ -138,6 +139,9 @@ def _cmd_rectify(args) -> int:
 def _cmd_epi(args) -> int:
     out = Path(args.out)
     _check_twin(out, ".pbm")
+    for target in (out, out.with_suffix(".pbm")):  # a file of the light field
+        if lfio.LF_FILE_NAME.fullmatch(target.name):
+            _check_not_input(target.parent, sais=args.sais)
     lf, _ = lfio.load_sampled_lf(args.sais)
     epi = extract_epi(lf, row=args.row, line=args.line)
     with _writing(out):
@@ -162,10 +166,8 @@ def _cmd_bench(args) -> int:
     log.info("running %s: %d rows x %d trials", spec.name, len(spec.rows), spec.trials)
     result = bench_mod.run_bench(spec, jobs=args.jobs)
     with _writing(out):
-        if out.parent != Path(""):
-            out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text("\n".join(bench_mod.bench_csv_lines(result)) + "\n")
-        out.with_suffix(".dat").write_text("\n".join(bench_mod.bench_dat_lines(result)) + "\n")
+        out.parent.mkdir(parents=True, exist_ok=True)
+        lfio.write_bench_tables(out, result)
     for row, rep in zip(spec.rows, result.reports):
         print(
             f"{spec.name} {row.label}: err_R {rep.mean_err_R:.4f} deg, "

@@ -21,10 +21,10 @@ A rendered or resampled light field is stored as a directory::
 
 Files with equal contents in one directory may be hard links of each other
 (all unrendered sub-apertures, for example, share one image and one mask).
-``save_sai_stream`` (and ``save_sampled_lf``, which feeds it a dense light
-field) always replaces a file and never edits one in place, so
-rewriting a directory is safe; a tool that edits one of these files in
-place changes its twins too.  ``cp -r`` copies contents, not links.
+Every writer here replaces a regular file, never editing it in place
+(:func:`_write_bytes`), so a hard-linked copy of any output keeps its
+bytes; a symlink or device is written through.  A tool that edits one of
+these files in place changes its twins too.  ``cp -r`` copies contents.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import BenchRow, BenchSpec
+from .bench import BenchResult, BenchRow, BenchSpec, bench_csv_lines, bench_dat_lines
 from .errors import ConfigError
 from .geometry import LFIntrinsics, RelativePose, euler_xyz_intrinsic
 from .pose import CorrespondenceSet, EstimationResult
@@ -62,11 +62,13 @@ __all__ = [
     "save_setup",
     "CORRESPONDENCE_HEADER",
     "write_correspondence_csv",
+    "write_bench_tables",
     "read_correspondence_csv",
     "write_pgm16",
     "read_pgm16",
     "write_pbm",
     "read_pbm",
+    "LF_FILE_NAME",
     "save_sai_stream",
     "save_sampled_lf",
     "load_sampled_lf",
@@ -118,8 +120,12 @@ def load_json(path) -> dict:
     return data
 
 
+def _json_bytes(data: dict) -> bytes:
+    return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
+
+
 def save_json(path, data: dict):
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    _write_bytes(path, [_json_bytes(data)])
 
 
 def _floats(obj, names) -> dict:
@@ -197,12 +203,6 @@ def load_setup(path) -> RectifiedSetup:
 
 
 def save_setup(path, setup: RectifiedSetup):
-    """Write a rectification setup, replacing a regular file at ``path``
-    rather than editing it in place, as :func:`save_sampled_lf` does with
-    the light-field directory it usually sits in (a hard-linked copy of
-    that directory keeps its old setup); a symlink or device is written
-    through."""
-    _unlink_regular(Path(path))
     doc = _row_major_doc(setup, _SETUP_MATRICES + _SETUP_VECTORS)
     save_json(path, {**doc, "baseline_mm": float(setup.baseline_mm)})
 
@@ -216,9 +216,15 @@ CORRESPONDENCE_HEADER = ["u_c", "v_c", "lambda", "u_c_prime", "v_c_prime", "lamb
 
 def write_correspondence_csv(path, corr: CorrespondenceSet):
     pairs = np.hstack([corr.first, corr.second])
-    with open(path, "w") as f:
-        f.write(",".join(CORRESPONDENCE_HEADER) + "\n")
-        f.writelines(",".join(map(repr, row.tolist())) + "\n" for row in pairs)
+    lines = itertools.chain([CORRESPONDENCE_HEADER], (map(repr, row.tolist()) for row in pairs))
+    _write_bytes(path, (",".join(cells).encode() + b"\n" for cells in lines))
+
+
+def write_bench_tables(path, result: BenchResult):
+    """Write a sweep's summary table to ``path`` (CSV) and its ``.dat`` twin."""
+    path, dat = Path(path), Path(path).with_suffix(".dat")
+    for out, lines in ((path, bench_csv_lines(result)), (dat, bench_dat_lines(result))):
+        _write_bytes(out, (f"{line}\n".encode() for line in lines))
 
 
 def read_correspondence_csv(path, k1: LFIntrinsics, k2: LFIntrinsics) -> CorrespondenceSet:
@@ -307,9 +313,8 @@ def _pbm_bytes(valid_mask: np.ndarray) -> bytes:
 
 
 def write_pgm16(path, image: np.ndarray):
-    """Write a [0, 1] image to ``path`` as a 16-bit PGM, in place: a
-    symlink or device there is written through."""
-    Path(path).write_bytes(_pgm16_bytes(image))
+    """Write a [0, 1] image to ``path`` as a 16-bit PGM."""
+    _write_bytes(path, [_pgm16_bytes(image)])
 
 
 # A Netpbm header: the magic, whitespace-separated tokens with '#' comments
@@ -364,9 +369,8 @@ def read_pgm16(path) -> np.ndarray:
 
 
 def write_pbm(path, valid_mask: np.ndarray):
-    """Write a validity mask to ``path`` as a PBM, in place: a symlink or
-    device there is written through."""
-    Path(path).write_bytes(_pbm_bytes(valid_mask))
+    """Write a validity mask to ``path`` as a PBM."""
+    _write_bytes(path, [_pbm_bytes(valid_mask)])
 
 
 def _decode_pbm(raw: bytes, out: np.ndarray | None = None) -> np.ndarray:
@@ -390,6 +394,10 @@ def read_pbm(path) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
+# The name of each file that a light-field directory holds.
+LF_FILE_NAME = re.compile(r"grid\.json|sai_r\d+_c\d+\.p[gb]m")
+
+
 def _listing(d: str) -> dict[str, bool]:
     """Whether each entry of directory ``d`` is a regular file, by name,
     from one ``os.scandir`` pass (no ``lstat`` per entry where the
@@ -401,13 +409,9 @@ def _listing(d: str) -> dict[str, bool]:
 def _unlink_regular(path, listing: dict[str, bool] | None = None) -> bool:
     """Remove ``path`` if it is a regular file, so that the next write
     creates it anew; return whether the name is now free.  ``listing`` is
-    the :func:`_listing` of its directory; without one, ``os.lstat`` tells.
-
-    Files in a light-field directory may be hard links of one another, so
-    this is what keeps a rewrite from writing through one file into its
-    twins.  It also avoids an ext4 stall: truncating a file that was just
-    written forces a flush of its data.  Symlinks and special files are
-    left in place and written through."""
+    the :func:`_listing` of its directory, which drops a name freed here;
+    without one, ``os.lstat`` tells.  Symlinks and special files are left
+    in place, to be written through."""
     try:
         if listing is None:
             regular = stat.S_ISREG(os.lstat(path).st_mode)
@@ -420,12 +424,19 @@ def _unlink_regular(path, listing: dict[str, bool] | None = None) -> bool:
         os.unlink(path)
     except FileNotFoundError:
         pass
+    if listing is not None:
+        del listing[os.path.basename(path)]
     return True
 
 
-def _write_bytes(path: str, data: bytes):
+def _write_bytes(path, chunks, listing: dict[str, bool] | None = None):
+    """Write the bytes ``chunks`` to ``path`` by lfrect's one write rule: a
+    regular file there is removed and created anew, so its hard links keep
+    their bytes (and ext4 does not stall flushing a file truncated just
+    after it was written); a symlink or device is written through."""
+    _unlink_regular(path, listing)
     with open(path, "wb") as f:
-        f.write(data)
+        f.writelines(chunks)
 
 
 def _save_shared(
@@ -438,19 +449,16 @@ def _save_shared(
     of a content to a regular file that this save created with it; only
     such files are linked to.  Where ``os.link`` fails (no hard links on
     the filesystem, too many links) the bytes are written, and the new file
-    serves the later twins.  ``listing`` is the directory's
-    :func:`_listing` from before the save."""
-    if not _unlink_regular(path, listing):  # a symlink or device: written through
-        _write_bytes(path, data)
-        return
-    if key in made:
-        try:
-            os.link(made[key], path)
-            return
-        except OSError:
-            pass
-    _write_bytes(path, data)
-    made[key] = path
+    serves the later twins.  ``listing`` is as for :func:`_unlink_regular`."""
+    if _unlink_regular(path, listing):  # not a symlink or device, which is written through
+        if key in made:
+            try:
+                os.link(made[key], path)
+                return
+            except OSError:
+                pass
+        made[key] = path
+    _write_bytes(path, [data], listing)
 
 
 def save_sai_stream(
@@ -517,7 +525,7 @@ def save_sai_stream(
     }
     if grid is not None:
         meta["aligned"] = {**_floats(grid, _GRID_ARRAYS), "provenance": grid.provenance.tolist()}
-    save_json(meta_path, meta)
+    _write_bytes(meta_path, [_json_bytes(meta)], listing)
 
 
 def save_sampled_lf(dirpath, lf: SampledLF, grid: AlignedGrid | None = None):
@@ -602,12 +610,16 @@ def parse_pose_dict(d: dict) -> RelativePose:
     matrix directly.
     """
     if "euler_deg" in _json_object(d):
-        ang = [float(x) for x in d["euler_deg"]]
-        if len(ang) != 3:
-            raise ValueError("euler_deg needs exactly three angles")
-        T = np.array(d.get("T_mm", d.get("T", [0.0, 0.0, 0.0])), float)
-        return RelativePose(euler_xyz_intrinsic(*ang), T)
+        return _euler_pose(d["euler_deg"], d.get("T_mm", d.get("T", [0.0, 0.0, 0.0])))
     return _pose(d)
+
+
+def _euler_pose(euler_deg, T) -> RelativePose:
+    """A pose, or a board placement, from its ``euler_deg`` and translation."""
+    ang = [float(x) for x in euler_deg]
+    if len(ang) != 3:
+        raise ValueError("euler_deg needs exactly three angles")
+    return RelativePose(euler_xyz_intrinsic(*ang), np.array(T, float))
 
 
 _BOARD_FIELDS = {"rows": _integer, "cols": _integer, "spacing_mm": float}
@@ -623,18 +635,13 @@ def _present(d: dict, fields: dict) -> dict:
     return {name: cast(d[name]) for name, cast in fields.items() if name in d}
 
 
-def _board_pose(d: dict) -> RelativePose:
-    ang = [float(x) for x in d["euler_deg"]]
-    return RelativePose(euler_xyz_intrinsic(*ang), np.array(d["center_mm"], float))
-
-
 # Config key -> (SimConfig field, parser of the key's JSON value).
 _SIM_KEYS = {
     "intrinsics1": ("k1", lambda v: _scalars(LFIntrinsics, v)),
     "intrinsics2": ("k2", lambda v: _scalars(LFIntrinsics, v)),
     "pose": ("pose", parse_pose_dict),
     "board": ("board", lambda v: BoardSpec(**_present(_json_object(v), _BOARD_FIELDS))),
-    "board_poses": ("board_poses", lambda v: tuple(map(_board_pose, v))),
+    "board_poses": ("board_poses", lambda v: tuple(_euler_pose(b["euler_deg"], b["center_mm"]) for b in v)),
     **{key: (key, cast) for key, cast in _SIM_FIELDS.items()},
 }
 

@@ -452,6 +452,14 @@ def test_non_finite_board_value_exits_2(tmp_path, capsys, key, value):
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_board_placement_without_three_angles_exits_2(tmp_path, capsys, n):
+    cfg = _sim_config(tmp_path, board_poses=[{"euler_deg": [0.0] * n, "center_mm": [0.0, 0.0, 1000.0]}])
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {cfg}: board_poses: euler_deg needs exactly three angles\n"
+
+
 # Each matrix breaks one part of the rotation rule that lfrect.geometry
 # writes once: finite, orthonormal, det +1, 3x3.
 BAD_ROTATIONS = {
@@ -691,6 +699,32 @@ def test_epi_out_that_is_its_own_mask_twin_exits_2(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err == f"error: --out {out} would be overwritten by its .pbm twin\n"
     assert not out.exists()
+
+
+# The third --out is no file of the light field, but its .pbm twin is a mask.
+@pytest.mark.parametrize("name", ["sai_r0_c0.pgm", "grid.json", "sai_r0_c0.epi"])
+def test_epi_out_that_is_a_file_of_its_light_field_exits_2(tmp_path, capsys, name):
+    lf_dir = tmp_path / "lf"
+    save_sampled_lf(lf_dir, random_lf(seed=5))
+    before = tree_of(lf_dir)
+    rc = main(["epi", "--sais", str(lf_dir), "--row", "0", "--line", "0", "--out", str(lf_dir / name)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: --out would overwrite the --sais input {lf_dir}\n"
+    assert tree_of(lf_dir) == before
+
+
+def test_epi_out_beside_its_light_field_is_written(tmp_path, capsys):
+    """A new file in the --sais directory is no file of the light field, and
+    writing it a second time replaces only it."""
+    lf_dir = tmp_path / "lf"
+    save_sampled_lf(lf_dir, random_lf(seed=5))
+    files, _ = tree_of(lf_dir)
+    argv = ["epi", "--sais", str(lf_dir), "--row", "0", "--line", "0", "--out", str(lf_dir / "epi.pgm")]
+    assert main(argv) == 0
+    assert main(argv) == 0
+    after, _ = tree_of(lf_dir)
+    assert sorted(set(after) - set(files)) == ["epi.pbm", "epi.pgm"]
+    assert all(after[name] == data for name, data in files.items())
 
 
 @pytest.mark.parametrize("flag", ["points", "intrinsics1", "intrinsics2"])

@@ -43,6 +43,7 @@ from lfrect.lfio import (
     save_sai_stream,
     save_sampled_lf,
     save_setup,
+    write_bench_tables,
     write_correspondence_csv,
     write_pbm,
     write_pgm16,
@@ -50,7 +51,8 @@ from lfrect.lfio import (
 from lfrect.rectify import RectifiedSetup, build_rectified_setup
 from lfrect.pose import CorrespondenceSet, EstimationResult, ProjectiveSolution
 from lfrect.resample import AlignedGrid, SampledLF, SpatialMapping
-from lfrect.simulate import SimConfig, default_intrinsics_pair, make_sim_config
+from lfrect.bench import noise_sweep_pose, noise_sweep_spec, run_bench
+from lfrect.simulate import SimConfig, default_intrinsics_pair, make_sim_config, simulate_trial
 
 from oracles import has_duplicate_pairs, read_correspondence_csv_by_line, read_pnm_tokens_bytewise
 
@@ -803,23 +805,38 @@ def test_sampled_lf_fails_on_a_directory_entry(tmp_path):
     assert (d / "sai_r1_c1.pbm").is_dir()
 
 
-def test_save_setup_replaces_a_regular_file(tmp_path, sweep_pose):
-    """setup.json is replaced, not edited in place, so a hard-linked copy
-    keeps its old bytes; a symlink there is written through."""
-    path, copy = tmp_path / "setup.json", tmp_path / "copy.json"
-    save_setup(path, build_rectified_setup(sweep_pose))
+# Each writer of a file, as (path, version) -> None: the two versions write
+# different bytes.
+EVERY_WRITER = {
+    "save_setup": lambda p, v: save_setup(p, build_rectified_setup(RelativePose(np.eye(3), [v + 4.0, 1.0, 0.5]))),
+    "save_json": lambda p, v: save_json(p, {"a": v}),
+    "write_pgm16": lambda p, v: write_pgm16(p, np.full((2, 3), 0.25 * (v + 1))),
+    "write_pbm": lambda p, v: write_pbm(p, np.eye(2, 3, k=v, dtype=bool)),
+    "write_correspondence_csv": lambda p, v: write_correspondence_csv(
+        p, simulate_trial(make_sim_config(noise_sweep_pose(), sigma_px=0.3), v)
+    ),
+    "write_bench_tables": lambda p, v: write_bench_tables(p, run_bench(noise_sweep_spec(1, seed=v))),
+}
+
+
+@pytest.mark.parametrize("name", list(EVERY_WRITER))
+def test_every_writer_replaces_a_regular_file(tmp_path, name):
+    """A file is replaced, not edited in place, so a hard-linked copy of an
+    old output keeps its bytes; a symlink there is written through."""
+    write = EVERY_WRITER[name]
+    path, copy = tmp_path / "out", tmp_path / "copy"
+    write(path, 0)
     old = path.read_bytes()
     os.link(path, copy)
-    other = build_rectified_setup(RelativePose(sweep_pose.R, 2.0 * sweep_pose.T))
-    save_setup(path, other)
+    write(path, 1)
     assert copy.read_bytes() == old
     assert path.read_bytes() != old
     path.unlink()
     path.symlink_to(copy)
-    save_setup(path, other)
+    write(path, 1)
     assert path.is_symlink()
-    save_setup(tmp_path / "fresh.json", other)
-    assert copy.read_bytes() == (tmp_path / "fresh.json").read_bytes()
+    write(tmp_path / "fresh", 1)
+    assert copy.read_bytes() == (tmp_path / "fresh").read_bytes()
 
 
 WRITERS = {
@@ -831,8 +848,8 @@ WRITERS = {
 
 @pytest.mark.parametrize("name", sorted(WRITERS))
 def test_single_file_writers_write_in_place(tmp_path, monkeypatch, name):
-    """A user-named output is opened in place, never unlinked: a symlink
-    is written through, and a device such as the null device works."""
+    """A symlink or a device, such as the null device, at a user-named
+    output is written through and never unlinked."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("writer unlinked its output path")
