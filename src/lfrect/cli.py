@@ -126,8 +126,7 @@ def _cmd_rectify(args) -> int:
     sais = iter_aligned_sais(left, right, setup, grid)
     size = (left.height, left.width)
     with _writing(out):
-        lfio.save_sai_stream(out, sais, grid.rows_mm, grid.cols_mm, left.mapping, size, grid)
-        lfio.save_setup(out / "setup.json", setup)
+        lfio.save_sai_stream(out, sais, grid.rows_mm, grid.cols_mm, left.mapping, size, grid, setup)
     n_both = int(np.sum(grid.provenance == 3))
     print(
         f"rectified onto {grid.rows_mm.size}x{grid.cols_mm.size} grid "

@@ -462,7 +462,8 @@ def _save_shared(
 
 
 def save_sai_stream(
-    dirpath, sais, t_mm, s_mm, mapping: SpatialMapping, size, grid: AlignedGrid | None = None
+    dirpath, sais, t_mm, s_mm, mapping: SpatialMapping, size, grid: AlignedGrid | None = None,
+    setup: RectifiedSetup | None = None,
 ):
     """Write a light field that arrives one sub-aperture at a time, as one
     PGM + PBM per sub-aperture plus grid.json.
@@ -477,9 +478,9 @@ def save_sai_stream(
     the blank sub-aperture is encoded and hashed once per save; all blank
     sub-apertures share one image and one mask.  ``grid`` attaches
     aligned-grid provenance (which side each rectified sub-aperture came
-    from) when saving rectified output.  An old grid.json is removed first
-    and the new one written last, so a directory without it was not
-    finished.
+    from) when saving rectified output, and ``setup`` is saved as
+    setup.json.  An old grid.json is removed first and the new one written
+    last, after setup.json, so a directory without it was not finished.
     """
     import hashlib  # deferred: it loads OpenSSL, which only this writer needs
 
@@ -525,6 +526,8 @@ def save_sai_stream(
     }
     if grid is not None:
         meta["aligned"] = {**_floats(grid, _GRID_ARRAYS), "provenance": grid.provenance.tolist()}
+    if setup is not None:
+        save_setup(os.path.join(d, "setup.json"), setup)
     _write_bytes(meta_path, [_json_bytes(meta)], listing)
 
 
@@ -675,11 +678,14 @@ def load_sim_config(path) -> SimConfig:
 
 
 def _bench_row(row, source: str) -> BenchRow:
-    """One row of a sweep spec; a bad ``sigma_px`` is named by its own key."""
-    sigma_px = _json_object(row)["sigma_px"]
+    """One row of a sweep spec; a bad ``sigma_px`` or ``label`` is named by
+    its own key."""
+    sigma_px, label = _json_object(row)["sigma_px"], str(row["label"])
     with _naming(source, "sigma_px"):
         sigma_px = float(sigma_px)
-    return BenchRow(label=str(row["label"]), pose=parse_pose_dict(row), sigma_px=sigma_px)
+    with _naming(source, "label"):
+        label.encode()  # UTF-8 refuses a lone surrogate, which no table could hold
+    return BenchRow(label=label, pose=parse_pose_dict(row), sigma_px=sigma_px)
 
 
 def parse_bench_spec(data: dict, source: str = "<spec>") -> BenchSpec:
@@ -692,8 +698,11 @@ def parse_bench_spec(data: dict, source: str = "<spec>") -> BenchSpec:
         if key in data:
             with _naming(source, key):
                 counts[key] = _integer(data[key])
+    name = str(data.get("name", "custom"))
+    with _naming(source, "name"):
+        name.encode()  # bench prints it; UTF-8 refuses a lone surrogate
     with _naming(source):
-        return BenchSpec(name=str(data.get("name", "custom")), rows=rows, **counts)
+        return BenchSpec(name=name, rows=rows, **counts)
 
 
 def load_bench_spec(path) -> BenchSpec:

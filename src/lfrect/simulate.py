@@ -171,16 +171,6 @@ def _grid_offsets(n: int) -> np.ndarray:
     return np.arange(n) - (n - 1) / 2.0
 
 
-def _observe_batch(lfp: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """(n, 3) LF-points -> (n, rows, cols, 2) per-sub-aperture samples."""
-    di = _grid_offsets(rows)
-    dj = _grid_offsets(cols)
-    obs = np.empty((lfp.shape[0], rows, cols, 2))
-    obs[..., 0] = lfp[:, 0, None, None] + dj[None, None, :] * lfp[:, 2, None, None]
-    obs[..., 1] = lfp[:, 1, None, None] + di[None, :, None] * lfp[:, 2, None, None]
-    return obs
-
-
 def _refit_batch(obs: np.ndarray) -> np.ndarray:
     """Closed-form least squares of the batch observation model.
 
@@ -201,27 +191,8 @@ def _refit_batch(obs: np.ndarray) -> np.ndarray:
 
 
 # Most samples (float64 values) in one block of simulate_correspondences:
-# 2 MiB per array, below numpy's 4 MiB huge-page threshold.
+# a 2 MiB buffer, below numpy's 4 MiB huge-page threshold.
 _BLOCK_SAMPLES = 1 << 18
-
-
-def _refit_noisy(
-    lfp: np.ndarray, cfg: SimConfig, rng: np.random.Generator, noise: np.ndarray
-) -> np.ndarray:
-    """Observe (n, 3) LF-points in every sub-aperture, add pixel noise and
-    re-fit them.  The noise is drawn into ``noise``, an (m >= n, rows,
-    cols, 2) buffer.
-
-    ``rng.normal(0.0, sigma)`` computes 0.0 + sigma * z for each standard
-    normal z in turn, so scaling a ``standard_normal`` draw gives its bits
-    without allocating a fresh array per block."""
-    obs = _observe_batch(lfp, cfg.sai_rows, cfg.sai_cols)
-    if cfg.sigma_px > 0:
-        z = rng.standard_normal(out=noise[: lfp.shape[0]])
-        z *= cfg.sigma_px
-        z += 0.0
-        obs += z
-    return _refit_batch(obs)
 
 
 def simulate_correspondences(
@@ -231,10 +202,14 @@ def simulate_correspondences(
 
     Projects every corner into every sub-aperture of both cameras, adds
     pixel noise, and re-fits the LF-points, in blocks of at most
-    ``_BLOCK_SAMPLES`` samples: the working memory is one block's
-    observations and one noise buffer that every block reuses, whatever
-    the board size.  The noise is drawn block by block in point order,
-    which consumes the generator exactly as one draw of each camera's whole
+    ``_BLOCK_SAMPLES`` samples: the working memory is one block buffer
+    that every block reuses, whatever the board size.  Each block's noise
+    is drawn into the buffer and the noise-free samples are added to it in
+    place.  ``rng.normal(0.0, sigma)`` computes 0.0 + sigma * z for each
+    standard normal z in turn, so scaling a ``standard_normal`` draw gives
+    its bits; without noise the buffer holds -0.0, since x + -0.0 is x for
+    every x.  The noise is drawn block by block in point order, which
+    consumes the generator exactly as one draw of each camera's whole
     sample grid would, and the re-fit is per point, so the result does not
     depend on the block size.  Raises GenerationFailure when the draw is
     not a usable correspondence set (coincident corners without noise give
@@ -242,14 +217,25 @@ def simulate_correspondences(
     """
     pts1, pts2 = _corner_arrays(cfg)
     n = pts1.shape[0]
-    step = min(max(1, _BLOCK_SAMPLES // (cfg.sai_rows * cfg.sai_cols * 2)), n)
-    noise = np.empty((step, cfg.sai_rows, cfg.sai_cols, 2))
+    di, dj = _grid_offsets(cfg.sai_rows), _grid_offsets(cfg.sai_cols)
+    step = min(max(1, _BLOCK_SAMPLES // (di.size * dj.size * 2)), n)
+    buf = np.empty((step, di.size, dj.size, 2))
     first, second = np.empty((n, 3)), np.empty((n, 3))
     for fitted, pts, k in ((first, pts1, cfg.k1), (second, pts2, cfg.k2)):
         lfp = k.project(pts)
         for start in range(0, n, step):
-            block = slice(start, start + step)
-            fitted[block] = _refit_noisy(lfp[block], cfg, rng, noise)
+            block = lfp[start : start + step]
+            obs = buf[: block.shape[0]]
+            if cfg.sigma_px > 0:
+                rng.standard_normal(out=obs)
+                obs *= cfg.sigma_px
+                obs += 0.0
+            else:
+                obs.fill(-0.0)
+            # u varies along the sub-aperture columns, v along the rows.
+            obs[..., 0] += (block[:, 0, None] + dj * block[:, 2, None])[:, None, :]
+            obs[..., 1] += (block[:, 1, None] + di * block[:, 2, None])[:, :, None]
+            fitted[start : start + step] = _refit_batch(obs)
     try:
         return CorrespondenceSet(first=first, second=second, k1=cfg.k1, k2=cfg.k2)
     except ValueError as e:

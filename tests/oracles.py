@@ -28,8 +28,9 @@ geometry from the outside:
 - ``refine_pose_nested`` is Levenberg-Marquardt as two nested loops steered
   by ``accepted`` and ``converged`` flags, the form that the single loop of
   ``lfrect.pose.refine_pose`` replaces; it also reports why it stopped.
-- ``simulate_one_shot`` draws the noise of every sub-aperture sample in one
-  call and re-fits all LF-points at once, the form that the point blocks of
+- ``simulate_one_shot`` observes each camera's whole sample grid
+  (``_observe_batch``), draws its noise in one call and re-fits all
+  LF-points at once, the form that the point blocks of
   ``lfrect.simulate.simulate_correspondences`` replace.
 - ``read_pnm_tokens_bytewise`` scans a Netpbm header one byte at a time,
   the form that the header pattern of ``lfrect.lfio`` replaces.
@@ -70,7 +71,6 @@ from lfrect.simulate import (
     SimConfig,
     _corner_arrays,
     _grid_offsets,
-    _observe_batch,
     _refit_batch,
 )
 
@@ -139,6 +139,16 @@ def refit_lfpoint(obs: np.ndarray) -> np.ndarray:
     b[n:] = obs[:, :, 1].ravel()
     sol, *_ = np.linalg.lstsq(A, b, rcond=None)
     return sol
+
+
+def _observe_batch(lfp: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """(n, 3) LF-points -> (n, rows, cols, 2) per-sub-aperture samples."""
+    di = _grid_offsets(rows)
+    dj = _grid_offsets(cols)
+    obs = np.empty((lfp.shape[0], rows, cols, 2))
+    obs[..., 0] = lfp[:, 0, None, None] + dj[None, None, :] * lfp[:, 2, None, None]
+    obs[..., 1] = lfp[:, 1, None, None] + di[None, :, None] * lfp[:, 2, None, None]
+    return obs
 
 
 def simulate_one_shot(cfg: SimConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

@@ -6,6 +6,7 @@ and worker counts.
 """
 
 import dataclasses
+import errno
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import RENDER_POSE
-from lfrect import cli, errors, simulate
+from lfrect import cli, errors, lfio, simulate
 from lfrect.bench import BENCH_HEADER, bench_csv_lines, pose_grid_spec, run_bench
 from lfrect.cli import main
 from lfrect.errors import ConfigError, DegenerateGeometry, GenerationFailure, LfRectError, NoOverlap
@@ -356,6 +357,8 @@ LF_CORRUPTIONS = {
         lambda d: (d / "sai_r1_c1.pgm").write_bytes((d / "sai_r1_c1.pgm").read_bytes()[:-2]),
     ),
     "one-row": ("sai_r1_c1.pgm", lambda d: (d / "sai_r1_c1.pgm").write_bytes(b"P5\n10 1\n65535\n" + bytes(20))),
+    "maxval-0": ("sai_r1_c1.pgm", lambda d: (d / "sai_r1_c1.pgm").write_bytes(b"P5\n1 1\n0\n" + bytes(1))),
+    "maxval-65536": ("sai_r1_c1.pgm", lambda d: (d / "sai_r1_c1.pgm").write_bytes(b"P5\n1 1\n65536\n" + bytes(2))),
     "aligned-without-cols": ("grid.json", _drop_aligned_cols),
     "nan-col": ("grid.json", _set_grid_value("cols_mm", 1)),
     "inf-row": ("grid.json", _set_grid_value("rows_mm", 0, value=float("inf"))),
@@ -611,10 +614,26 @@ def test_integral_float_count_is_a_count(tmp_path, capsys):
             {"rows": [{**POSE_DOC, "T_mm": "abc", "label": "a", "sigma_px": 0.2}]},
             "rows: could not convert string to float: 'abc'",
         ),
+        ({"rows": []}, "benchmark needs at least one row"),
+        # A lone surrogate, which json reads but UTF-8 cannot encode: the
+        # label would fail as the table is written, after the sweep.
+        (
+            {"rows": [{**POSE_DOC, "label": "a\ud800", "sigma_px": 0.2}]},
+            "label: 'utf-8' codec can't encode character '\\ud800' in position 1: "
+            "surrogates not allowed",
+        ),
+        (
+            {"name": "n\udc00", "rows": [{**POSE_DOC, "label": "a", "sigma_px": 0.2}]},
+            "name: 'utf-8' codec can't encode character '\\udc00' in position 1: "
+            "surrogates not allowed",
+        ),
     ],
-    ids=["rows-not-a-list", "row-without-label", "bad-translation"],
+    ids=["rows-not-a-list", "row-without-label", "bad-translation", "no-rows",
+         "label-not-utf8", "name-not-utf8"],
 )
 def test_bench_spec_errors_name_their_key(tmp_path, capsys, monkeypatch, spec, message):
+    """Each refusal exits 2 naming its key, before any trial runs and
+    before --out is touched."""
     monkeypatch.setattr(cli.bench_mod, "run_trials", None)  # no trial may run
     path = tmp_path / "spec.json"
     save_json(path, spec)
@@ -810,6 +829,31 @@ def test_rectify_replaces_setup_json(tmp_path, capsys):
     assert (out / "setup.json").read_bytes() != first["setup.json"]
     for name, data in first.items():
         assert (snapshot / name).read_bytes() == data, name
+
+
+def test_rectify_writes_setup_json_before_grid_json(tmp_path, capsys, monkeypatch):
+    """A rerun into an earlier run's --out that fails at the grid.json
+    write leaves no grid.json and the new setup.json: grid.json, which
+    marks the directory finished, is written last."""
+    out = tmp_path / "rect"
+    assert main(_rectify_argv(tmp_path, out)) == 0
+    argv = _rectify_argv(tmp_path, out, T=(5.0, 0.0, 0.0))
+    save_setup(tmp_path / "expected.json", build_rectified_setup(load_pose(tmp_path / "pose_5.0.json")))
+    write_bytes = lfio._write_bytes
+
+    def fail_grid_json(path, chunks, listing=None):
+        if os.path.basename(path) == "grid.json":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+        write_bytes(path, chunks, listing)
+
+    monkeypatch.setattr(lfio, "_write_bytes", fail_grid_json)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {out / 'grid.json'}: {os.strerror(errno.ENOSPC)}\n"
+    )
+    assert not (out / "grid.json").exists()
+    assert (out / "setup.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
 
 
 def _dense_rectify(tmp_path, out, T):

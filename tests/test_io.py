@@ -436,6 +436,15 @@ def test_non_finite_pixel_is_refused(tmp_path, bad):
     assert not (tmp_path / "lf" / "grid.json").exists()
 
 
+@pytest.mark.parametrize("shape", [(6,), (2, 3, 1)])
+def test_image_or_mask_that_is_not_2d_is_refused(tmp_path, shape):
+    with pytest.raises(ValueError, match="image must be 2D"):
+        write_pgm16(tmp_path / "a.pgm", np.zeros(shape))
+    with pytest.raises(ValueError, match="mask must be 2D"):
+        write_pbm(tmp_path / "a.pbm", np.ones(shape, bool))
+    assert not list(tmp_path.iterdir())
+
+
 def test_pgm_reader_handles_comments_and_8bit(tmp_path):
     p = tmp_path / "c.pgm"
     p.write_bytes(b"P5\n# a comment\n3 2\n255\n" + bytes([0, 51, 102, 153, 204, 255]))

@@ -673,8 +673,18 @@ def test_sampled_lf_validation():
             images=np.zeros((3, 3, H, W)), mask=np.ones((3, 3, H, W - 1), bool),
             s_mm=S3, t_mm=S3, mapping=MAP,
         )
+    with pytest.raises(ValueError, match="s_mm must be a non-empty 1D array"):
+        make_lf(np.zeros((3, 0, H, W)), s_mm=np.array([]))
+    with pytest.raises(ValueError, match="t_mm has coincident entries"):
+        make_lf(np.zeros((3, 3, H, W)), t_mm=np.ones(3))
+    with pytest.raises(ValueError, match="images must be"):
+        make_lf(np.zeros((3, H, W)))
+    with pytest.raises(ValueError, match="grid coordinate counts"):
+        make_lf(np.zeros((3, 3, H, W)), s_mm=S3[:2])
     with pytest.raises(ValueError):
         SpatialMapping(u0=0.0, du=0.0, v0=0.0, dv=1.0)
+    with pytest.raises(ValueError, match="provenance shape"):
+        AlignedGrid(rows_mm=S3, cols_mm=S3, provenance=np.ones((2, 3)), left_cols_mm=S3, right_cols_mm=S3)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -31,7 +31,6 @@ from lfrect.simulate import (
     TexturedPlane,
     TrialReport,
     _corner_arrays,
-    _observe_batch,
     _refit_batch,
     default_board_poses,
     make_sim_config,
@@ -43,6 +42,7 @@ from lfrect.simulate import (
     trial_pool,
 )
 from oracles import (
+    _observe_batch,
     add_observation_noise,
     blob_centroid,
     blob_texture,
@@ -521,6 +521,11 @@ RENDER_CASES = {
          _plane(650.0, sinusoid_texture(5), (90.0, 70.0))],
         TURNED, 3, False,
     ),
+    # The near plane first: every band misses the far plane behind it.
+    "near-plane-first-ss2": (
+        [_plane(450.0, sinusoid_texture(4)), _plane(700.0, checkerboard_texture(7.0))],
+        TURNED, 2, True,
+    ),
     # Tilted 80 degrees: the rays on one side of the view meet the plane
     # behind the aperture, and pixels that straddle that line are masked.
     "steep-plane-misses-ss2": (
@@ -577,6 +582,23 @@ def test_renderer_memory_is_bounded_by_the_band():
         tracemalloc.stop()
     assert lf.mask.all()
     assert peak - (lf.images.nbytes + lf.mask.nbytes) < 3 * 2**20
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: _plane(600.0, None, axis_a=2 * EX), "plane axes must be unit vectors"),
+        (lambda: _plane(600.0, None, axis_b=EX), "plane axes must be orthogonal"),
+        (lambda: RenderGrid(sai_rows=0), "need at least one sub-aperture"),
+        (lambda: RenderGrid(pitch_mm=0.0), "invalid render grid"),
+        (lambda: RenderGrid(width_px=1), "invalid render grid"),
+        (lambda: RenderGrid(supersample=0), "supersample must be >= 1"),
+    ],
+    ids=["long-axis", "parallel-axes", "no-sub-aperture", "zero-pitch", "one-column", "no-samples"],
+)
+def test_render_inputs_are_validated(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_textured_plane_holds_read_only_copies():
