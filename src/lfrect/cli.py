@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import logging
 import os
 import sys
@@ -187,7 +188,10 @@ def _int_at_least(low: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.  It holds no
+    handlers: ``main`` looks up ``_cmd_<command>`` on each call."""
     p = argparse.ArgumentParser(prog="lfrect", description=__doc__.split("\n")[0])
     p.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
     sub = p.add_subparsers(dest="command", required=True)
@@ -197,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--out", required=True, help="output directory")
     ps.add_argument("--seed", type=_int_at_least(0), default=None, help="override the config seed")
     ps.add_argument("--trial", type=_int_at_least(0), default=0, help="which trial's noise draw")
-    ps.set_defaults(func=_cmd_simulate)
 
     pe = sub.add_parser("estimate", help="estimate a relative pose")
     pe.add_argument("--points", required=True, help="correspondence CSV")
@@ -205,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--intrinsics2", required=True)
     pe.add_argument("--out", required=True, help="output pose JSON")
     pe.add_argument("--no-refine", action="store_true", help="linear solution only")
-    pe.set_defaults(func=_cmd_estimate)
 
     pr = sub.add_parser("rectify", help="resample two light fields onto a common grid")
     pr.add_argument("--pose", required=True, help="pose JSON")
@@ -218,14 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--left", required=True, help="camera-1 light-field directory")
     pr.add_argument("--right", required=True, help="camera-2 light-field directory")
     pr.add_argument("--out", required=True, help="output directory")
-    pr.set_defaults(func=_cmd_rectify)
 
     pp = sub.add_parser("epi", help="extract an epipolar-plane image")
     pp.add_argument("--sais", required=True, help="light-field directory")
     pp.add_argument("--row", type=int, required=True, help="sub-aperture grid row")
     pp.add_argument("--line", type=int, required=True, help="image scan line")
     pp.add_argument("--out", required=True, help="output PGM path (a .pbm mask twin is written too)")
-    pp.set_defaults(func=_cmd_epi)
 
     pb = sub.add_parser("bench", help="run a benchmark sweep")
     group = pb.add_mutually_exclusive_group(required=True)
@@ -237,19 +237,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=_int_at_least(1), default=1, help="worker processes (capped at the CPU count)"
     )
     pb.add_argument("--out", required=True, help="output CSV (a .dat twin is written too)")
-    pb.set_defaults(func=_cmd_bench)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    # basicConfig adds the one stderr handler on the first call and does
+    # nothing after that, so the level is set on every call, on the logger.
+    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
-        return args.func(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -219,16 +219,21 @@ def build_dlt_system(Pn1: np.ndarray, Pn2: np.ndarray) -> np.ndarray:
     p'_i (W' p)_j - p'_j (W' p)_i = 0 between the normalized homogeneous
     LF-points p (a row of Pn1, camera 1) and p' (of Pn2, camera 2); only
     three are independent.  vec(W') is row-major.
+
+    A is the transpose view of a C-ordered (16, 6n) array, so A.T is
+    contiguous and a product Q.T @ A.T comes out ready for LAPACK's
+    column-major QR.  Each entry is 0.0 + p'_i p_k or 0.0 - p'_j p_k,
+    rounded as that sum, so a -0.0 product is stored as +0.0.
     """
     n = Pn1.shape[0]
-    P = np.column_stack([Pn1, np.ones(n)])
-    Pp = np.column_stack([Pn2, np.ones(n)])
-    A = np.zeros((6 * n, 16))
+    P = np.vstack([Pn1.T, np.ones(n)])
+    Pp = np.vstack([Pn2.T, np.ones(n)])
+    outer = Pp[:, None] * P  # outer[i, k, m] = p'_i p_k of point m
+    At = np.zeros((16, n, 6))  # A[6m + r, 4j + k] at At[4j + k, m, r]
     for r, (i, j) in enumerate(combinations(range(4), 2)):
-        block = A[r::6]
-        block[:, 4 * j : 4 * j + 4] += Pp[:, i : i + 1] * P
-        block[:, 4 * i : 4 * i + 4] -= Pp[:, j : j + 1] * P
-    return A
+        np.add(outer[i], 0.0, out=At[4 * j : 4 * j + 4, :, r])
+        np.subtract(0.0, outer[j], out=At[4 * i : 4 * i + 4, :, r])
+    return At.reshape(16, 6 * n).T
 
 
 def constraint_matrix(
@@ -283,13 +288,15 @@ def solve_linear(corr: CorrespondenceSet) -> ProjectiveSolution:
     as a coplanar scene produces, makes both of the smallest values
     numerically zero without making them equal).
 
-    A itself is freed once A Q is formed, before the QR copies A Q, so the
-    peak is A plus A Q rather than A plus two copies of A Q.
+    A Q is formed as (Q.T A.T).T, which is column-major, so the QR's copy
+    into LAPACK's buffer reads whole columns.  A itself is freed once A Q
+    is formed, before the QR copies A Q, so the peak is A plus A Q rather
+    than A plus two copies of A Q.
     """
     Pn1, N1 = normalize_points(corr.first)
     Pn2, N2 = normalize_points(corr.second)
     Q = constraint_matrix(corr.k1, corr.k2, N1, N2)
-    AQ = build_dlt_system(Pn1, Pn2) @ Q
+    AQ = (Q.T @ build_dlt_system(Pn1, Pn2).T).T
     _, s, Vt = np.linalg.svd(np.linalg.qr(AQ, mode="r"), full_matrices=False)
     if s[-1] >= (1.0 - _RANK_GAP) * s[-2] or s[-2] <= _NULL_FLOOR * s[0]:
         raise RankDeficient(

@@ -23,8 +23,12 @@ geometry from the outside:
   at a time, and ``has_duplicate_pairs`` finds repeated pairs with a set of
   tuples: the forms that ``lfrect.lfio.read_correspondence_csv`` and the
   row-bytes duplicate check of ``lfrect.pose.CorrespondenceSet`` replace.
-- ``solve_linear_full_svd`` takes the SVD of the whole reduced system, the
-  route that the QR-then-SVD of ``lfrect.pose.solve_linear`` replaces.
+- ``build_dlt_system_strided`` fills the C-ordered (6n, 16) design matrix
+  six strided row blocks at a time, the form that the transposed fill of
+  ``lfrect.pose.build_dlt_system`` replaces.  ``solve_linear_full_svd``
+  takes the SVD of the whole reduced system A Q, formed from that C-ordered
+  matrix, the route that the QR-then-SVD of ``lfrect.pose.solve_linear``
+  replaces.
 - ``refine_pose_nested`` is Levenberg-Marquardt as two nested loops steered
   by ``accepted`` and ``converged`` flags, the form that the single loop of
   ``lfrect.pose.refine_pose`` replaces; it also reports why it stopped.
@@ -46,6 +50,7 @@ geometry from the outside:
 
 import csv
 import io
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +64,6 @@ from lfrect.pose import (
     CorrespondenceSet,
     _jacobian,
     _residuals,
-    build_dlt_system,
     constraint_matrix,
     normalize_points,
     project_to_SO3,
@@ -234,14 +238,34 @@ def read_pnm_tokens_bytewise(raw: bytes, count: int) -> tuple[list[bytes], int]:
     return tokens, i + 1
 
 
+def build_dlt_system_strided(Pn1: np.ndarray, Pn2: np.ndarray) -> np.ndarray:
+    """The (6n, 16) homogeneous design matrix A with A vec(W') = 0.
+
+    Each correspondence contributes the six cross-product constraints
+    p'_i (W' p)_j - p'_j (W' p)_i = 0 between the normalized homogeneous
+    LF-points p (a row of Pn1, camera 1) and p' (of Pn2, camera 2); only
+    three are independent.  vec(W') is row-major.
+    """
+    n = Pn1.shape[0]
+    P = np.column_stack([Pn1, np.ones(n)])
+    Pp = np.column_stack([Pn2, np.ones(n)])
+    A = np.zeros((6 * n, 16))
+    for r, (i, j) in enumerate(combinations(range(4), 2)):
+        block = A[r::6]
+        block[:, 4 * j : 4 * j + 4] += Pp[:, i : i + 1] * P
+        block[:, 4 * i : 4 * i + 4] -= Pp[:, j : j + 1] * P
+    return A
+
+
 def solve_linear_full_svd(corr: CorrespondenceSet) -> tuple[np.ndarray, np.ndarray]:
     """(singular values, W') of the constrained linear solve, from the thin
-    SVD of the (6n, 13) reduced system A Q itself, with the sign of W' pinned
-    as ``solve_linear`` pins it."""
+    SVD of the (6n, 13) reduced system A Q itself, with A C-ordered
+    (``build_dlt_system_strided``) and the sign of W' pinned as
+    ``solve_linear`` pins it."""
     Pn1, N1 = normalize_points(corr.first)
     Pn2, N2 = normalize_points(corr.second)
     Q = constraint_matrix(corr.k1, corr.k2, N1, N2)
-    _, s, Vt = np.linalg.svd(build_dlt_system(Pn1, Pn2) @ Q, full_matrices=False)
+    _, s, Vt = np.linalg.svd(build_dlt_system_strided(Pn1, Pn2) @ Q, full_matrices=False)
     w16 = Q @ Vt[-1]
     w16 /= np.linalg.norm(w16)
     if w16[np.argmax(np.abs(w16))] < 0:

@@ -7,6 +7,8 @@ and worker counts.
 
 import dataclasses
 import errno
+import functools
+import logging
 import os
 import subprocess
 import sys
@@ -1118,6 +1120,36 @@ def test_each_error_group_maps_to_its_exit_code(tmp_path, capsys, monkeypatch, b
     rc = main(["simulate", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o")])
     assert rc == code
     assert "synthetic failure" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys):
+    """One parser serves every in-process call, and what one call parses
+    does not leak into the next: --no-refine, then a plain estimate."""
+    assert cli.build_parser() is cli.build_parser()
+    sim_dir = _run_simulate(tmp_path, capsys)
+    iterations = []
+    for extra in (("--no-refine",), ()):
+        rc, pose_path = _run_estimate(tmp_path, sim_dir, *extra)
+        assert rc == 0
+        iterations.append(load_json(pose_path)["iterations"])
+    assert iterations[0] == 0 and iterations[1] > 0
+
+
+@pytest.mark.parametrize("first, second", [((), ("-v",)), (("-v",), ())], ids=["quiet-first", "verbose-first"])
+def test_verbose_flag_holds_for_its_own_call_only(tmp_path, capsys, monkeypatch, request, first, second):
+    """-v logs INFO to stderr for the call that passes it and for no other:
+    a later in-process call neither misses nor inherits it, and the calls
+    share one stderr handler."""
+    monkeypatch.setattr(logging.root, "handlers", [])  # as in a fresh process
+    lfrect_log = logging.getLogger("lfrect")
+    request.addfinalizer(functools.partial(lfrect_log.setLevel, lfrect_log.level))
+    argv = ["bench", "--spec", str(_bench_spec(tmp_path, trials=1)), "--out", str(tmp_path / "b.csv")]
+    for flags in (first, second):
+        assert main([*flags, *argv]) == 0
+        err = capsys.readouterr().err
+        assert lfrect_log.isEnabledFor(logging.INFO) is bool(flags)
+        assert ("INFO lfrect: running" in err) is bool(flags), err
+    assert len(logging.root.handlers) == 1
 
 
 def test_importing_the_cli_loads_only_the_runtime():

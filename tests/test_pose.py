@@ -54,7 +54,7 @@ from lfrect.simulate import (
     simulate_correspondences,
 )
 
-from oracles import refine_pose_nested, solve_linear_full_svd
+from oracles import build_dlt_system_strided, refine_pose_nested, solve_linear_full_svd
 
 
 def true_w_prime(corr, pose, N1, N2):
@@ -150,18 +150,40 @@ def test_solve_linear_recovers_true_map(corr_exact, sweep_pose, norms):
     assert sol.singular_values[-2] > 1e-6 * sol.singular_values[0]
 
 
-def test_solve_linear_matches_full_svd_bit_for_bit(sweep_pose, corr_dense):
-    # QR then the SVD of the 13x13 triangle must give what the SVD of the
-    # whole reduced system gives, to the bit: the benchmark digests and the
-    # bench CSVs depend on it.
-    draws = [
+def _sweep_draws(sweep_pose):
+    """Three draws at each noise level of the stock sweep."""
+    return [
         simulate_correspondences(
             make_sim_config(sweep_pose, sigma_px=sigma), np.random.default_rng(1000 * row + trial)
         )
         for row, sigma in enumerate(NOISE_SWEEP_SIGMAS)
         for trial in range(3)
     ]
-    for corr in [*draws, corr_dense]:
+
+
+def test_dlt_system_matches_strided_builder_bit_for_bit(sweep_pose, corr_dense):
+    """Same shape and bytes as the C-ordered strided fill, signs of zero
+    included: on the crafted set, exact zeros times negative coordinates
+    give -0.0 products, which both builders store as +0.0."""
+    normalized = [
+        (normalize_points(corr.first)[0], normalize_points(corr.second)[0])
+        for corr in [*_sweep_draws(sweep_pose), corr_dense]
+    ]
+    crafted = (
+        np.array([[0.0, -1.0, 2.0], [-3.0, 0.0, 1.0], [1.0, 2.0, 0.0], [-1.0, -2.0, -3.0]]),
+        np.array([[-2.0, 0.0, 1.0], [0.0, 1.0, -1.0], [3.0, -1.0, 0.0], [1.0, 1.0, 1.0]]),
+    )
+    for Pn1, Pn2 in [*normalized, crafted]:
+        A, want = build_dlt_system(Pn1, Pn2), build_dlt_system_strided(Pn1, Pn2)
+        assert A.shape == want.shape
+        assert A.tobytes() == want.tobytes()
+
+
+def test_solve_linear_matches_full_svd_bit_for_bit(sweep_pose, corr_dense):
+    # QR then the SVD of the 13x13 triangle must give what the SVD of the
+    # whole reduced system gives, to the bit: the benchmark digests and the
+    # bench CSVs depend on it.
+    for corr in [*_sweep_draws(sweep_pose), corr_dense]:
         s, W_prime = solve_linear_full_svd(corr)
         sol = solve_linear(corr)
         assert sol.singular_values.tobytes() == s.tobytes()
@@ -181,6 +203,21 @@ def test_solve_linear_frees_the_design_matrix_before_its_qr(corr_dense):
     finally:
         tracemalloc.stop()
     assert peak < a_bytes + 2 * aq_bytes
+
+
+def test_solve_linear_hands_qr_a_column_major_system(corr_dense, monkeypatch):
+    """LAPACK is column-major: the QR gets A Q as a Fortran-contiguous
+    (6n, 13) matrix, so its copy into LAPACK's buffer reads whole columns."""
+    seen = []
+    qr = np.linalg.qr
+
+    def spy(a, *args, **kwargs):
+        seen.append((a.shape, a.flags.f_contiguous))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    solve_linear(corr_dense)
+    assert seen == [((6 * len(corr_dense), 13), True)]
 
 
 def test_solve_linear_coplanar_is_rank_deficient(k_pair, sweep_pose):
