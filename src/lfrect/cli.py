@@ -34,7 +34,7 @@ import numpy as np
 from . import bench as bench_mod
 from . import lfio
 from .errors import ConfigError, DegenerateGeometry, GenerationFailure, NoOverlap
-from .pose import estimate_pose
+from .pose import _COPLANAR_RATIO, _RANK_GAP, estimate_pose
 from .rectify import build_rectified_setup
 from .resample import extract_epi, iter_aligned_sais, plan_aligned_grid
 # Not called here: rectify streams iter_aligned_sais into
@@ -91,6 +91,44 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _log_estimate(result, points: int):
+    """One INFO line per stage of ``result``, each figure beside the
+    threshold that it is judged against."""
+    report = result.degeneracy
+    log.info(
+        "read %d correspondences; %d left out of the plane fit as unplaceable in depth",
+        points,
+        report.excluded,
+    )
+    diameter = report.scene_diameter
+    log.info(
+        "plane fit: RMS %.3g mm over scene diameter %.3g mm = %.3g (coplanar below %g)",
+        report.residual_rms,
+        diameter,
+        report.residual_rms / diameter if diameter > 0 else float("inf"),
+        _COPLANAR_RATIO,
+    )
+    s = result.linear.singular_values
+    log.info(
+        "linear solve: smallest singular values %.3e and %.3e, relative gap %.3g"
+        " (rank deficient below %g)",
+        s[-1],
+        s[-2],
+        (s[-2] - s[-1]) / s[-2],
+        _RANK_GAP,
+    )
+    if result.refined:
+        log.info(
+            "refinement: %d LM iterations, cost %.6g -> %.6g, converged %s",
+            result.iterations,
+            result.initial_cost,
+            result.final_cost,
+            result.converged,
+        )
+    else:
+        log.info("refinement skipped: cost %.6g", result.final_cost)
+
+
 def _cmd_estimate(args) -> int:
     _check_not_input(
         Path(args.out), points=args.points, intrinsics1=args.intrinsics1, intrinsics2=args.intrinsics2
@@ -99,6 +137,8 @@ def _cmd_estimate(args) -> int:
     k2 = lfio.load_intrinsics(args.intrinsics2)
     corr = lfio.read_correspondence_csv(args.points, k1, k2)
     result = estimate_pose(corr, refine=not args.no_refine)
+    if log.isEnabledFor(logging.INFO):
+        _log_estimate(result, len(corr))
     with _writing(args.out):
         lfio.save_estimate(args.out, result)
     print(

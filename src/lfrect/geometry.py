@@ -111,9 +111,17 @@ class LFIntrinsics:
         weight ``w``, a scalar or (n,): (f_x X/Z + c_x, f_y Y/Z + c_y,
         -K1 - K2 w/Z).  Depth is not checked; callers keep Z > 0."""
         X, Y, Z = np.asarray(points, float).T
-        return np.column_stack(
-            [self.fx * X / Z + self.cx, self.fy * Y / Z + self.cy, -self.K1 - self.K2 * w / Z]
-        )
+        out = np.empty((X.size, 3))
+        u, v, lam = out.T
+        np.multiply(X, self.fx, out=u)
+        u /= Z
+        u += self.cx
+        np.multiply(Y, self.fy, out=v)
+        v /= Z
+        v += self.cy
+        np.divide(self.K2 * w, Z, out=lam)
+        np.subtract(-self.K1, lam, out=lam)
+        return out
 
     def backproject(self, lfpoints) -> tuple[np.ndarray, np.ndarray]:
         """(p, e) of (n, 3) LF-points: directions p = ((u_c - c_x)/f_x,

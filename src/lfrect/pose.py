@@ -27,6 +27,15 @@ LF-point is ``LFIntrinsics.project`` of the transformed point.  A
 ``backprojection`` and keeps the read-only result, so every stage of one
 estimate reads the same (p, e).
 
+The per-point passes of the normalization, the degeneracy check, the
+residuals, the Jacobian and the duplicate check run each numpy call over
+all n points, a column of an (n, 3) array or a row of a point-last array,
+rather than over n rows of three, and fill no temporary with structural
+zeros.  The axis-0 means stay over (n, 3) rows, since their summation
+order sets their bits.  The arrays handed on (the normalized points, the
+residuals, the Jacobian) keep their shapes, their C order and their bits,
+so the products, the QR and ``lstsq`` that read them see the same input.
+
 Vectors of matrix entries ("vec") are row-major throughout this module,
 except in ``solve_translation`` where the rotation enters column-stacked;
 each function documents which order it uses.
@@ -89,6 +98,27 @@ _COST_FLOOR = 1e-16
 _MAX_ITERATIONS = 100
 
 
+# Odd, so multiplying by it permutes the uint64 values.
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _pair_hashes(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """One uint64 hash per row of the (n, 3) arrays: the six coordinates'
+    float64 words, taken after + 0.0 has turned -0.0 into 0.0 so that
+    equal pairs have equal words (NaN, where words and == disagree the
+    other way, is rejected before this runs), folded as h = h * m ^ w."""
+    words = np.empty((6, first.shape[0]))
+    words[:3] = first.T
+    words[3:] = second.T
+    words += 0.0
+    w = words.view(np.uint64)
+    h = w[0].copy()
+    for k in range(1, 6):
+        h *= _HASH_MULTIPLIER
+        h ^= w[k]
+    return h
+
+
 @value_type
 class CorrespondenceSet:
     """Matched LF-points of one scene seen by two cameras.
@@ -112,12 +142,14 @@ class CorrespondenceSet:
             raise ValueError("at least 4 correspondences are required")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("correspondences must be finite")
-        # Each row as one 48-byte record: equal pairs have equal bytes once
-        # + 0.0 has turned -0.0 into 0.0 (NaN, where bytes and == disagree
-        # the other way, was rejected above).
-        rows = np.hstack([a, b]) + 0.0
-        if len(set(rows.view((np.void, 48))[:, 0].tolist())) < len(rows):
-            raise ValueError("duplicate correspondence pairs")
+        # Equal pairs hash equal, so only a hash shared by two sorted
+        # neighbours calls for comparing the rows themselves, each as one
+        # 48-byte record.
+        hashes = np.sort(_pair_hashes(a, b))
+        if np.any(hashes[1:] == hashes[:-1]):
+            rows = np.hstack([a, b]) + 0.0
+            if len(set(rows.view((np.void, 48))[:, 0].tolist())) < len(rows):
+                raise ValueError("duplicate correspondence pairs")
         bind_arrays(self, first=a, second=b)
 
     def __len__(self):
@@ -201,7 +233,11 @@ def normalize_points(points) -> tuple[np.ndarray, np.ndarray]:
     x = -v * centroid
     N = np.diag([*v, 1.0])
     N[:3, 3] = x
-    return P * v + x, N
+    Pn = np.empty(P.shape)
+    for j in range(3):
+        np.multiply(P[:, j], v[j], out=Pn[:, j])
+        Pn[:, j] += x[j]
+    return Pn, N
 
 
 def _normalization_inverse(N: np.ndarray) -> np.ndarray:
@@ -373,6 +409,17 @@ def solve_translation(corr: CorrespondenceSet, R) -> np.ndarray:
     return T
 
 
+def _median(a: np.ndarray) -> float:
+    """``np.median`` of a 1-D array without NaNs, bit for bit: the middle
+    value, or the mean of the two middle values.  ``np.median`` itself
+    imports ``numpy.ma`` on its first call."""
+    k = a.size // 2
+    if a.size % 2:
+        return float(np.partition(a, k)[k])
+    lo, hi = np.partition(a, (k - 1, k))[k - 1 : k + 1]
+    return float((lo + hi) / 2)
+
+
 def detect_degeneracy(corr: CorrespondenceSet) -> DegeneracyReport:
     """Fit a total-least-squares plane to the backprojected camera-1 scene.
 
@@ -396,19 +443,24 @@ def detect_degeneracy(corr: CorrespondenceSet) -> DegeneracyReport:
     usable = ~at_infinity & (e > 0)
     Z = 1.0 / np.where(usable, e, -1.0)
     if usable.any():
-        z_med = float(np.median(Z[usable]))
+        z_med = _median(Z[usable])
         usable &= (Z < 50.0 * z_med) & (Z > z_med / 50.0)
-    if usable.sum() < 4:
+    count = int(np.count_nonzero(usable))
+    if count < 4:
         if at_infinity.any():
             raise DegenerateDisparity("disparities map to infinite depth")
         raise NonPositiveDepth("backprojected points have non-positive depth")
-    pts = p[usable] / e[usable, None]
-    centroid = pts.mean(axis=0)
-    centered = pts - centroid
-    _, s, Vt = np.linalg.svd(centered, full_matrices=False)
+    if count < usable.size:
+        p, e = p[usable], e[usable]
+    ptsT = np.divide(p.T, e, order="C")  # each coordinate a contiguous run
+    # The mean's summation order, which sets its bits, is that of (n, 3)
+    # rows; the SVD reads the centred values in any layout.
+    centroid = ptsT.T.copy().mean(axis=0)
+    diameter = float(np.linalg.norm(ptsT.max(axis=1) - ptsT.min(axis=1)))
+    ptsT -= centroid[:, None]
+    _, s, Vt = np.linalg.svd(ptsT.T, full_matrices=False)
     normal = Vt[-1]
-    residual_rms = float(s[-1] / np.sqrt(pts.shape[0]))
-    diameter = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+    residual_rms = float(s[-1] / np.sqrt(count))
     coplanar = diameter > 0 and residual_rms / diameter < _COPLANAR_RATIO
     return DegeneracyReport(
         coplanar=coplanar,
@@ -416,45 +468,84 @@ def detect_degeneracy(corr: CorrespondenceSet) -> DegeneracyReport:
         offset=float(normal @ centroid),
         residual_rms=residual_rms,
         scene_diameter=diameter,
-        excluded=int(usable.size - usable.sum()),
+        excluded=usable.size - count,
     )
+
+
+def _transformed(corr: CorrespondenceSet, R, T) -> np.ndarray:
+    """The camera-1 points moved into camera 2, (n, 3): p R^T + e T, with
+    e T added one column at a time."""
+    p, e = corr.backprojection
+    g = p @ R.T
+    for j in range(3):
+        g[:, j] += e * T[j]
+    return g
 
 
 def _residuals(corr: CorrespondenceSet, R, T):
     """Reprojection residuals (n, 3): predicted minus observed camera-2
     LF-point.  Inf cost signalled by returning None when a transformed
     point reaches zero depth scale."""
-    p, e = corr.backprojection
-    g = p @ R.T + e[:, None] * T
+    g = _transformed(corr, R, T)
     if np.any(g[:, 2] <= 1e-12):
         return None
-    return corr.k2.project(g, e) - corr.second
+    r = corr.k2.project(g, corr.backprojection[1])
+    r -= corr.second
+    return r
+
+
+# d g / d omega = -R skew(p).  Column c of skew(p) has two non-zero
+# entries, _SKEW_SIGN[c] p[_SKEW_P[c]] in row _SKEW_ROW[c] and
+# _SKEW_SIGN[c + 3] p[_SKEW_P[c + 3]] in row _SKEW_ROW[c + 3].
+_SKEW_ROW = [1, 0, 0, 2, 2, 1]
+_SKEW_P = [2, 2, 1, 1, 0, 0]
+_SKEW_SIGN = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 
 
 def _jacobian(corr: CorrespondenceSet, R, T):
     """Jacobian (3n, 6) of the residuals in (omega, T), where the rotation
     moves as R exp(skew(omega)) (right perturbation, relinearized at R).
-    Per-point 3x3 blocks are stored point-last, (3, 3, n), so each product
-    runs over n contiguous values; products of blocks sum over b = 0, 1, 2."""
+
+    The chain rule d r / d g . d g / d(omega, T) is written out over the
+    non-zero entries of d r / d g and skew(p), each entry a run of n
+    contiguous values of a point-last (3, 6, n) array.  Every entry has the
+    bits of the sum over all three terms of its 3x3 products, zero terms
+    included: that sum starts from 0, so a zero in d r / d omega is +0.0
+    (here through a leading 0.0 -), and an entry of d r / d T that
+    d r / d g leaves zero is 0 * e, which has the sign of e."""
     p, e = corr.backprojection
     k2 = corr.k2
     n = len(corr)
-    g = p @ R.T + e[:, None] * T
+    g = _transformed(corr, R, T)
     g3 = g[:, 2]
-    drdg = np.zeros((3, 3, n))
-    drdg[0, 0] = k2.fx / g3
-    drdg[0, 2] = -k2.fx * g[:, 0] / g3**2
-    drdg[1, 1] = k2.fy / g3
-    drdg[1, 2] = -k2.fy * g[:, 1] / g3**2
-    drdg[2, 2] = k2.K2 * e / g3**2
-    # d g / d omega = -R skew(p);  d g / d T = e I
-    S = np.zeros((3, 3, n))  # skew(p): p_k at (k+2, k+1) and -p_k at (k+1, k+2), mod 3
-    S[[2, 0, 1], [1, 2, 0]] = p.T
-    S[[1, 2, 0], [2, 0, 1]] = -p.T
-    dgdw = -sum(R[:, b, None, None] * S[b] for b in range(3))
+    g3sq = g3**2
+    # d r / d g: rows (fx/g3, 0, d02), (0, fy/g3, d12) and (0, 0, d22).
+    d00 = k2.fx / g3
+    d02 = -k2.fx * g[:, 0] / g3sq
+    d11 = k2.fy / g3
+    d12 = -k2.fy * g[:, 1] / g3sq
+    d22 = k2.K2 * e / g3sq
+    # u = R skew(p) = -d g / d omega, (3, 3, n).
+    pT = p.T
+    C = R[:, _SKEW_ROW] * _SKEW_SIGN
+    u = C[:, :3, None] * pT[_SKEW_P[:3]]
+    u += C[:, 3:, None] * pT[_SKEW_P[3:]]
+    # d r / d omega = -(d r / d g) u, as 0.0 - d u_i - d_2 u_2: the leading
+    # 0.0 - also makes the sign of a zero in u irrelevant.
     J = np.empty((3, 6, n))
-    J[:, :3] = sum(drdg[:, b, None] * dgdw[b] for b in range(3))
-    J[:, 3:] = drdg * e
+    for i, (d_ii, d_i2) in enumerate(((d00, d02), (d11, d12))):
+        np.multiply(u[i], d_ii, out=J[i, :3])
+        np.subtract(0.0, J[i, :3], out=J[i, :3])
+        J[i, :3] -= u[2] * d_i2
+    np.multiply(u[2], d22, out=J[2, :3])
+    np.subtract(0.0, J[2, :3], out=J[2, :3])
+    # d r / d T = (d r / d g) e, since d g / d T = e I.
+    np.multiply(d00, e, out=J[0, 3])
+    np.multiply(d11, e, out=J[1, 4])
+    np.multiply(d02, e, out=J[0, 5])
+    np.multiply(d12, e, out=J[1, 5])
+    np.multiply(d22, e, out=J[2, 5])
+    J[1:, 3] = J[::2, 4] = 0.0 * e
     return J.transpose(2, 0, 1).reshape(3 * n, 6)
 
 

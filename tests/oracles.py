@@ -29,6 +29,13 @@ geometry from the outside:
   takes the SVD of the whole reduced system A Q, formed from that C-ordered
   matrix, the route that the QR-then-SVD of ``lfrect.pose.solve_linear``
   replaces.
+- ``normalize_points_broadcast``, ``detect_degeneracy_gathered``,
+  ``residuals_broadcast`` (with ``project_column_stack``) and
+  ``jacobian_zero_filled`` broadcast each per-point pass over rows of three,
+  gather the usable points even when all are usable, take the median with
+  ``np.median`` and build the Jacobian from zero-filled 3x3 blocks: the
+  forms that the column-by-column passes of ``lfrect.pose`` (and of
+  ``LFIntrinsics.project``) replace, bit for bit.
 - ``refine_pose_nested`` is Levenberg-Marquardt as two nested loops steered
   by ``accepted`` and ``converged`` flags, the form that the single loop of
   ``lfrect.pose.refine_pose`` replaces; it also reports why it stopped.
@@ -56,12 +63,19 @@ from pathlib import Path
 import numpy as np
 
 from lfrect import pose as lfpose
-from lfrect.errors import ConfigError, NumericalFailure
+from lfrect.errors import (
+    ConfigError,
+    DegenerateDisparity,
+    DegenerateSpread,
+    NonPositiveDepth,
+    NumericalFailure,
+)
 from lfrect.geometry import LFIntrinsics, RelativePose, so3_exp
 from lfrect.errors import NoOverlap
 from lfrect.lfio import CORRESPONDENCE_HEADER
 from lfrect.pose import (
     CorrespondenceSet,
+    DegeneracyReport,
     _jacobian,
     _residuals,
     constraint_matrix,
@@ -271,6 +285,118 @@ def solve_linear_full_svd(corr: CorrespondenceSet) -> tuple[np.ndarray, np.ndarr
     if w16[np.argmax(np.abs(w16))] < 0:
         w16 = -w16
     return s, w16.reshape(4, 4)
+
+
+def normalize_points_broadcast(points) -> tuple[np.ndarray, np.ndarray]:
+    """Scale and shift (n, 3) LF-point coordinates to zero mean and unit
+    per-axis RMS.  Returns (Pn, N): Pn = diag(v) P + x and the 4x4 matrix
+    N = [diag(v) x; 0 1] of the same map.  Raises DegenerateSpread if some
+    axis has no spread."""
+    P = np.asarray(points, float)
+    centroid = P.mean(axis=0)
+    rms = np.sqrt(((P - centroid) ** 2).mean(axis=0))
+    if np.any(rms <= 1e-12):
+        raise DegenerateSpread(f"zero spread along axis {int(np.argmin(rms))}")
+    v = 1.0 / rms
+    x = -v * centroid
+    N = np.diag([*v, 1.0])
+    N[:3, 3] = x
+    return P * v + x, N
+
+
+def detect_degeneracy_gathered(corr: CorrespondenceSet) -> DegeneracyReport:
+    """Fit a total-least-squares plane to the backprojected camera-1 scene.
+
+    The plane is the centroid plus the smallest principal direction of the
+    point cloud; the scene counts as coplanar when the orthogonal RMS
+    residual is under 1e-3 of the bounding-box diagonal (in that regime a
+    plane-induced homography explains the data and the full projective map
+    is not unique).
+
+    Points whose measured disparity gives a non-positive, unbounded, or
+    wildly outlying depth (over 50x the median either way) cannot be
+    placed meaningfully in 3D; they are left out of the plane fit (heavy
+    disparity noise on far points causes all three) and counted in the
+    report's ``excluded``.  Raises
+    DegenerateDisparity / NonPositiveDepth only when fewer than four
+    points can be placed.
+    """
+    p, e = corr.backprojection
+    # e K2 = -(lambda + K1): zero to working precision is infinite depth.
+    at_infinity = np.abs(e * corr.k1.K2) <= 1e-12
+    usable = ~at_infinity & (e > 0)
+    Z = 1.0 / np.where(usable, e, -1.0)
+    if usable.any():
+        z_med = float(np.median(Z[usable]))
+        usable &= (Z < 50.0 * z_med) & (Z > z_med / 50.0)
+    if usable.sum() < 4:
+        if at_infinity.any():
+            raise DegenerateDisparity("disparities map to infinite depth")
+        raise NonPositiveDepth("backprojected points have non-positive depth")
+    pts = p[usable] / e[usable, None]
+    centroid = pts.mean(axis=0)
+    centered = pts - centroid
+    _, s, Vt = np.linalg.svd(centered, full_matrices=False)
+    normal = Vt[-1]
+    residual_rms = float(s[-1] / np.sqrt(pts.shape[0]))
+    diameter = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+    coplanar = diameter > 0 and residual_rms / diameter < lfpose._COPLANAR_RATIO
+    return DegeneracyReport(
+        coplanar=coplanar,
+        normal=normal,
+        offset=float(normal @ centroid),
+        residual_rms=residual_rms,
+        scene_diameter=diameter,
+        excluded=int(usable.size - usable.sum()),
+    )
+
+
+def project_column_stack(k: LFIntrinsics, points, w=1.0) -> np.ndarray:
+    """LF-points (n, 3) of (n, 3) scene points (X, Y, Z) with homogeneous
+    weight ``w``, a scalar or (n,): (f_x X/Z + c_x, f_y Y/Z + c_y,
+    -K1 - K2 w/Z).  Depth is not checked; callers keep Z > 0."""
+    X, Y, Z = np.asarray(points, float).T
+    return np.column_stack(
+        [k.fx * X / Z + k.cx, k.fy * Y / Z + k.cy, -k.K1 - k.K2 * w / Z]
+    )
+
+
+def residuals_broadcast(corr: CorrespondenceSet, R, T):
+    """Reprojection residuals (n, 3): predicted minus observed camera-2
+    LF-point.  Inf cost signalled by returning None when a transformed
+    point reaches zero depth scale."""
+    p, e = corr.backprojection
+    g = p @ R.T + e[:, None] * T
+    if np.any(g[:, 2] <= 1e-12):
+        return None
+    return project_column_stack(corr.k2, g, e) - corr.second
+
+
+def jacobian_zero_filled(corr: CorrespondenceSet, R, T):
+    """Jacobian (3n, 6) of the residuals in (omega, T), where the rotation
+    moves as R exp(skew(omega)) (right perturbation, relinearized at R).
+    Per-point 3x3 blocks are stored point-last, (3, 3, n), so each product
+    runs over n contiguous values; products of blocks sum over b = 0, 1, 2."""
+    p, e = corr.backprojection
+    k2 = corr.k2
+    n = len(corr)
+    g = p @ R.T + e[:, None] * T
+    g3 = g[:, 2]
+    drdg = np.zeros((3, 3, n))
+    drdg[0, 0] = k2.fx / g3
+    drdg[0, 2] = -k2.fx * g[:, 0] / g3**2
+    drdg[1, 1] = k2.fy / g3
+    drdg[1, 2] = -k2.fy * g[:, 1] / g3**2
+    drdg[2, 2] = k2.K2 * e / g3**2
+    # d g / d omega = -R skew(p);  d g / d T = e I
+    S = np.zeros((3, 3, n))  # skew(p): p_k at (k+2, k+1) and -p_k at (k+1, k+2), mod 3
+    S[[2, 0, 1], [1, 2, 0]] = p.T
+    S[[1, 2, 0], [2, 0, 1]] = -p.T
+    dgdw = -sum(R[:, b, None, None] * S[b] for b in range(3))
+    J = np.empty((3, 6, n))
+    J[:, :3] = sum(drdg[:, b, None] * dgdw[b] for b in range(3))
+    J[:, 3:] = drdg * e
+    return J.transpose(2, 0, 1).reshape(3 * n, 6)
 
 
 def refine_pose_nested(corr: CorrespondenceSet, initial: RelativePose, cost_trace=None):

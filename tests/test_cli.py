@@ -1152,6 +1152,43 @@ def test_verbose_flag_holds_for_its_own_call_only(tmp_path, capsys, monkeypatch,
     assert len(logging.root.handlers) == 1
 
 
+@pytest.mark.parametrize("extra", [(), ("--no-refine",)], ids=["refined", "linear"])
+def test_verbose_estimate_explains_each_stage(tmp_path, capsys, monkeypatch, request, extra):
+    """-v logs one INFO line per stage of an estimate, each figure beside
+    its threshold; stdout and the estimate file keep the bytes of a quiet
+    run, which logs nothing."""
+    monkeypatch.setattr(logging.root, "handlers", [])
+    lfrect_log = logging.getLogger("lfrect")
+    request.addfinalizer(functools.partial(lfrect_log.setLevel, lfrect_log.level))
+    sim_dir = _run_simulate(tmp_path, capsys)
+    argv = ["estimate", *extra]
+    for name in ("points", "intrinsics1", "intrinsics2"):
+        file = "correspondences.csv" if name == "points" else f"{name}.json"
+        argv += [f"--{name}", str(sim_dir / file)]
+    runs = []
+    for flags in ((), ("-v",)):
+        out = tmp_path / f"estimate{len(flags)}.json"
+        assert main([*flags, *argv, "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        runs.append((captured.out, out.read_bytes(), captured.err))
+    (quiet_out, quiet_file, quiet_err), (out, file, err) = runs
+    assert (out, file) == (quiet_out, quiet_file)
+    assert "INFO" not in quiet_err
+    estimate = load_json(tmp_path / "estimate1.json")
+    lines = err.splitlines()
+    assert len(lines) == 4 and all(line.startswith("INFO lfrect: ") for line in lines), err
+    assert "read 308 correspondences; 0 left out of the plane fit" in lines[0]
+    assert lines[1].startswith("INFO lfrect: plane fit: RMS ") and "(coplanar below 0.001)" in lines[1]
+    assert "smallest singular values" in lines[2] and "(rank deficient below 1e-06)" in lines[2]
+    if extra:
+        assert lines[3].endswith(f"refinement skipped: cost {estimate['final_cost']:.6g}")
+    else:
+        assert lines[3].endswith(
+            f"refinement: {estimate['iterations']} LM iterations, cost {estimate['initial_cost']:.6g}"
+            f" -> {estimate['final_cost']:.6g}, converged True"
+        )
+
+
 def test_importing_the_cli_loads_only_the_runtime():
     """The package runs on numpy alone: importing it and its command line
     loads none of the test dependencies, and not ``hashlib``, which the

@@ -8,7 +8,11 @@ pose.  The constraint matrix built with its two scalars exchanged must NOT
 span it, which pins down which normalization each scalar belongs to.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,7 +58,16 @@ from lfrect.simulate import (
     simulate_correspondences,
 )
 
-from oracles import build_dlt_system_strided, refine_pose_nested, solve_linear_full_svd
+from oracles import (
+    build_dlt_system_strided,
+    detect_degeneracy_gathered,
+    jacobian_zero_filled,
+    normalize_points_broadcast,
+    project_column_stack,
+    refine_pose_nested,
+    residuals_broadcast,
+    solve_linear_full_svd,
+)
 
 
 def true_w_prime(corr, pose, N1, N2):
@@ -218,6 +231,199 @@ def test_solve_linear_hands_qr_a_column_major_system(corr_dense, monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", spy)
     solve_linear(corr_dense)
     assert seen == [((6 * len(corr_dense), 13), True)]
+
+
+# ---------------------------------------------------------------------------
+# per-point passes against their broadcast oracles, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _crafted_set():
+    """Points with exact zeros and -0.0 in every coordinate and in p, and
+    negative, zero and positive e, with cx = cy = K1 = 0 so that a -0.0
+    input stays -0.0 in p.  Five points have positive, comparable depths,
+    so ``detect_degeneracy`` fits a plane to them and gathers."""
+    k = LFIntrinsics(fx=2.0, fy=3.0, cx=0.0, cy=0.0, K1=0.0, K2=4.0)
+    first = np.array(
+        [
+            [0.0, -0.0, -1.0],
+            [-0.0, 1.5, -2.0],
+            [2.0, 0.0, -1.5],
+            [-1.0, -2.0, -3.0],
+            [1.0, -0.0, -2.5],
+            [3.0, 1.0, 0.5],
+            [-0.0, -0.0, -0.0],
+        ]
+    )
+    second = np.array(
+        [
+            [-0.0, 1.0, -0.0],
+            [0.0, -1.0, 2.0],
+            [1.0, -0.0, -1.0],
+            [-2.0, 0.0, 0.5],
+            [0.5, 0.5, -0.0],
+            [0.0, 0.0, 1.0],
+            [-1.0, 2.0, -3.0],
+        ]
+    )
+    return CorrespondenceSet(first=first, second=second, k1=k, k2=k)
+
+
+def _with_one_unusable_point(corr):
+    first = np.array(corr.first)
+    first[3, 2] = -corr.k1.K1 + 0.05  # behind camera 1
+    return CorrespondenceSet(first=first, second=corr.second, k1=corr.k1, k2=corr.k2)
+
+
+# Poses at which the crafted set keeps every point at positive depth scale:
+# exact zeros, -0.0 and negative entries in R, -0.0 in T.
+_CRAFTED_POSES = [
+    (np.eye(3), np.array([0.0, -0.0, 0.1])),
+    (np.where(np.eye(3) == 1.0, 1.0, -0.0), np.array([0.3, 0.0, -0.0])),
+    (np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]), np.array([-0.0, 0.5, -0.1])),
+    (euler_xyz_intrinsic(10.0, -20.0, 30.0), np.array([0.2, -0.3, 0.0])),
+]
+
+
+def _poses_near(pose, count=3, seed=5):
+    """``pose`` and ``count`` perturbations of it."""
+    rng = np.random.default_rng(seed)
+    return [(pose.R, pose.T)] + [
+        (pose.R @ so3_exp(rng.normal(0.0, 0.05, 3)), pose.T + rng.normal(0.0, 3.0, 3))
+        for _ in range(count)
+    ]
+
+
+@pytest.fixture(scope="module")
+def bit_cases(sweep_pose, corr_dense):
+    """(corr, poses) for every stock sweep row, the dense draw, one draw
+    with an unusable point and the crafted set."""
+    draws = [*_sweep_draws(sweep_pose), corr_dense, _with_one_unusable_point(corr_dense)]
+    return [(corr, _poses_near(sweep_pose)) for corr in draws] + [(_crafted_set(), _CRAFTED_POSES)]
+
+
+def test_normalize_points_matches_broadcast_oracle_bit_for_bit(bit_cases):
+    for corr, _ in bit_cases:
+        for points in (corr.first, corr.second):
+            Pn, N = normalize_points(points)
+            want_Pn, want_N = normalize_points_broadcast(points)
+            assert Pn.shape == want_Pn.shape and Pn.flags.c_contiguous
+            assert (Pn.tobytes(), N.tobytes()) == (want_Pn.tobytes(), want_N.tobytes())
+
+
+def test_detect_degeneracy_matches_gathering_oracle_bit_for_bit(bit_cases):
+    excluded = []
+    for corr, _ in bit_cases:
+        got, want = detect_degeneracy(corr), detect_degeneracy_gathered(corr)
+        assert got.normal.tobytes() == want.normal.tobytes()
+        for name in ("coplanar", "offset", "residual_rms", "scene_diameter", "excluded"):
+            got_value, want_value = getattr(got, name), getattr(want, name)
+            assert (type(got_value), got_value) == (type(want_value), want_value), name
+        excluded.append(got.excluded)
+    # Both the all-usable path and the gathering path ran.
+    assert 0 in excluded and excluded[-2] == 1 and excluded[-1] == 2
+
+
+def test_residuals_and_jacobian_match_broadcast_oracles_bit_for_bit(bit_cases):
+    for corr, poses in bit_cases:
+        for R, T in poses:
+            r, want_r = _residuals(corr, R, T), residuals_broadcast(corr, R, T)
+            assert r.shape == want_r.shape and r.flags.c_contiguous
+            assert r.tobytes() == want_r.tobytes()
+            J, want_J = _jacobian(corr, R, T), jacobian_zero_filled(corr, R, T)
+            assert J.shape == want_J.shape and J.flags.c_contiguous
+            assert J.tobytes() == want_J.tobytes()
+
+
+def test_crafted_set_reaches_the_signed_zeros():
+    """The crafted set is worth its place: it has negative e, and its
+    Jacobians hold both -0.0 entries (0 * e for negative e) and +0.0 ones."""
+    corr = _crafted_set()
+    J = np.concatenate([_jacobian(corr, R, T) for R, T in _CRAFTED_POSES])
+    zeros = J[J == 0.0]
+    assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+    assert (corr.backprojection[1] < 0).any()
+
+
+def test_project_matches_column_stack_oracle_bit_for_bit(k_pair):
+    rng = np.random.default_rng(3)
+    points = np.column_stack([rng.normal(0, 200, 50), rng.normal(0, 200, 50), rng.uniform(300, 2000, 50)])
+    for k in k_pair:
+        for w in (1.0, rng.uniform(-1.0, 1.0, 50)):
+            got, want = k.project(points, w), project_column_stack(k, points, w)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # One point as a (3,) array comes back as one row, as column_stack gave it.
+        assert k.project(points[0]).tobytes() == project_column_stack(k, points[0]).tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 8, 308, 7700])
+def test_median_is_np_median_bit_for_bit(size):
+    rng = np.random.default_rng(size)
+    for a in (rng.uniform(100.0, 3000.0, size), np.exp(rng.normal(7.0, 1.0, size))):
+        assert lfpose._median(a) == float(np.median(a))
+        assert np.float64(lfpose._median(a)).tobytes() == np.float64(np.median(a)).tobytes()
+
+
+def test_estimate_pose_does_not_load_numpy_ma():
+    """``np.median`` imports ``numpy.ma`` on its first call, about 14 ms;
+    a whole estimate in a fresh interpreter must not."""
+    code = (
+        "import sys, numpy as np\n"
+        "from lfrect.bench import noise_sweep_pose\n"
+        "from lfrect.pose import estimate_pose\n"
+        "from lfrect.simulate import make_sim_config, simulate_correspondences\n"
+        "cfg = make_sim_config(noise_sweep_pose(), sigma_px=0.3)\n"
+        "estimate_pose(simulate_correspondences(cfg, np.random.default_rng(0)))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (0, "False\n"), run.stderr
+
+
+def test_duplicate_check_finds_a_true_duplicate_pair(corr_noisy):
+    first, second = np.array(corr_noisy.first), np.array(corr_noisy.second)
+    first[7], second[7] = first[100], second[100]
+    with pytest.raises(ValueError, match="duplicate"):
+        CorrespondenceSet(first=first, second=second, k1=corr_noisy.k1, k2=corr_noisy.k2)
+    # A -0.0 and a 0.0 are the same coordinate.
+    first[7, 0], first[100, 0] = -0.0, 0.0
+    with pytest.raises(ValueError, match="duplicate"):
+        CorrespondenceSet(first=first, second=second, k1=corr_noisy.k1, k2=corr_noisy.k2)
+
+
+def _colliding_rows(row):
+    """A row that differs from ``row`` in its last two coordinates but has
+    the same ``_pair_hashes`` hash: the fifth word is changed, and the sixth
+    is chosen to cancel the change.  Both are finite, non-zero floats."""
+    words = row.copy().view(np.uint64)
+    m = lfpose._HASH_MULTIPLIER
+    with np.errstate(over="ignore"):  # uint64 products wrap, as the hash's do
+        h = words[0]
+        for w in words[1:4]:
+            h = h * m ^ w
+        for bit in range(64):
+            other = words.copy()
+            other[4] ^= np.uint64(1) << np.uint64(bit)
+            other[5] ^= ((h * m ^ words[4]) * m) ^ ((h * m ^ other[4]) * m)
+            candidate = other.view(np.float64)
+            if np.isfinite(candidate).all() and (candidate[4:] != 0.0).all():
+                return candidate
+    raise AssertionError("no colliding row found")
+
+
+def test_duplicate_check_runs_the_exact_test_on_a_shared_hash(corr_noisy):
+    """Two distinct rows that share a hash are told apart by the exact
+    comparison, so the set is accepted."""
+    first, second = np.array(corr_noisy.first), np.array(corr_noisy.second)
+    row = np.concatenate([first[0], second[0]])
+    twin = _colliding_rows(row)
+    assert not np.array_equal(twin, row)
+    first[1], second[1] = twin[:3], twin[3:]
+    hashes = lfpose._pair_hashes(first, second)
+    assert hashes[0] == hashes[1]
+    corr = CorrespondenceSet(first=first, second=second, k1=corr_noisy.k1, k2=corr_noisy.k2)
+    assert len(corr) == len(first)
 
 
 def test_solve_linear_coplanar_is_rank_deficient(k_pair, sweep_pose):
