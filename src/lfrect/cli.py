@@ -149,6 +149,15 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
+def _counted(sais, tally: list):
+    """Pass the sub-apertures of ``sais`` through, adding 1 to ``tally[0]``
+    and the count of valid rays to ``tally[1]`` for each."""
+    for i, j, image, mask in sais:
+        tally[0] += 1
+        tally[1] += int(mask.sum())
+        yield i, j, image, mask
+
+
 def _cmd_rectify(args) -> int:
     out = Path(args.out)
     _check_not_input(out, left=args.left, right=args.right)
@@ -160,18 +169,35 @@ def _cmd_rectify(args) -> int:
     setup = build_rectified_setup(pose)
     left, _ = lfio.load_sampled_lf(args.left)
     right, _ = lfio.load_sampled_lf(args.right)
+    log.info(
+        "read %dx%d and %dx%d sub-apertures of %dx%d px",
+        left.n_rows, left.n_cols, right.n_rows, right.n_cols, left.height, left.width,
+    )
+    log.info("rectifying frame: baseline %.6g mm", setup.baseline_mm)
     # Every refusal (NoOverlap, a grid lattice that is not regular) comes
     # from planning, before the first file is written.  The output is then
     # rendered and stored one sub-aperture at a time, never held whole.
     grid = plan_aligned_grid(left, right, setup)
-    sais = iter_aligned_sais(left, right, setup, grid)
+    counts = np.bincount(grid.provenance.ravel(), minlength=4)
+    log.info(
+        "planned %dx%d grid: %d cells from the left only, %d from the right only,"
+        " %d from both, %d from none",
+        grid.rows_mm.size, grid.cols_mm.size, counts[1], counts[2], counts[3], counts[0],
+    )
+    tally = [0, 0]
+    sais = _counted(iter_aligned_sais(left, right, setup, grid), tally)
     size = (left.height, left.width)
     with _writing(out):
         lfio.save_sai_stream(out, sais, grid.rows_mm, grid.cols_mm, left.mapping, size, grid, setup)
-    n_both = int(np.sum(grid.provenance == 3))
+    # Planning refused a grid without a cell that both cameras serve, so
+    # at least one sub-aperture was rendered.
+    log.info(
+        "wrote %d sub-apertures, %d rendered: %.4g%% of their rays valid",
+        grid.provenance.size, tally[0], 100.0 * tally[1] / (tally[0] * left.height * left.width),
+    )
     print(
         f"rectified onto {grid.rows_mm.size}x{grid.cols_mm.size} grid "
-        f"(baseline {setup.baseline_mm:.3f} mm, {n_both} shared sub-apertures)"
+        f"(baseline {setup.baseline_mm:.3f} mm, {counts[3]} shared sub-apertures)"
     )
     return 0
 
@@ -184,6 +210,10 @@ def _cmd_epi(args) -> int:
             _check_not_input(target.parent, sais=args.sais)
     lf, _ = lfio.load_sampled_lf(args.sais)
     epi = extract_epi(lf, row=args.row, line=args.line)
+    log.info(
+        "EPI of grid row %d, scan line %d: %dx%d px, %.4g%% valid",
+        args.row, args.line, epi.image.shape[0], epi.image.shape[1], 100.0 * epi.mask.mean(),
+    )
     with _writing(out):
         lfio.write_pgm16(out, epi.image)
         lfio.write_pbm(out.with_suffix(".pbm"), epi.mask)

@@ -149,18 +149,20 @@ def as_rotation(M, name: str = "R") -> np.ndarray:
 def value_type(cls):
     """``cls`` as a ``dataclass(frozen=True, eq=False)``: ``==`` and ``hash``
     go by identity, and pickle and copy rebuild it through the constructor,
-    which validates again and binds fresh copies; every field is an argument."""
+    which validates again and binds the unpickled arrays; every field is an
+    argument, and a fact that follows from the fields is a property."""
     cls = dataclass(frozen=True, eq=False)(cls)
     cls.__reduce__ = lambda self: (cls, tuple(getattr(self, f.name) for f in fields(cls)))
     return cls
 
 
-def bind_arrays(obj, readonly: bool = True, **arrays):
-    """Bind each array, which ``obj`` owns, to frozen ``obj``; read-only unless not ``readonly``."""
+def bind_arrays(obj, **arrays):
+    """Bind a read-only view of each array to frozen ``obj``; the array
+    itself keeps its flags."""
     for name, arr in arrays.items():
-        if readonly:
-            arr.flags.writeable = False
-        object.__setattr__(obj, name, arr)
+        view = arr.view()
+        view.flags.writeable = False
+        object.__setattr__(obj, name, view)
 
 
 @value_type

@@ -157,8 +157,23 @@ def _pose(d: dict) -> RelativePose:
     return RelativePose(**_row_major(d, "pose", ("R",), ("T",)))
 
 
-_SETUP_MATRICES, _SETUP_VECTORS = ("R_rect", "R_l", "R_r"), ("T_l", "T_r")
+# A setup.json and grid.json's "aligned" object also hold keys that follow
+# from their other keys: each is written from its property, and a reader
+# refuses a document whose key disagrees with what the rest gives.
+_SETUP_ARRAYS = ("R_rect", "R_l", "R_r", "T_l", "T_r")
+_SETUP_DERIVED = {"R_l": "R_rect", "T_l": "a zero vector"}
 _GRID_ARRAYS = ("rows_mm", "cols_mm", "left_cols_mm", "right_cols_mm")
+_GRID_DERIVED = dict.fromkeys(("left_cols_mm", "right_cols_mm"), "cols_mm and provenance")
+
+
+def _check_derived(source, d: dict, obj, derived: dict):
+    """Refuse document ``d`` of ``obj`` when one of its ``derived`` keys
+    differs from ``obj``'s property of that name, as a ConfigError naming
+    ``source`` and the key."""
+    for name, origin in derived.items():
+        with _naming(source, name):
+            if not np.array_equal(np.array(d[name], float), np.ravel(getattr(obj, name))):
+                raise ValueError(f"disagrees with {origin}")
 
 
 def load_intrinsics(path) -> LFIntrinsics:
@@ -196,14 +211,18 @@ def save_estimate(path, result: EstimationResult):
 
 
 def load_setup(path) -> RectifiedSetup:
+    """Read a setup file, refusing one whose ``R_l`` is not its ``R_rect``
+    or whose ``T_l`` is not zero."""
     with _naming(path):
         d = load_json(path)
-        arrays = _row_major(d, "setup", _SETUP_MATRICES, _SETUP_VECTORS)
-        return RectifiedSetup(**arrays, baseline_mm=float(d["baseline_mm"]))
+        arrays = _row_major(d, "setup", ("R_rect", "R_r"), ("T_r",))
+        setup = RectifiedSetup(**arrays, baseline_mm=float(d["baseline_mm"]))
+    _check_derived(path, d, setup, _SETUP_DERIVED)
+    return setup
 
 
 def save_setup(path, setup: RectifiedSetup):
-    doc = _row_major_doc(setup, _SETUP_MATRICES + _SETUP_VECTORS)
+    doc = _row_major_doc(setup, _SETUP_ARRAYS)
     save_json(path, {**doc, "baseline_mm": float(setup.baseline_mm)})
 
 
@@ -542,10 +561,12 @@ def load_sampled_lf(dirpath) -> tuple[SampledLF, AlignedGrid | None]:
     fitted to grid.json, or whose size is not the first image's, raises
     ConfigError naming it.  A missing ``.pbm`` sidecar means every pixel of
     its image is valid.  grid.json is checked first, its ``rows_mm`` and
-    ``cols_mm`` as regular, finite lattices, before any image is listed or
-    read.  Nothing is allocated until every image that grid.json names is
-    listed and ``sai_r0_c0.pgm`` has decoded, as its shape (not its
-    header) sizes the arrays that the rest decode into."""
+    ``cols_mm`` as regular, finite lattices and an aligned grid's
+    ``left_cols_mm`` and ``right_cols_mm`` against its columns and
+    provenance, before any image is listed or read.  Nothing is allocated
+    until every image that grid.json names is listed and
+    ``sai_r0_c0.pgm`` has decoded, as its shape (not its header) sizes the
+    arrays that the rest decode into."""
     d = os.fspath(dirpath)
     meta_path = os.path.join(d, "grid.json")
     meta = load_json(meta_path)
@@ -559,7 +580,10 @@ def load_sampled_lf(dirpath) -> tuple[SampledLF, AlignedGrid | None]:
         mapping = _scalars(SpatialMapping, meta["mapping"])
         grid = None
         if "aligned" in meta:  # AlignedGrid checks and casts the entries itself
-            grid = AlignedGrid(**{n: meta["aligned"][n] for n in _GRID_ARRAYS + ("provenance",)})
+            aligned = meta["aligned"]
+            grid = AlignedGrid(**{n: aligned[n] for n in ("rows_mm", "cols_mm", "provenance")})
+    if grid is not None:
+        _check_derived(meta_path, aligned, grid, _GRID_DERIVED)
     nr, nc = t_mm.size, s_mm.size
     with _naming(d):
         listing = _listing(d)

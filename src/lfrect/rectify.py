@@ -41,37 +41,54 @@ __all__ = [
 _EPS = 1e-12
 
 
+# The left camera's translation into the common frame, which it anchors.
+_ZERO = np.zeros(3)
+_ZERO.flags.writeable = False
+
+
 @value_type
 class RectifiedSetup:
     """The rigid transforms taking each camera's TPP into the common one.
 
     R_rect is the rectifying rotation; the left camera moves by
-    (R_l, T_l) = (R_rect, 0) and the right camera by
+    (R_l, T_l) = (R_rect, 0), two properties, and the right camera by
     (R_r, T_r) = (R_rect R, R_rect T), which places the right camera at
-    (baseline_mm, 0, 0) in the common frame.
+    (baseline_mm, 0, 0) in the common frame.  T_r is stored, not derived:
+    its first entry is computed as R_rect[0] @ T and baseline_mm as |T|,
+    which may differ in the last bits, so it is checked against baseline_mm
+    to 1e-9 relative.
     """
 
     R_rect: np.ndarray
-    R_l: np.ndarray
-    T_l: np.ndarray
     R_r: np.ndarray
     T_r: np.ndarray
     baseline_mm: float
 
     def __post_init__(self):
-        names = ("R_rect", "R_l", "R_r", "T_l", "T_r")
-        R_rect, R_l, R_r = (as_rotation(np.array(getattr(self, n), float), n) for n in names[:3])
-        T_l, T_r = (np.array(getattr(self, n), float).reshape(3) for n in names[3:])
-        if not (np.isfinite(T_l).all() and np.isfinite(T_r).all()):
-            raise ValueError("T_l and T_r must be finite")
-        if np.abs(T_l).max() > 1e-12:
-            raise ValueError("T_l must be zero: the left camera anchors the frame")
-        if not self.baseline_mm > 0:
-            raise ValueError("baseline must be positive")
-        # The right camera must sit on the common x-axis.
+        R_rect, R_r = (as_rotation(np.array(getattr(self, n), float), n) for n in ("R_rect", "R_r"))
+        T_r = np.array(self.T_r, float).reshape(3)
+        if not np.isfinite(T_r).all():
+            raise ValueError("T_r must be finite")
+        if not 0 < self.baseline_mm < np.inf:
+            raise ValueError("baseline must be positive and finite")
+        # The right camera must sit on the common x-axis, at the baseline.
         if np.abs(T_r[1:]).max() > 1e-9 * max(self.baseline_mm, 1.0):
             raise ValueError("T_r must be aligned with the common x-axis")
-        bind_arrays(self, R_rect=R_rect, R_l=R_l, R_r=R_r, T_l=T_l, T_r=T_r)
+        if abs(T_r[0] - self.baseline_mm) > 1e-9 * self.baseline_mm:
+            raise ValueError(
+                f"T_r[0] = {float(T_r[0])!r} is not baseline_mm = {float(self.baseline_mm)!r} to 1e-9"
+            )
+        bind_arrays(self, R_rect=R_rect, R_r=R_r, T_r=T_r)
+
+    @property
+    def R_l(self) -> np.ndarray:
+        """The left camera's rotation into the common frame: R_rect."""
+        return self.R_rect
+
+    @property
+    def T_l(self) -> np.ndarray:
+        """The left camera's translation into the common frame: zero."""
+        return _ZERO
 
 
 def warp_slopes(u, v, R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -158,11 +175,4 @@ def build_rectified_setup(pose_2to1: RelativePose) -> RectifiedSetup:
     # Rows 2 and 3 of R_rect are orthogonal to T by construction; zero the
     # residual round-off so downstream row alignment is exact.
     T_r = np.array([T_r[0], 0.0, 0.0])
-    return RectifiedSetup(
-        R_rect=R_rect,
-        R_l=R_rect,
-        T_l=np.zeros(3),
-        R_r=R_rect @ R,
-        T_r=T_r,
-        baseline_mm=baseline,
-    )
+    return RectifiedSetup(R_rect=R_rect, R_r=R_rect @ R, T_r=T_r, baseline_mm=baseline)

@@ -122,6 +122,10 @@ class SampledLF:
     mask:   same shape, True where the sample is valid.
     s_mm, t_mm: sub-aperture grid coordinates (regular lattices).
     mapping: pixel-to-slope affine map shared by all sub-apertures.
+
+    For memory, the light field binds read-only views of the arrays it is
+    given, without copying a float64 C-ordered ``images`` or a boolean
+    ``mask``; the caller must not change those arrays in place after.
     """
 
     images: np.ndarray
@@ -143,7 +147,7 @@ class SampledLF:
         _check_regular(t, "t_mm")
         if img.shape[0] != t.size or img.shape[1] != s.size:
             raise ValueError("grid coordinate counts must match image layout")
-        bind_arrays(self, readonly=False, images=img, mask=msk, s_mm=s, t_mm=t)
+        bind_arrays(self, images=img, mask=msk, s_mm=s, t_mm=t)
 
     @property
     def n_rows(self) -> int:
@@ -175,8 +179,7 @@ class SampledLF:
         by the cell's low corner.  The high neighbour on an axis of n
         samples is min(lo + 1, n - 1), so a one-sample axis pairs each
         sample with itself; entries at index n - 1 of a longer axis are
-        never a low corner.  Computed on first use; the arrays of a
-        SampledLF must not be modified in place after that."""
+        never a low corner.  Computed on first use."""
         cells = self.mask.copy()
         for axis, n in enumerate(cells.shape):
             if n > 1:
@@ -198,25 +201,18 @@ class AlignedGrid:
     provenance: (n_rows, n_cols) int8; bit 1 = supplied by the left source,
     bit 2 = by the right source, 0 = no source (kept to make the lattice
     contiguous, rendered as masked).
-    left_cols_mm / right_cols_mm: the snapped column positions contributed
-    by each source (1D).
 
     rows_mm and cols_mm must be regular lattices, as the rendered light
-    field's t_mm and s_mm are.  The grid holds read-only copies of all five
-    arrays.
+    field's t_mm and s_mm are.  The grid holds read-only copies of all
+    three arrays.
     """
 
     rows_mm: np.ndarray
     cols_mm: np.ndarray
     provenance: np.ndarray
-    left_cols_mm: np.ndarray
-    right_cols_mm: np.ndarray
 
     def __post_init__(self):
-        rows, cols, left_cols, right_cols = (
-            np.array(getattr(self, name), float)
-            for name in ("rows_mm", "cols_mm", "left_cols_mm", "right_cols_mm")
-        )
+        rows, cols = (np.array(getattr(self, name), float) for name in ("rows_mm", "cols_mm"))
         prov = np.array(self.provenance)
         if prov.shape != (rows.size, cols.size):
             raise ValueError("provenance shape must be (n_rows, n_cols)")
@@ -229,14 +225,23 @@ class AlignedGrid:
         # any sub-aperture is rendered or stored.
         _check_regular(rows, "rows_mm")
         _check_regular(cols, "cols_mm")
-        for arr, name in ((left_cols, "left_cols_mm"), (right_cols, "right_cols_mm")):
-            if arr.ndim != 1:
-                raise ValueError(f"{name} must be a 1D array")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} must be finite")
         # A writer that reads the grid while it streams sees it unchanged.
-        arrays = dict(rows_mm=rows, cols_mm=cols, left_cols_mm=left_cols, right_cols_mm=right_cols)
-        bind_arrays(self, provenance=prov.astype(np.int8), **arrays)
+        bind_arrays(self, rows_mm=rows, cols_mm=cols, provenance=prov.astype(np.int8))
+
+    def _source_cols(self, bit: int) -> np.ndarray:
+        cols = self.cols_mm[(self.provenance & bit).any(axis=0)]
+        cols.flags.writeable = False
+        return cols
+
+    @cached_property
+    def left_cols_mm(self) -> np.ndarray:
+        """The entries of cols_mm that the left source supplies on some row."""
+        return self._source_cols(1)
+
+    @cached_property
+    def right_cols_mm(self) -> np.ndarray:
+        """The entries of cols_mm that the right source supplies on some row."""
+        return self._source_cols(2)
 
 
 @value_type
@@ -463,13 +468,7 @@ def plan_aligned_grid(
     provenance = np.zeros((rows_mm.size, cols_mm.size), np.int8)
     provenance[:, k_left - k_min] = 1
     provenance[dist.argmin(axis=1)[right_row_keep, None], k_right - k_min] |= 2
-    return AlignedGrid(
-        rows_mm=rows_mm,
-        cols_mm=cols_mm,
-        provenance=provenance,
-        left_cols_mm=np.unique(anchor + k_left * pitch),
-        right_cols_mm=np.unique(anchor + k_right * pitch),
-    )
+    return AlignedGrid(rows_mm=rows_mm, cols_mm=cols_mm, provenance=provenance)
 
 
 def iter_aligned_sais(

@@ -312,17 +312,48 @@ def _run_one_trial(cfg: SimConfig, trial: int):
         return (trial, float("nan"), float("nan"), False, 0, f"{type(exc).__name__}: {exc}")
 
 
+# The thread-count variables of the BLAS libraries numpy may be built on.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _one_blas_thread_env():
+    """Set every BLAS thread-count variable to "1" in ``os.environ``, and
+    restore the caller's values (or their absence) on exit."""
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 @contextmanager
 def trial_pool(jobs: int):
     """A ``map`` over ``min(jobs, os.cpu_count())`` worker processes for
     :func:`run_trials` calls to share, or the builtin ``map`` when that is
     one worker (no process is started).  This is the only place that sizes
-    the workers and their chunks."""
+    the workers and their chunks.
+
+    Each worker runs one BLAS thread: a trial's matrices are small, and
+    more threads per worker only contend for the CPUs that the other
+    workers use.  The workers are spawned, not forked, so each starts a
+    fresh interpreter whose BLAS reads the variables that are set to 1
+    while the pool lives."""
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         yield map
         return
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    import multiprocessing  # deferred: only a pool of workers needs it
+
+    spawn = multiprocessing.get_context("spawn")
+    # The executor starts no worker before its first map.
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs, mp_context=spawn)
+    with _one_blas_thread_env(), pool:
 
         def pool_map(fn, *iterables):
             # About four chunks per worker: few enough to amortise dispatch,

@@ -601,15 +601,13 @@ def plan_aligned_grid_masked(left, right, setup) -> AlignedGrid:
             "no target row receives sub-apertures from both cameras",
             diagnostics=diagnostics,
         )
-    left_cols = np.unique(anchor + k_left * pitch)
-    right_cols = np.unique(anchor + k_right * pitch)
-    return AlignedGrid(
-        rows_mm=rows_mm,
-        cols_mm=cols_mm,
-        provenance=provenance,
-        left_cols_mm=left_cols,
-        right_cols_mm=right_cols,
-    )
+    grid = AlignedGrid(rows_mm=rows_mm, cols_mm=cols_mm, provenance=provenance)
+    # Where every central ray warps, as for the package's planner, each
+    # source's snapped columns are those that provenance credits to it.
+    if vl.all() and vr.all():
+        assert np.array_equal(grid.left_cols_mm, np.unique(anchor + k_left * pitch))
+        assert np.array_equal(grid.right_cols_mm, np.unique(anchor + k_right * pitch))
+    return grid
 
 
 # --------------------------------------------------------------------------

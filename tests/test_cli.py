@@ -47,7 +47,7 @@ from lfrect.rectify import RectifiedSetup, build_rectified_setup
 from lfrect.resample import SampledLF, SpatialMapping, plan_aligned_grid, render_aligned_sais
 
 from test_io import tree_of
-from test_resample import S3, random_lf
+from test_resample import H, S3, W, random_lf
 
 POSE_DOC = {"euler_deg": [5.0, 20.0, 5.0], "T_mm": [80.0, 5.0, 5.0]}
 
@@ -482,11 +482,16 @@ def test_every_rotation_obeys_one_rule(tmp_path, capsys, monkeypatch, entry, bad
     if entry == "pose":
         with pytest.raises(ValueError, match="^R "):
             RelativePose(M, np.zeros(3))
+    elif entry == "R_l":
+        # R_l is R_rect, so only a setup file can hold another; its reader
+        # refuses one that is not R_rect.
+        path = tmp_path / "setup.json"
+        save_setup(path, RectifiedSetup(np.eye(3), np.eye(3), [50.0, 0.0, 0.0], 50.0))
+        save_json(path, {**load_json(path), "R_l": M.ravel().tolist()})
+        with pytest.raises(ConfigError, match="setup.json: R_l: disagrees with R_rect$"):
+            lfio.load_setup(path)
     elif entry.startswith("R_"):
-        fields = dict(
-            R_rect=np.eye(3), R_l=np.eye(3), T_l=np.zeros(3), R_r=np.eye(3),
-            T_r=np.array([50.0, 0.0, 0.0]), baseline_mm=50.0,
-        )
+        fields = dict(R_rect=np.eye(3), R_r=np.eye(3), T_r=np.array([50.0, 0.0, 0.0]), baseline_mm=50.0)
         with pytest.raises(ValueError, match=f"^{entry} "):
             RectifiedSetup(**dict(fields, **{entry: M}))
     else:
@@ -676,6 +681,65 @@ def test_unknown_provenance_in_grid_json_exits_2(tmp_path, capsys, value):
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: {rect / 'grid.json'}: ")
     assert not (tmp_path / "e.pgm").exists()
+
+
+@pytest.mark.parametrize("key", ["left_cols_mm", "right_cols_mm"])
+def test_grid_json_whose_source_columns_disagree_exits_2(tmp_path, capsys, key):
+    """A rectified grid.json keeps each source's columns, which follow
+    from cols_mm and provenance; an edited list is refused by name before
+    any image is read."""
+    rect = tmp_path / "rect"
+    assert main(_rectify_argv(tmp_path, rect)) == 0
+    capsys.readouterr()
+    meta = load_json(rect / "grid.json")
+    meta["aligned"][key] = meta["aligned"][key][1:]
+    save_json(rect / "grid.json", meta)
+    rc = main(["epi", "--sais", str(rect), "--row", "0", "--line", "0",
+               "--out", str(tmp_path / "e.pgm")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {rect / 'grid.json'}: {key}: disagrees with cols_mm and provenance\n"
+    assert not (tmp_path / "e.pgm").exists()
+
+
+def test_verbose_rectify_and_epi_explain_each_stage(tmp_path, capsys, monkeypatch, request):
+    """-v logs one INFO line per stage of rectify and one for epi, each
+    figure read back from the written files; stdout and every output file
+    keep the bytes of a quiet run, which logs nothing."""
+    monkeypatch.setattr(logging.root, "handlers", [])
+    lfrect_log = logging.getLogger("lfrect")
+    request.addfinalizer(functools.partial(lfrect_log.setLevel, lfrect_log.level))
+    rect, epi = tmp_path / "rect", tmp_path / "epi.pgm"
+    runs = []
+    for flags in ((), ("-v",)):
+        assert main([*flags, *_rectify_argv(tmp_path, rect, T=(4.0, 0.5, 0.0))]) == 0
+        argv = ["epi", "--sais", str(rect), "--row", "1", "--line", "2", "--out", str(epi)]
+        assert main([*flags, *argv]) == 0
+        captured = capsys.readouterr()
+        files = tree_of(rect), epi.read_bytes(), epi.with_suffix(".pbm").read_bytes()
+        runs.append((captured.out, files, captured.err))
+    (quiet_out, quiet_files, quiet_err), (out, files, err) = runs
+    assert (out, files) == (quiet_out, quiet_files)
+    assert quiet_err == ""
+    lf, grid = load_sampled_lf(rect)
+    setup = lfio.load_setup(rect / "setup.json")
+    counts = np.bincount(grid.provenance.ravel(), minlength=4)
+    served = grid.provenance > 0
+    valid = 100.0 * lf.mask[served].mean()
+    epi_mask = read_pbm(epi.with_suffix(".pbm"))
+    assert err.splitlines() == [
+        f"INFO lfrect: {line}" for line in (
+            f"read 3x3 and 3x3 sub-apertures of {H}x{W} px",
+            f"rectifying frame: baseline {setup.baseline_mm:.6g} mm",
+            f"planned {grid.rows_mm.size}x{grid.cols_mm.size} grid: {counts[1]} cells from the left only,"
+            f" {counts[2]} from the right only, {counts[3]} from both, {counts[0]} from none",
+            f"wrote {grid.provenance.size} sub-apertures, {served.sum()} rendered:"
+            f" {valid:.4g}% of their rays valid",
+            f"EPI of grid row 1, scan line 2: {epi_mask.shape[0]}x{epi_mask.shape[1]} px,"
+            f" {100.0 * epi_mask.mean():.4g}% valid",
+        )
+    ]
+    assert 0 < valid < 100 and counts[3] > 0
 
 
 def test_simulate_writes_the_draw_run_trials_uses(tmp_path, capsys, monkeypatch):

@@ -250,7 +250,7 @@ VALUE_TYPES = {
         np.full((1, 2, 2, 3), 0.5), np.ones((1, 2, 2, 3), bool), [-1.0, 1.0], [0.0],
         SpatialMapping(u0=-0.5, du=0.25, v0=-0.375, dv=0.125),
     ),
-    "AlignedGrid": lambda: AlignedGrid([0.0], [-1.0, 1.0], [[1, 3]], [-1.0, 1.0], [1.0]),
+    "AlignedGrid": lambda: AlignedGrid([0.0], [-1.0, 1.0], [[1, 3]]),
     "EpiImage": lambda: EpiImage(np.full((2, 3), 0.5), np.ones((2, 3), bool), [-1.0, 1.0]),
     "TexturedPlane": lambda: TexturedPlane(
         [0.0, 0.0, 500.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], soft_checkerboard_texture(30.0, 2.0)
@@ -274,8 +274,8 @@ def _arrays(x, prefix=""):
 @pytest.mark.parametrize("name", sorted(VALUE_TYPES))
 def test_value_type_contract(name):
     """Identity equality and hashing, and a pickle round trip through the
-    constructor: equal arrays, read-only (SampledLF binds its arrays as
-    given), and no cached property carried over."""
+    constructor: equal arrays, all read-only, and no cached property
+    carried over."""
     x = VALUE_TYPES[name]()
     assert hash(x) == hash(x)
     assert x == x
@@ -288,7 +288,7 @@ def test_value_type_contract(name):
     assert before and before.keys() == after.keys()
     for key, arr in after.items():
         assert np.array_equal(arr, before[key]) and arr is not before[key]
-        assert arr.flags.writeable == (name == "SampledLF"), key
+        assert not arr.flags.writeable, key
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import errno
 import itertools
 import json
 import os
+import re
 import stat
 import tracemalloc
 from pathlib import Path
@@ -119,18 +120,12 @@ def test_intrinsics_pose_setup_round_trips(tmp_path, sweep_pose):
 QUARTER_TURN = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 GOLDEN_K = LFIntrinsics(fx=400.0, fy=410.5, cx=320.0, cy=240.25, K1=0.1, K2=12.0)
 GOLDEN_POSE = RelativePose(QUARTER_TURN, [80.0, 5.5, -0.25])
-GOLDEN_SETUP = RectifiedSetup(
-    R_rect=np.eye(3), R_l=np.eye(3), T_l=np.zeros(3), R_r=QUARTER_TURN,
-    T_r=[62.5, 0.0, 0.0], baseline_mm=62.5,
-)
+GOLDEN_SETUP = RectifiedSetup(R_rect=np.eye(3), R_r=QUARTER_TURN, T_r=[62.5, 0.0, 0.0], baseline_mm=62.5)
 GOLDEN_LF = SampledLF(
     images=np.zeros((1, 2, 1, 1)), mask=np.ones((1, 2, 1, 1), bool), s_mm=[-1.0, 1.0],
     t_mm=[0.0], mapping=SpatialMapping(u0=-0.5, du=0.25, v0=-0.375, dv=0.125),
 )
-GOLDEN_GRID = AlignedGrid(
-    rows_mm=[0.0], cols_mm=[-1.0, 1.0], provenance=[[1, 3]],
-    left_cols_mm=[-1.0, 1.0], right_cols_mm=[1.0],
-)
+GOLDEN_GRID = AlignedGrid(rows_mm=[0.0], cols_mm=[-1.0, 1.0], provenance=[[1, 3]])
 GOLDEN_RESULT = EstimationResult(
     pose=GOLDEN_POSE,
     linear=ProjectiveSolution(
@@ -186,6 +181,79 @@ def test_json_document_golden_bytes(tmp_path, name):
     file, save, compact = JSON_GOLDENS[name]
     save(tmp_path / file)
     assert (tmp_path / file).read_bytes() == _golden_bytes(compact)
+
+
+# The poses of the rectify benchmark workload (perfbench/bench_workloads.py,
+# RECT_POSES): camera 2 relative to camera 1, as the estimator reports it,
+# with the T_r[0] and baseline_mm that rectifying by each one gives.
+RECT_WORKLOAD_POSES = {
+    "fixture": ((1.0, 3.0, 0.5), (-50.0, -4.0, 2.55), 50.22452090363829, 50.224520903638286),
+    "middle": ((1.0, 6.0, 1.0), (-80.0, -6.0, 4.0), 80.3243425120928, 80.32434251209281),
+    "wide": ((2.0, 10.0, 1.0), (-120.0, -6.0, 4.0), 120.21647141718974, 120.21647141718975),
+}
+
+
+def _workload_setup(name) -> RectifiedSetup:
+    euler, T, _, _ = RECT_WORKLOAD_POSES[name]
+    return build_rectified_setup(RelativePose(euler_xyz_intrinsic(*euler), T).inverse())
+
+
+@pytest.mark.parametrize("name", sorted(RECT_WORKLOAD_POSES))
+def test_setup_keeps_t_r_apart_from_the_baseline(name):
+    """T_r[0] is R_rect[0] @ T and baseline_mm is |T|: the two differ in
+    their last bits at every workload pose, so the setup stores T_r rather
+    than derive it from baseline_mm, which would move setup.json bytes."""
+    setup = _workload_setup(name)
+    *_, T_r0, baseline = RECT_WORKLOAD_POSES[name]
+    assert (float(setup.T_r[0]), setup.baseline_mm) == (T_r0, baseline)
+    assert T_r0 != baseline and abs(T_r0 - baseline) <= 1e-15 * baseline
+
+
+@pytest.mark.parametrize("name", sorted(RECT_WORKLOAD_POSES))
+def test_setup_and_grid_documents_round_trip_byte_for_byte(tmp_path, name):
+    """save -> load -> save of setup.json and grid.json writes the same
+    bytes, derived keys included, on the rectify workload's 9 x 9 grids
+    at 2 mm pitch."""
+    setup = _workload_setup(name)
+    lattice = (np.arange(9) - 4.0) * 2.0
+    lf = make_lf(np.zeros((9, 9, 2, 2)), s_mm=lattice, t_mm=lattice)
+    grid = plan_aligned_grid(lf, lf, setup)
+    save_setup(tmp_path / "a.json", setup)
+    save_setup(tmp_path / "b.json", load_setup(tmp_path / "a.json"))
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    save_sampled_lf(tmp_path / "a", lf, grid)
+    save_sampled_lf(tmp_path / "b", *load_sampled_lf(tmp_path / "a"))
+    assert tree_of(tmp_path / "a") == tree_of(tmp_path / "b")
+    aligned = load_json(tmp_path / "a" / "grid.json")["aligned"]
+    assert aligned["left_cols_mm"] and aligned["right_cols_mm"]
+
+
+# Each key that a document repeats from its other keys -> the file that
+# holds it, and an edit of it that still parses.
+DERIVED_KEY_EDITS = {
+    "R_l": ("s.json", lambda doc: doc.update(R_l=doc["R_r"])),
+    "T_l": ("s.json", lambda doc: doc["T_l"].__setitem__(0, 1e-300)),
+    "left_cols_mm": ("lf/grid.json", lambda doc: doc["aligned"]["left_cols_mm"].pop()),
+    "right_cols_mm": ("lf/grid.json", lambda doc: doc["aligned"]["right_cols_mm"].append(3.0)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(DERIVED_KEY_EDITS))
+def test_a_derived_key_that_disagrees_is_refused(tmp_path, key):
+    """setup.json and grid.json keep their derived keys, and a reader
+    refuses a document whose derived key disagrees with what its other
+    keys give, naming the file and the key; the unedited document loads."""
+    file, edit = DERIVED_KEY_EDITS[key]
+    path = tmp_path / file
+    save_setup(tmp_path / "s.json", GOLDEN_SETUP)
+    save_sampled_lf(tmp_path / "lf", GOLDEN_LF, GOLDEN_GRID)
+    load = load_setup if file == "s.json" else lambda p: load_sampled_lf(p.parent)
+    load(path)
+    doc = load_json(path)
+    edit(doc)
+    save_json(path, doc)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: {key}: disagrees with "):
+        load(path)
 
 
 def test_estimate_document_golden_bytes(tmp_path, monkeypatch, corr_noisy):
@@ -429,8 +497,9 @@ def test_non_finite_pixel_is_refused(tmp_path, bad):
     with pytest.raises(ValueError, match="image pixels must be finite"):
         write_pgm16(tmp_path / "a.pgm", image)
     assert not (tmp_path / "a.pgm").exists()
-    lf = random_lf(seed=11)
-    lf.images[1, 1, 2, 3] = bad
+    images = random_lf(seed=11).images.copy()
+    images[1, 1, 2, 3] = bad
+    lf = dataclasses.replace(random_lf(seed=11), images=images)
     with pytest.raises(ValueError, match="image pixels must be finite"):
         save_sampled_lf(tmp_path / "lf", lf)
     assert not (tmp_path / "lf" / "grid.json").exists()

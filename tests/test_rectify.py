@@ -9,14 +9,16 @@ a rotation, it sends the baseline to the +x axis, and ray bundles from both
 cameras triangulate scene points consistently in the common frame.
 """
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
-from lfrect.errors import CollinearConstruction, ZeroBaseline
+from lfrect.errors import CollinearConstruction, ConfigError, ZeroBaseline
 from lfrect.geometry import RelativePose, euler_xyz_intrinsic, so3_exp
-from lfrect.lfio import load_json, load_setup, save_setup
+from lfrect.lfio import load_json, load_setup, save_json, save_setup
 from lfrect.rectify import (
     RectifiedSetup,
     build_rectified_setup,
@@ -256,30 +258,38 @@ def test_setup_json_round_trip(tmp_path, sweep_pose):
 
 def test_setup_validation():
     R = np.eye(3)
-    with pytest.raises(ValueError, match="T_l"):
-        RectifiedSetup(
-            R_rect=R, R_l=R, T_l=np.array([1.0, 0, 0]), R_r=R,
-            T_r=np.array([50.0, 0, 0]), baseline_mm=50.0,
-        )
     with pytest.raises(ValueError, match="x-axis"):
-        RectifiedSetup(
-            R_rect=R, R_l=R, T_l=np.zeros(3), R_r=R,
-            T_r=np.array([50.0, 2.0, 0]), baseline_mm=50.0,
-        )
-    with pytest.raises(ValueError, match="baseline"):
-        RectifiedSetup(
-            R_rect=R, R_l=R, T_l=np.zeros(3), R_r=R,
-            T_r=np.array([50.0, 0, 0]), baseline_mm=-1.0,
-        )
+        RectifiedSetup(R_rect=R, R_r=R, T_r=np.array([50.0, 2.0, 0]), baseline_mm=50.0)
+    for baseline in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="baseline"):
+            RectifiedSetup(R_rect=R, R_r=R, T_r=np.array([50.0, 0, 0]), baseline_mm=baseline)
+
+
+def test_setup_refuses_a_right_camera_off_the_baseline():
+    """T_r[0] is the right camera's distance along the baseline, so it
+    must equal baseline_mm to 1e-9 relative: the last-bit difference that
+    build_rectified_setup leaves passes, a wrong distance does not."""
+    R = np.eye(3)
+    with pytest.raises(ValueError, match=r"T_r\[0\] = 10.0 is not baseline_mm = 50"):
+        RectifiedSetup(R_rect=R, R_r=R, T_r=(10.0, 0.0, 0.0), baseline_mm=50)
+    with pytest.raises(ValueError, match=r"T_r\[0\]"):
+        RectifiedSetup(R_rect=R, R_r=R, T_r=(-50.0, 0.0, 0.0), baseline_mm=50.0)
+    with pytest.raises(ValueError, match=r"T_r\[0\]"):
+        RectifiedSetup(R_rect=R, R_r=R, T_r=(50.0 * (1 + 2e-9), 0.0, 0.0), baseline_mm=50.0)
+    RectifiedSetup(R_rect=R, R_r=R, T_r=(50.0 * (1 + 5e-10), 0.0, 0.0), baseline_mm=50.0)
 
 
 def test_setup_holds_read_only_copies(sweep_pose):
-    """Each array is the setup's own read-only copy: R_l is a separate
-    array from R_rect, and a caller's rotation changed after the check does
-    not reach the setup."""
+    """The setup stores four fields.  R_l and T_l are properties: R_l is
+    R_rect itself and T_l one shared read-only zero vector.  Each stored
+    array is the setup's own read-only copy, so a caller's rotation
+    changed after the check does not reach the setup."""
     setup = build_rectified_setup(sweep_pose)
-    assert setup.R_l is not setup.R_rect
-    names = ("R_rect", "R_l", "T_l", "R_r", "T_r")
+    assert [f.name for f in dataclasses.fields(setup)] == ["R_rect", "R_r", "T_r", "baseline_mm"]
+    assert setup.R_l is setup.R_rect
+    assert setup.T_l is build_rectified_setup(sweep_pose.inverse()).T_l
+    assert np.array_equal(setup.T_l, np.zeros(3)) and not setup.T_l.flags.writeable
+    names = ("R_rect", "R_r", "T_r")
     fields = {name: np.array(getattr(setup, name)) for name in names}
     given = RectifiedSetup(**fields, baseline_mm=setup.baseline_mm)
     for name, value in fields.items():
@@ -292,15 +302,24 @@ def test_setup_holds_read_only_copies(sweep_pose):
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("name", ["R_rect", "R_l", "R_r", "T_l", "T_r"])
-def test_setup_rejects_non_finite_entries(name, value):
+def test_setup_rejects_non_finite_entries(tmp_path, name, value):
     # A non-finite entry would make warped sub-aperture centres NaN or
-    # infinite without marking them invalid.
-    fields = dict(
-        R_rect=np.eye(3), R_l=np.eye(3), T_l=np.zeros(3), R_r=np.eye(3),
-        T_r=np.array([50.0, 0.0, 0.0]), baseline_mm=50.0,
-    )
-    fields[name] = fields[name].copy()
-    fields[name].flat[1 if name.startswith("R") else 0] = value
-    with pytest.raises(ValueError, match="finite") as exc:
-        RectifiedSetup(**fields)
-    assert name in str(exc.value)
+    # infinite without marking them invalid.  R_l and T_l are properties,
+    # so only a setup file can hold a non-finite one, and its reader
+    # refuses it by name.
+    fields = dict(R_rect=np.eye(3), R_r=np.eye(3), T_r=np.array([50.0, 0.0, 0.0]), baseline_mm=50.0)
+    index = 1 if name.startswith("R") else 0
+    if name in fields:
+        fields[name] = fields[name].copy()
+        fields[name].flat[index] = value
+        with pytest.raises(ValueError, match="finite") as exc:
+            RectifiedSetup(**fields)
+        assert name in str(exc.value)
+        return
+    path = tmp_path / "setup.json"
+    save_setup(path, RectifiedSetup(**fields))
+    doc = load_json(path)
+    doc[name][index] = value
+    save_json(path, doc)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: {name}: disagrees with "):
+        load_setup(path)

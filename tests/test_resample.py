@@ -9,6 +9,7 @@ land on the same scan line in left- and right-sourced sub-apertures, and a
 blob's EPI trace must be a straight line of the predicted slope.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -81,10 +82,7 @@ def affine_lf(c, s_mm=S3, t_mm=S3, mapping=MAP):
 
 def identity_setup(baseline):
     I = np.eye(3)
-    return RectifiedSetup(
-        R_rect=I, R_l=I, T_l=np.zeros(3), R_r=I,
-        T_r=np.array([baseline, 0.0, 0.0]), baseline_mm=baseline,
-    )
+    return RectifiedSetup(R_rect=I, R_r=I, T_r=np.array([baseline, 0.0, 0.0]), baseline_mm=baseline)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +267,23 @@ def test_cell_valid_is_computed_once():
     assert lf.cell_valid.all()
 
 
+def test_sampled_lf_binds_read_only_views_without_copying():
+    """A light field binds read-only views of the float64 images and the
+    boolean mask it is given, sharing their memory, while the caller's
+    arrays stay writeable; other dtypes are converted."""
+    images = np.random.default_rng(0).uniform(0, 1, (3, 3, H, W))
+    mask = np.ones(images.shape, bool)
+    lf = make_lf(images, mask=mask)
+    for held, given in ((lf.images, images), (lf.mask, mask)):
+        assert np.shares_memory(held, given) and not held.flags.writeable
+        assert given.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        lf.images[0, 0, 0, 0] = 0.5
+    converted = make_lf(images.astype(np.float32), mask=mask.astype(np.uint8))
+    assert converted.images.dtype == np.float64 and converted.mask.dtype == bool
+    assert not converted.images.flags.writeable and not converted.mask.flags.writeable
+
+
 @pytest.mark.parametrize("n_t", [1, 3])
 def test_masked_upper_edge_sample_invalidates_hi_corner_queries(n_t):
     """On the clipped upper edge the low corner is n - 2 and the query sits
@@ -425,8 +440,6 @@ def test_render_matches_reference_with_mask_holes_and_an_empty_target():
         rows_mm=np.array([0.0, 1.0]),
         cols_mm=np.array([0.5, 100.5]),
         provenance=np.array([[1, 1], [1, 0]], np.int8),
-        left_cols_mm=np.array([0.5, 100.5]),
-        right_cols_mm=np.array([]),
     )
     setup = identity_setup(4.0)
     out = render_aligned_sais(left, right, setup, grid)
@@ -459,8 +472,6 @@ def test_render_prepares_only_the_sources_that_serve_a_cell(monkeypatch, provena
         rows_mm=np.array([0.0, 1.0]),
         cols_mm=np.array([0.5, 1.5]),
         provenance=np.array(provenance, np.int8),
-        left_cols_mm=np.array([0.5, 1.5]),
-        right_cols_mm=np.array([0.5, 1.5]),
     )
     setup = identity_setup(4.0)
     out = render_aligned_sais(left, right, setup, grid)
@@ -517,8 +528,7 @@ def test_plan_drops_right_rows_beyond_half_pitch():
 
 def test_plan_no_overlap_when_right_unmappable():
     setup = RectifiedSetup(
-        R_rect=np.eye(3), R_l=np.eye(3), T_l=np.zeros(3),
-        R_r=euler_xyz_intrinsic(90.0, 0.0, 0.0), T_r=np.array([4.0, 0.0, 0.0]),
+        R_rect=np.eye(3), R_r=euler_xyz_intrinsic(90.0, 0.0, 0.0), T_r=np.array([4.0, 0.0, 0.0]),
         baseline_mm=4.0,
     )
     with pytest.raises(NoOverlap) as exc:
@@ -581,10 +591,7 @@ def planning_cases(draw):
     R_l = turn if kind in ("left_turned", "both_turned") else np.eye(3)
     R_r = turn if kind in ("right_turned", "both_turned") else np.eye(3)
     baseline = draw(st.floats(0.5, 40.0))
-    setup = RectifiedSetup(
-        R_rect=R_l, R_l=R_l, T_l=np.zeros(3), R_r=R_r,
-        T_r=np.array([baseline, 0.0, 0.0]), baseline_mm=baseline,
-    )
+    setup = RectifiedSetup(R_rect=R_l, R_r=R_r, T_r=np.array([baseline, 0.0, 0.0]), baseline_mm=baseline)
     return left, right, setup
 
 
@@ -637,21 +644,21 @@ def test_aligned_grid_rejects_boolean_provenance(provenance):
     """A bool is no provenance code, although numpy compares it equal to
     0 or 1 and reads a True among integers as 1."""
     with pytest.raises(ValueError, match="provenance entries must be 0, 1, 2 or 3"):
-        AlignedGrid(rows_mm=S3, cols_mm=S3, provenance=provenance, left_cols_mm=S3, right_cols_mm=S3)
+        AlignedGrid(rows_mm=S3, cols_mm=S3, provenance=provenance)
 
 
 def test_aligned_grid_holds_read_only_copies():
-    """Each of the five arrays is the grid's own read-only copy, of float64
-    or (provenance) int8, whatever the caller passed, and a column list
-    that is not 1D is refused."""
+    """Each of the three arrays is the grid's own read-only copy, of
+    float64 or (provenance) int8, whatever the caller passed.  Each
+    source's columns are a read-only property, computed once from cols_mm
+    and provenance."""
     arrays = dict(
         rows_mm=[0.0, 1.0],
-        cols_mm=np.array([0.5, 1.5]),
-        provenance=np.array([[1, 3], [1, 2]]),
-        left_cols_mm=[0.5, 1.5],
-        right_cols_mm=np.array([1.5]),
+        cols_mm=np.array([0.5, 1.5, 2.5]),
+        provenance=np.array([[1, 3, 0], [1, 2, 0]]),
     )
     grid = AlignedGrid(**arrays)
+    assert [f.name for f in dataclasses.fields(grid)] == list(arrays)
     for name, given in arrays.items():
         value = getattr(grid, name)
         assert isinstance(value, np.ndarray), name
@@ -660,9 +667,11 @@ def test_aligned_grid_holds_read_only_copies():
         assert not np.shares_memory(value, given), name
     arrays["cols_mm"][0] = 7.0
     assert grid.cols_mm[0] == 0.5
-    for name in ("left_cols_mm", "right_cols_mm"):
-        with pytest.raises(ValueError, match=f"{name} must be a 1D array"):
-            AlignedGrid(**{**arrays, "cols_mm": [0.5, 1.5], name: [[-1.0], [1.0]]})
+    for name, expect in (("left_cols_mm", [0.5, 1.5]), ("right_cols_mm", [1.5])):
+        value = getattr(grid, name)
+        assert np.array_equal(value, expect) and value.dtype == np.float64, name
+        assert not value.flags.writeable, name
+        assert getattr(grid, name) is value, name
 
 
 def test_sampled_lf_validation():
@@ -684,7 +693,7 @@ def test_sampled_lf_validation():
     with pytest.raises(ValueError):
         SpatialMapping(u0=0.0, du=0.0, v0=0.0, dv=1.0)
     with pytest.raises(ValueError, match="provenance shape"):
-        AlignedGrid(rows_mm=S3, cols_mm=S3, provenance=np.ones((2, 3)), left_cols_mm=S3, right_cols_mm=S3)
+        AlignedGrid(rows_mm=S3, cols_mm=S3, provenance=np.ones((2, 3)))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -695,11 +704,8 @@ def test_lattices_and_mappings_reject_non_finite_values(bad):
         make_lf(np.zeros((3, 3, H, W)), s_mm=np.array([0.0, bad, 2.0]))
     with pytest.raises(ValueError, match="t_mm must be finite"):
         make_lf(np.zeros((3, 3, H, W)), t_mm=np.array([bad, 1.0, 2.0]))
-    grid = dict(
-        rows_mm=S3, cols_mm=S3, provenance=np.ones((3, 3), np.int8),
-        left_cols_mm=S3, right_cols_mm=S3[1:],
-    )
-    for name in ("rows_mm", "cols_mm", "left_cols_mm", "right_cols_mm"):
+    grid = dict(rows_mm=S3, cols_mm=S3, provenance=np.ones((3, 3), np.int8))
+    for name in ("rows_mm", "cols_mm"):
         coords = grid[name].copy()
         coords[0] = bad
         with pytest.raises(ValueError, match=f"{name} must be finite"):

@@ -11,7 +11,10 @@ model assigns to its depth.
 """
 
 import dataclasses
+import os
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,15 +318,18 @@ def test_run_trials_is_deterministic_and_job_invariant(sweep_pose):
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the worker count it was
-    asked for and runs the map in this process, so no process starts."""
+    """Stands in for ProcessPoolExecutor: records the worker count and
+    start method it was asked for and runs the map in this process, so no
+    process starts."""
 
     started = []
+    methods = []
     mapped = []
     chunks = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context):
         self.started.append(max_workers)
+        self.methods.append(mp_context.get_start_method())
 
     def __enter__(self):
         return self
@@ -342,6 +348,7 @@ def test_run_trials_starts_at_most_cpu_count_workers(sweep_pose, monkeypatch, cp
     cfg = make_sim_config(sweep_pose, sigma_px=0.3, trials=6, seed=11)
     serial = run_trials(cfg)
     monkeypatch.setattr(RecordingPool, "started", [])
+    monkeypatch.setattr(RecordingPool, "methods", [])
     monkeypatch.setattr(lfrect.simulate.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(lfrect.simulate.os, "cpu_count", lambda: cpus)
     for jobs in (2, 3, 64, 10**9):
@@ -356,6 +363,35 @@ def test_run_trials_starts_at_most_cpu_count_workers(sweep_pose, monkeypatch, cp
     cap = cpus or 1
     want = [min(jobs, cap) for jobs in (2, 3, 64, 10**9) if min(jobs, cap) > 1]
     assert RecordingPool.started == want
+    assert RecordingPool.methods == ["spawn"] * len(want)
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _report_blas_env(rendezvous: str):
+    """Run in a pool worker: leave this process's id in ``rendezvous`` and
+    wait, up to 30 s, for a second worker to do the same, so that each of
+    two tasks runs on its own worker; then report the BLAS variables."""
+    Path(rendezvous, str(os.getpid())).touch()
+    deadline = time.monotonic() + 30.0
+    while len(os.listdir(rendezvous)) < 2 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return os.getpid(), tuple(os.environ.get(name) for name in BLAS_THREAD_VARS)
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="trial_pool(2) starts no worker on one CPU")
+def test_trial_pool_workers_run_one_blas_thread(tmp_path, monkeypatch):
+    """Every worker of a pool starts with each BLAS thread-count variable
+    set to "1", and the parent's environment is as it was once the pool
+    exits: here, with the variables unset."""
+    for name in BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    with trial_pool(2) as pool:
+        reports = list(pool(_report_blas_env, [str(tmp_path)] * 2))
+    assert len({pid for pid, _ in reports}) == 2
+    assert [env for _, env in reports] == [("1", "1", "1")] * 2
+    assert not set(BLAS_THREAD_VARS) & set(os.environ)
 
 
 @pytest.mark.parametrize(
