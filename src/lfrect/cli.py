@@ -16,6 +16,12 @@ twin that is a file of its ``--sais`` light field), 3 generation
 failure, 4 degenerate geometry, 5 no rectified overlap.  Each code is one
 group base in :mod:`lfrect.errors`, and ``main`` catches only those four
 bases.
+
+The process runs one BLAS thread unless its environment names a count:
+importing this module sets each BLAS thread-count variable that is unset
+to 1 before numpy loads.  The arrays are small, so more threads only
+contend, and one thread makes ``estimate``'s bytes the same on every
+machine.
 """
 
 from __future__ import annotations
@@ -29,7 +35,12 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
+from . import _BLAS_THREAD_VARS
+
+for _name in _BLAS_THREAD_VARS:
+    os.environ.setdefault(_name, "1")
+
+import numpy as np  # after the BLAS thread count is set
 
 from . import bench as bench_mod
 from . import lfio

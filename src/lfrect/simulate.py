@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _BLAS_THREAD_VARS
 from .errors import BehindCamera, GenerationFailure, LfRectError
 from .geometry import (
     LFIntrinsics,
@@ -312,10 +313,6 @@ def _run_one_trial(cfg: SimConfig, trial: int):
         return (trial, float("nan"), float("nan"), False, 0, f"{type(exc).__name__}: {exc}")
 
 
-# The thread-count variables of the BLAS libraries numpy may be built on.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
 @contextmanager
 def _one_blas_thread_env():
     """Set every BLAS thread-count variable to "1" in ``os.environ``, and
@@ -415,6 +412,10 @@ class TexturedPlane:
             raise ValueError("plane axes must be unit vectors")
         if abs(ea @ eb) > 1e-9:
             raise ValueError("plane axes must be orthogonal")
+        for name in ("half_a", "half_b"):
+            half = getattr(self, name)
+            if half is not None and not half > 0:
+                raise ValueError(f"{name} must be positive or None, got {half}")
         bind_arrays(self, origin=o, axis_a=ea, axis_b=eb)
 
     @property
@@ -434,9 +435,17 @@ class RenderGrid:
     supersample: int = 2
 
     def __post_init__(self):
+        for name in ("sai_rows", "sai_cols", "width_px", "height_px", "supersample"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.sai_rows < 1 or self.sai_cols < 1:
             raise ValueError("need at least one sub-aperture")
-        if self.pitch_mm <= 0 or self.width_px < 2 or self.height_px < 2:
+        if not 0 < self.pitch_mm < np.inf:
+            raise ValueError(
+                f"invalid render grid: pitch_mm must be positive and finite, got {self.pitch_mm}"
+            )
+        if self.width_px < 2 or self.height_px < 2:
             raise ValueError("invalid render grid")
         if self.supersample < 1:
             raise ValueError("supersample must be >= 1")
@@ -484,7 +493,39 @@ def sinusoid_texture(seed: int):
 # Supersampled rays per band of render_synthetic_lf, rounded down to whole
 # pixel rows (one row at least): every per-ray temporary of the tracer is
 # band-sized, so its working memory does not grow with the image.
-_BAND_RAYS = 4096
+_BAND_RAYS = 8192
+
+
+def _supersample_mean(samples: np.ndarray, ss: int, out: np.ndarray) -> None:
+    """``samples.reshape(-1, ss, W, ss).mean(axis=(1, 3), out=out)`` bit
+    for bit, for an ``out`` of shape (rows, W), as whole-band strided adds.
+
+    numpy's mean starts from 0.0, adds each sub-row's sum in sub-row order
+    (a sub-row of fewer than 8 samples summed left to right), then divides
+    by the count; this does the same adds in the same order.  From 8
+    samples a sub-row, numpy sums pairwise, so those go to numpy itself.
+    """
+    v = samples.reshape(-1, ss, out.shape[1], ss)
+    if ss >= 8:
+        v.mean(axis=(1, 3), out=out)
+        return
+    out.fill(0.0)
+    for s1 in range(ss):
+        row = v[:, s1, :, 0].copy()
+        for s3 in range(1, ss):
+            row += v[:, s1, :, s3]
+        out += row
+    out /= ss * ss
+
+
+def _all_samples(flags: np.ndarray, ss: int, out: np.ndarray) -> None:
+    """``flags.reshape(-1, ss, W, ss).all(axis=(1, 3), out=out)``, as ANDs
+    of the ss * ss strided views."""
+    v = flags.reshape(-1, ss, out.shape[1], ss)
+    np.copyto(out, v[:, 0, :, 0])
+    for s1, s3 in np.ndindex(ss, ss):
+        if s1 or s3:
+            out &= v[:, s1, :, s3]
 
 
 def render_synthetic_lf(
@@ -507,8 +548,13 @@ def render_synthetic_lf(
     The ray directions and each plane's ray denominators are computed once
     per light field; each sub-aperture is then traced in bands of whole
     pixel rows of about ``_BAND_RAYS`` rays, and each band's pixels are
-    written straight into the output.  Every ray's arithmetic is the same
-    whatever the band, so the result does not depend on the band size.
+    written straight into the output.  Within a band the work runs over
+    whole columns: the hit points are filled one coordinate at a time, and
+    the supersamples are averaged and their hits combined by adding and
+    ANDing the band's ss * ss strided views, in the order of numpy's own
+    ``mean`` and ``all`` over the supersample axes.  Every ray's arithmetic
+    is the same whatever the band, so the result does not depend on the
+    band size.
 
     The intrinsics' K1/K2 play no role in ray generation; to make the
     rendered light field consistent with the LF-point model, pass K1 = 0
@@ -532,8 +578,12 @@ def render_synthetic_lf(
     dirs_cam[..., 2] = 1.0
     dirs = dirs_cam.reshape(-1, 3) @ Rc.T
     del dirs_cam
-    denoms = [dirs @ pl.normal for pl in scene]
+    normals = [pl.normal for pl in scene]
+    denoms = [dirs @ n for n in normals]
     usable = [np.abs(denom) > 1e-12 for denom in denoms]
+    # One contiguous row of each coordinate, for the per-coordinate hit
+    # points below.
+    dirs = np.ascontiguousarray(dirs.T)
 
     row_rays = ss * W * ss  # the rays of one pixel row
     band = max(1, _BAND_RAYS // row_rays)
@@ -542,7 +592,7 @@ def render_synthetic_lf(
     for i, j in np.ndindex(nr, nc):
         origin_cam = np.array([s_mm[j], t_mm[i], 0.0])
         o = Rc @ origin_cam + Tc
-        nums = [(pl.origin - o) @ pl.normal for pl in scene]
+        nums = [(pl.origin - o) @ n for pl, n in zip(scene, normals)]
         for r0 in range(0, H, band):
             pix = slice(r0, min(r0 + band, H))
             rays = slice(pix.start * row_rays, pix.stop * row_rays)
@@ -552,14 +602,20 @@ def render_synthetic_lf(
                 with np.errstate(divide="ignore", invalid="ignore"):
                     tau = num / denom[rays]
                 hit = ok[rays] & (tau > 1e-9) & (tau < best_tau)
-                if not hit.any():
+                n_hit = np.count_nonzero(hit)
+                if not n_hit:
                     continue
                 # Index copies only when some ray of the band misses.
-                idx = slice(None) if hit.all() else np.flatnonzero(hit)
+                idx = slice(None) if n_hit == hit.size else np.flatnonzero(hit)
                 tau = tau[idx]
-                pts = tau[:, None] * dirs[rays][idx]
-                pts += o
-                pts -= pl.origin
+                # Hit points relative to the plane origin, o + tau * d -
+                # origin, filled one coordinate at a time into a C-ordered
+                # (n, 3) matrix for the products below.
+                pts = np.empty((tau.size, 3))
+                for c in range(3):
+                    np.multiply(tau, dirs[c, rays][idx], out=pts[:, c])
+                    pts[:, c] += o[c]
+                    pts[:, c] -= pl.origin[c]
                 a = pts @ pl.axis_a
                 b = pts @ pl.axis_b
                 inside = np.ones(a.size, bool)
@@ -572,8 +628,8 @@ def render_synthetic_lf(
                     a, b, tau = a[inside], b[inside], tau[inside]
                 lum[idx] = pl.texture(a, b)
                 best_tau[idx] = tau
-            lum.reshape(-1, ss, W, ss).mean(axis=(1, 3), out=images[i, j, pix])
-            np.isfinite(best_tau).reshape(-1, ss, W, ss).all(axis=(1, 3), out=mask[i, j, pix])
+            _supersample_mean(lum, ss, images[i, j, pix])
+            _all_samples(np.isfinite(best_tau), ss, mask[i, j, pix])
     mapping = SpatialMapping(
         u0=-k.cx / k.fx, du=1.0 / k.fx, v0=-k.cy / k.fy, dv=1.0 / k.fy
     )

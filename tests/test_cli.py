@@ -48,6 +48,7 @@ from lfrect.resample import SampledLF, SpatialMapping, plan_aligned_grid, render
 
 from test_io import tree_of
 from test_resample import H, S3, W, random_lf
+from test_simulate import BLAS_THREAD_VARS
 
 POSE_DOC = {"euler_deg": [5.0, 20.0, 5.0], "T_mm": [80.0, 5.0, 5.0]}
 
@@ -1262,3 +1263,46 @@ def test_importing_the_cli_loads_only_the_runtime():
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
+
+
+def _fresh_env(**extra):
+    """This environment without the BLAS thread-count variables, running
+    the package from this checkout."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    return {**env, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), **extra}
+
+
+def test_importing_the_package_loads_no_numpy():
+    """``import lfrect`` loads the errors alone; every other name in
+    ``__all__`` loads its module on first use."""
+    code = (
+        "import sys, lfrect; print('numpy' in sys.modules); "
+        "print(all(getattr(lfrect, n) is not None for n in lfrect.__all__))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=_fresh_env(), capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (0, "False\nTrue\n"), run.stderr
+
+
+def test_estimate_bytes_do_not_depend_on_the_blas_threads(tmp_path, capsys):
+    """The command line runs one BLAS thread unless its environment names
+    a count: on a 7,700-pair draw, where the solve's last bits follow the
+    thread count, ``estimate`` with the variables unset writes the bytes
+    of ``OPENBLAS_NUM_THREADS=1``."""
+    cfg = _sim_config(tmp_path, board={"rows": 35, "cols": 55, "spacing_mm": 4.5})
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--out", str(sim)]) == 0
+    assert "wrote 7700 correspondences" in capsys.readouterr().out
+    written = []
+    for name, extra in [("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})]:
+        out = tmp_path / f"{name}.json"
+        argv = [
+            sys.executable, "-m", "lfrect.cli", "estimate",
+            "--points", str(sim / "correspondences.csv"),
+            "--intrinsics1", str(sim / "intrinsics1.json"),
+            "--intrinsics2", str(sim / "intrinsics2.json"),
+            "--out", str(out),
+        ]
+        run = subprocess.run(argv, env=_fresh_env(**extra), capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        written.append(out.read_bytes())
+    assert written[0] == written[1]

@@ -543,8 +543,8 @@ def _plane(z_mm, texture, half=(None, None), axis_a=EX, axis_b=EY):
 
 
 # (scene, world_from_camera, supersample, every ray hits).  At 40 px wide
-# the default band is 102 rows at supersample 1 (one band), 25 at 2 and
-# 11 at 3, neither of which divides the 35 rows.
+# the default band is 204 rows at supersample 1 and 51 at 2 (one band
+# each), and 22 at 3, which does not divide the 35 rows.
 RENDER_CASES = {
     "identity-unbounded-ss1": ([_plane(600.0, sinusoid_texture(3))], IDENTITY, 1, True),
     "turned-unbounded-ss3": ([_plane(600.0, sinusoid_texture(3))], TURNED, 3, True),
@@ -602,6 +602,56 @@ def test_renderer_band_size_changes_no_bit(monkeypatch, case, band_rays):
     assert _same_bits(_render_case(case), default)
 
 
+@pytest.mark.parametrize("rows", [1, 2, 7, 35], ids=lambda r: f"{r}-rows")
+@pytest.mark.parametrize("ss", [1, 2, 3, 4, 8])
+def test_supersample_reductions_match_numpy(ss, rows):
+    """The band's strided mean and AND give the bits of numpy's mean and
+    all over the supersample axes: random values, a fifth of them exact
+    zeros of either sign, and some pixels whose samples are all -0.0.
+    From 8 samples a sub-row the mean is numpy's own."""
+    rng = np.random.default_rng(100 * ss + rows)
+    W = 40
+    lum = rng.random((rows, ss, W, ss))
+    lum[rng.random(lum.shape) < 0.1] = 0.0
+    lum[rng.random(lum.shape) < 0.1] = -0.0
+    lum[:, :, ::7, :] = -0.0
+    hits = rng.random(lum.shape) < 0.97
+    hits[:, :, ::5, :] = True
+    images, mask = np.empty((rows, W)), np.empty((rows, W), bool)
+    lfrect.simulate._supersample_mean(lum.ravel(), ss, images)
+    lfrect.simulate._all_samples(hits.ravel(), ss, mask)
+    expected = lum.mean(axis=(1, 3))
+    assert np.array_equal(images.view(np.uint64), expected.view(np.uint64))
+    assert np.array_equal(mask, hits.all(axis=(1, 3)))
+    assert mask.any() and not mask.all()
+
+
+BENCH_CAMERA = LFIntrinsics(fx=400.0, fy=400.0, cx=63.5, cy=47.5, K1=0.0, K2=800.0)
+BENCH_PLANES = {
+    "sinusoid": TexturedPlane(
+        origin=np.array([20.0, 0.0, 600.0]), axis_a=EX, axis_b=EY,
+        texture=sinusoid_texture(7), half_a=600.0, half_b=450.0,
+    ),
+    "checker": TexturedPlane(
+        origin=np.array([31.0, -8.5, 600.0]), axis_a=EX, axis_b=EY,
+        texture=soft_checkerboard_texture(30.0, 2.0), half_a=600.0, half_b=450.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("pose", [IDENTITY, TURNED], ids=["identity", "turned"])
+@pytest.mark.parametrize("plane", BENCH_PLANES)
+def test_renderer_matches_the_oracle_at_the_benchmark_camera(plane, pose):
+    """3x3 sub-apertures at the rectify benchmark's camera and image
+    (96x128 px, supersample 2): 16 pixel rows a band, so each image takes
+    six bands, with the bits of the whole-bundle oracle."""
+    grid = RenderGrid(3, 3, 2.0, width_px=128, height_px=96, supersample=2)
+    scene = [BENCH_PLANES[plane]]
+    lf = render_synthetic_lf(scene, BENCH_CAMERA, pose, grid)
+    assert _same_bits(lf, render_synthetic_lf_whole(scene, BENCH_CAMERA, pose, grid))
+    assert lf.mask.all()
+
+
 def test_renderer_memory_is_bounded_by_the_band():
     """At the rectify benchmark's size (9x9 sub-apertures of 96x128 px,
     supersample 2) the render holds its output, the 49,152 ray directions
@@ -629,8 +679,22 @@ def test_renderer_memory_is_bounded_by_the_band():
         (lambda: RenderGrid(pitch_mm=0.0), "invalid render grid"),
         (lambda: RenderGrid(width_px=1), "invalid render grid"),
         (lambda: RenderGrid(supersample=0), "supersample must be >= 1"),
+        (lambda: _plane(600.0, None, (-5.0, None)), "half_a must be positive or None, got -5.0"),
+        (lambda: _plane(600.0, None, (np.nan, None)), "half_a must be positive or None, got nan"),
+        (lambda: _plane(600.0, None, (None, 0.0)), "half_b must be positive or None, got 0.0"),
+        (lambda: RenderGrid(pitch_mm=np.nan), "pitch_mm must be positive and finite, got nan"),
+        (lambda: RenderGrid(pitch_mm=np.inf), "pitch_mm must be positive and finite, got inf"),
+        (lambda: RenderGrid(sai_rows=2.5), "sai_rows must be an integer, got 2.5"),
+        (lambda: RenderGrid(sai_cols=7.0), "sai_cols must be an integer, got 7.0"),
+        (lambda: RenderGrid(width_px="64"), "width_px must be an integer, got '64'"),
+        (lambda: RenderGrid(height_px=48.0), "height_px must be an integer, got 48.0"),
+        (lambda: RenderGrid(supersample=True), "supersample must be an integer, got True"),
     ],
-    ids=["long-axis", "parallel-axes", "no-sub-aperture", "zero-pitch", "one-column", "no-samples"],
+    ids=[
+        "long-axis", "parallel-axes", "no-sub-aperture", "zero-pitch", "one-column", "no-samples",
+        "negative-half-a", "nan-half-a", "zero-half-b", "nan-pitch", "inf-pitch", "fractional-rows",
+        "float-cols", "string-width", "float-height", "bool-supersample",
+    ],
 )
 def test_render_inputs_are_validated(make, message):
     with pytest.raises(ValueError, match=message):
